@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import PAPER
+from ..dataplat.observability import profiled
 from ..errors import FeatureError, NotFittedError
 from ..ml.fm import FactorizationMachine
 from ..ml.preprocess import Standardizer
@@ -38,6 +39,7 @@ class SecondOrderSelector:
         self._pairs: list[tuple[int, int]] | None = None
         self._base_names: list[str] | None = None
 
+    @profiled("second_order.fit")
     def fit(self, base: FeatureMatrix, labels: np.ndarray) -> "SecondOrderSelector":
         """Train the FM on the baseline block and pick the top pairs."""
         labels = np.asarray(labels)

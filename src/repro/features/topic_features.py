@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..datagen.simulator import TelcoWorld
+from ..dataplat.observability import current_span, profiled
 from ..errors import FeatureError, NotFittedError
 from ..ml.lda import LatentDirichletAllocation
 from .spec import FeatureMatrix
@@ -48,6 +49,7 @@ class TopicFeatureExtractor:
         self._vocab: dict[str, int] | None = None
         self._lda: LatentDirichletAllocation | None = None
 
+    @profiled("topic.fit")
     def fit(self, world: TelcoWorld, months: list[int]) -> "TopicFeatureExtractor":
         """Build the vocabulary and topic-word structure from these months."""
         docs: list[str] = []
@@ -64,6 +66,9 @@ class TopicFeatureExtractor:
                 sorted(t for t, c in counts.items() if c >= self.min_word_count)
             )
         }
+        current_span().set_tag("category", self.category).set_tag(
+            "docs", len(docs)
+        ).set_tag("vocab", len(vocab))
         if not vocab:
             raise FeatureError(
                 f"no vocabulary survives pruning for {self.category} "

@@ -21,7 +21,7 @@ import numpy as np
 from ..datagen.simulator import TelcoWorld
 from ..dataplat import observability
 from ..dataplat.executor import ExecutorBackend, resolve_backend
-from ..dataplat.observability import span
+from ..dataplat.observability import profiled, span
 from ..dataplat.resilience import PipelineHealthReport
 from ..dataplat.sql import SQLEngine
 from ..errors import DataPlatformError, FeatureError
@@ -89,6 +89,7 @@ class WideTableBuilder:
     # Fitting the supervised / corpus extractors
     # ------------------------------------------------------------------
 
+    @profiled("feature.fit_extractors")
     def fit_extractors(
         self,
         train_months: list[int],

@@ -16,12 +16,15 @@ outputs in tree order regardless of which worker produced them.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from ..config import PAPER
 from ..dataplat.executor import ExecutorBackend, resolve_backend
+from ..dataplat.observability import span
 from ..errors import ModelError, NotFittedError
-from .tree import DecisionTree
+from .tree import DecisionTree, RankCodes, check_training_set
 
 
 class RandomForestClassifier:
@@ -88,12 +91,9 @@ class RandomForestClassifier:
         sample_weight: np.ndarray | None = None,
         backend: "ExecutorBackend | str | None" = None,
     ) -> "RandomForestClassifier":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if len(x) != len(y):
-            raise ModelError(f"x has {len(x)} rows but y has {len(y)}")
-        if sample_weight is not None:
-            sample_weight = np.asarray(sample_weight, dtype=np.float64)
+        x, y, sample_weight = check_training_set(
+            x, y, sample_weight, binary_labels=True
+        )
         rng = np.random.default_rng(self.seed)
         n = len(y)
         # Pre-draw every tree's bootstrap and subspace seed in tree order
@@ -110,12 +110,21 @@ class RandomForestClassifier:
         }
         resolved = resolve_backend(backend if backend is not None else self._backend)
         chunks = _chunk_indices(self.n_trees, resolved.parallelism)
-        tasks = [
-            (params, x, y, sample_weight, [draws[t] for t in chunk])
-            for chunk in chunks
-        ]
-        results = resolved.map(_fit_tree_chunk, tasks)
-        self._trees = [tree for chunk_trees in results for tree in chunk_trees]
+        with span(
+            "forest.fit", trees=self.n_trees, rows=n, features=x.shape[1]
+        ) as sp:
+            start = time.perf_counter()
+            # One presort per forest: every tree sorts rank codes, not floats.
+            codes = RankCodes(x)
+            sp.incr("presort_s", time.perf_counter() - start)
+            tasks = [
+                (params, x, y, sample_weight, codes, [draws[t] for t in chunk])
+                for chunk in chunks
+            ]
+            results = resolved.map(_fit_tree_chunk, tasks)
+            self._trees = [tree for trees, _ in results for tree in trees]
+            sp.incr("nodes", sum(tree.node_count for tree in self._trees))
+            sp.incr("split_candidates", sum(evaluated for _, evaluated in results))
         self._n_features = x.shape[1]
         return self
 
@@ -191,16 +200,17 @@ def _fit_tree_chunk(args):
 
     Top-level by design: process backends pickle tasks by name.  Each tree
     is fully determined by its draw, so chunking is free to follow the
-    backend's parallelism without affecting results.
+    backend's parallelism without affecting results.  Returns the trees and
+    their summed split evaluations (a ``forest.fit`` span counter).
     """
-    params, x, y, sample_weight, draws = args
-    trees = []
+    params, x, y, sample_weight, codes, draws = args
+    trees, evaluated = [], 0
     for boot, seed in draws:
         tree = DecisionTree(criterion="gini", seed=seed, **params)
-        weights = None if sample_weight is None else sample_weight[boot]
-        tree.fit(x[boot], y[boot], sample_weight=weights)
+        # The bootstrap is the tree's root row index, never an x[boot] copy.
+        evaluated += tree.grow(x, y, sample_weight, codes, boot)
         trees.append(tree)
-    return trees
+    return trees, evaluated
 
 
 def _predict_tree_chunk(args):

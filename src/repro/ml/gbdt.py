@@ -13,7 +13,7 @@ import numpy as np
 
 from ..config import PAPER
 from ..errors import ModelError, NotFittedError
-from .tree import DecisionTree
+from .tree import DecisionTree, RankCodes, check_training_set
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -59,17 +59,12 @@ class GradientBoostedTrees:
         y: np.ndarray,
         sample_weight: np.ndarray | None = None,
     ) -> "GradientBoostedTrees":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if len(x) != len(y):
-            raise ModelError(f"x has {len(x)} rows but y has {len(y)}")
-        labels = set(np.unique(y).tolist())
-        if not labels <= {0.0, 1.0}:
-            raise ModelError(f"labels must be 0/1, got {labels}")
-        if sample_weight is None:
-            sample_weight = np.ones(len(y))
-        else:
-            sample_weight = np.asarray(sample_weight, dtype=np.float64)
+        x, y, sample_weight = check_training_set(
+            x, y, sample_weight, binary_labels=True
+        )
+        # x never changes between rounds: every stage's tree shares one presort.
+        codes = RankCodes(x)
+        rows = np.arange(len(y))
         prior = float(np.average(y, weights=sample_weight))
         prior = min(max(prior, 1e-6), 1 - 1e-6)
         self._base_score = float(np.log(prior / (1 - prior)))
@@ -86,7 +81,7 @@ class GradientBoostedTrees:
                 max_features=None,
                 seed=int(rng.integers(0, 2**31 - 1)),
             )
-            tree.fit(x, residual, sample_weight=sample_weight)
+            tree.grow(x, residual, sample_weight, codes, rows)
             self._newton_refit(tree, x, residual, p, sample_weight)
             raw = raw + self.learning_rate * tree.predict(x)
             trees.append(tree)

@@ -9,8 +9,14 @@ paper's preferred imbalance treatment is instance weighting (Table 7).
 The same tree, with a variance (MSE) criterion, serves as the base learner
 for GBDT.
 
-Split search is vectorized per feature: one sort plus cumulative class-mass
-arrays evaluate *all* split points of a feature at once.
+Split search is batched per node over rank codes: :class:`RankCodes` sorts
+every feature column once per fit, and a node then evaluates *all* split
+points of *all* its candidate features in one ``(candidates, rows)`` block —
+one gather, one stable radix argsort of 16-bit code digits, one cumulative
+sum per mass array, one argmax over every boundary between distinct values.
+Ensembles build the codes once and hand each tree its rows
+(:meth:`DecisionTree.grow`).  DESIGN.md §17 says why the trees are the same,
+bit for bit, as a per-feature float sort would grow.
 """
 
 from __future__ import annotations
@@ -24,6 +30,12 @@ from ..errors import ModelError, NotFittedError, TrainingError
 #: Sentinel feature id marking a leaf node.
 LEAF = -1
 
+#: Most (candidate × row) cells one split-search block holds: a node with
+#: more is searched a few candidates at a time.  Keeps the kernel's float64
+#: temporaries cache-sized (256 KiB each) whatever the training size — an
+#: all-feature GBDT root runs 1.6x faster this way than as one block.
+_BLOCK_CELLS = 1 << 15
+
 
 @dataclass
 class _Split:
@@ -32,6 +44,86 @@ class _Split:
     improvement: float
     left_index: np.ndarray
     right_index: np.ndarray
+
+
+class RankCodes:
+    """Dense per-feature rank codes of a training matrix, built once per fit.
+
+    ``ranks[j, i]`` is the rank of ``x[i, j]`` among the sorted distinct
+    values ``distinct[j]`` of column ``j``: equal code ⇔ equal value and
+    code order = value order, so a stable sort of codes *is* the stable
+    sort of values, on small unsigned ints instead of float64.  Codes are
+    feature-major so a node's candidate block is gathered from contiguous
+    rows.  NaN has no rank: a column holding one raises ``ModelError``.
+    """
+
+    __slots__ = ("ranks", "distinct")
+
+    def __init__(self, x: np.ndarray) -> None:
+        n, n_features = x.shape
+        ranks = np.empty((n_features, n), dtype=np.uint32)
+        self.distinct: list[np.ndarray] = []
+        for j in range(n_features):
+            values, inverse = np.unique(x[:, j], return_inverse=True)
+            if np.isnan(values[-1]):  # unique sorts NaN last
+                raise ModelError(
+                    f"x has NaN in feature column {j}; impute or drop it "
+                    f"before fitting (±inf is allowed)"
+                )
+            ranks[j] = inverse
+            self.distinct.append(values)
+        if max((len(v) for v in self.distinct), default=0) <= 1 << 16:
+            ranks = ranks.astype(np.uint16)
+        self.ranks = ranks
+
+
+def _stable_order(block: np.ndarray) -> np.ndarray:
+    """Row-wise stable argsort of unsigned codes: LSD radix on 16-bit digits.
+
+    numpy sorts 16-bit keys with a radix sort, so codes below 65 536 take
+    one pass; wider codes loop over their higher digits.
+    """
+    order = block.astype(np.uint16, copy=False).argsort(axis=1, kind="stable")
+    for shift in range(16, int(block.max(initial=0)).bit_length(), 16):
+        digit = np.take_along_axis(block >> shift, order, axis=1).astype(np.uint16)
+        order = np.take_along_axis(
+            order, digit.argsort(axis=1, kind="stable"), axis=1
+        )
+    return order
+
+
+def check_training_set(
+    x: np.ndarray,
+    y: np.ndarray,
+    sample_weight: np.ndarray | None,
+    binary_labels: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate and cast ``(x, y, sample_weight)`` for a tree-based fit.
+
+    Shared by the tree, the forest and GBDT so an ensemble validates once,
+    not per tree; ``sample_weight=None`` becomes unit weights.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2:
+        raise ModelError(f"x must be 2-D, got {x.ndim}-D")
+    if len(x) != len(y):
+        raise ModelError(f"x has {len(x)} rows but y has {len(y)}")
+    if len(x) == 0:
+        raise TrainingError("cannot fit a tree on zero instances")
+    if binary_labels:
+        labels = set(np.unique(y).tolist())
+        if not labels <= {0.0, 1.0}:
+            raise ModelError(f"labels must be 0/1, got {labels}")
+    if sample_weight is None:
+        sample_weight = np.ones(len(y))
+    else:
+        sample_weight = np.asarray(sample_weight, dtype=np.float64)
+        if len(sample_weight) != len(y):
+            raise ModelError("sample_weight length mismatch")
+        if np.any(sample_weight < 0):
+            raise ModelError("sample weights must be non-negative")
+    return x, y, sample_weight
 
 
 class DecisionTree:
@@ -93,27 +185,29 @@ class DecisionTree:
         y: np.ndarray,
         sample_weight: np.ndarray | None = None,
     ) -> "DecisionTree":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.ndim != 2:
-            raise ModelError(f"x must be 2-D, got {x.ndim}-D")
-        if len(x) != len(y):
-            raise ModelError(f"x has {len(x)} rows but y has {len(y)}")
-        if len(x) == 0:
-            raise TrainingError("cannot fit a tree on zero instances")
-        if self.criterion == "gini":
-            labels = set(np.unique(y).tolist())
-            if not labels <= {0.0, 1.0}:
-                raise ModelError(f"gini criterion needs 0/1 labels, got {labels}")
-        if sample_weight is None:
-            sample_weight = np.ones(len(y))
-        else:
-            sample_weight = np.asarray(sample_weight, dtype=np.float64)
-            if len(sample_weight) != len(y):
-                raise ModelError("sample_weight length mismatch")
-            if np.any(sample_weight < 0):
-                raise ModelError("sample weights must be non-negative")
+        x, y, sample_weight = check_training_set(
+            x, y, sample_weight, binary_labels=self.criterion == "gini"
+        )
+        self.grow(x, y, sample_weight, RankCodes(x), np.arange(len(y)))
+        return self
 
+    def grow(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        sample_weight: np.ndarray,
+        codes: RankCodes,
+        rows: np.ndarray,
+    ) -> int:
+        """Fit on ``rows`` of an already validated, rank-coded training set.
+
+        The ensemble entry point: forests and GBDT validate and rank-code
+        ``x`` once (:func:`check_training_set`, :class:`RankCodes`) and give
+        every tree its root row index — a bootstrap draw, in draw order and
+        with its duplicates, grows the same tree as fitting the
+        materialized ``x[rows]`` copy.  Returns the number of
+        (node, candidate feature) split evaluations, for tracing.
+        """
         self._n_features = x.shape[1]
         n_candidates = self._resolve_max_features(x.shape[1])
         rng = np.random.default_rng(self.seed)
@@ -124,30 +218,40 @@ class DecisionTree:
         right: list[int] = []
         value: list[float] = []
         importances = np.zeros(x.shape[1])
-        total_weight = sample_weight.sum()
+        total_weight = sample_weight[rows].sum()
+        every_feature = np.arange(x.shape[1])
+        searched = 0
 
         # (node_id, row indices, depth) — depth-first construction.
-        root_index = np.arange(len(y))
-        stack = [(self._new_node(feature, threshold, left, right, value), root_index, 0)]
+        stack = [(self._new_node(feature, threshold, left, right, value), rows, 0)]
         while stack:
             node_id, index, depth = stack.pop()
             w = sample_weight[index]
             t = y[index]
-            node_value = float(np.average(t, weights=w)) if w.sum() > 0 else float(
-                t.mean()
-            )
-            value[node_id] = node_value
+            wt = w * t
+            w_total = w.sum()
+            mean = float(wt.sum() / w_total) if w_total > 0 else float(t.mean())
+            value[node_id] = mean
             if (
                 depth >= self.max_depth
                 or len(index) < 2 * self.min_samples_leaf
                 or _is_pure(t)
             ):
                 continue
-            split = self._best_split(x, y, sample_weight, index, n_candidates, rng)
+            if n_candidates < x.shape[1]:
+                candidates = rng.choice(x.shape[1], size=n_candidates, replace=False)
+            else:
+                candidates = every_feature
+            searched += len(candidates)
+            if w_total <= 0:
+                continue
+            split = self._best_split(
+                x, codes, index, w, t, wt, w_total, mean, candidates
+            )
             if split is None:
                 continue
             importances[split.feature] += split.improvement * (
-                w.sum() / total_weight
+                w_total / total_weight
             )
             feature[node_id] = split.feature
             threshold[node_id] = split.threshold
@@ -164,7 +268,7 @@ class DecisionTree:
         self._right = np.asarray(right, dtype=np.int64)
         self._value = np.asarray(value, dtype=np.float64)
         self._importances = importances
-        return self
+        return searched
 
     @staticmethod
     def _new_node(feature, threshold, left, right, value) -> int:
@@ -187,96 +291,115 @@ class DecisionTree:
     def _best_split(
         self,
         x: np.ndarray,
-        y: np.ndarray,
-        sample_weight: np.ndarray,
+        codes: RankCodes,
         index: np.ndarray,
-        n_candidates: int,
-        rng: np.random.Generator,
+        w: np.ndarray,
+        t: np.ndarray,
+        wt: np.ndarray,
+        w_total: float,
+        mean: float,
+        candidates: np.ndarray,
     ) -> _Split | None:
-        n_features = x.shape[1]
-        if n_candidates < n_features:
-            candidates = rng.choice(n_features, size=n_candidates, replace=False)
+        """The split of one node with the largest impurity improvement.
+
+        Candidates are searched a block at a time; a later block only wins
+        with a strictly larger improvement, so ties go to the earliest
+        candidate, as they would in a feature-by-feature scan.
+        """
+        if self.criterion == "gini":
+            parent_impurity = 1.0 - mean * mean - (1 - mean) * (1 - mean)
+            masses = (w, wt)
         else:
-            candidates = np.arange(n_features)
-        w = sample_weight[index]
-        t = y[index]
-        best: _Split | None = None
-        parent_impurity = self._impurity(t, w)
-        w_total = w.sum()
-        if w_total <= 0:
-            return None
-        min_leaf = self.min_samples_leaf
-        for j in candidates:
-            values = x[index, j]
-            order = np.argsort(values, kind="mergesort")
-            v_sorted = values[order]
-            # Candidate boundaries: between distinct values with both sides
-            # holding at least min_samples_leaf instances.
-            boundaries = np.flatnonzero(v_sorted[:-1] != v_sorted[1:])
-            boundaries = boundaries[
-                (boundaries + 1 >= min_leaf)
-                & (len(index) - boundaries - 1 >= min_leaf)
-            ]
-            if len(boundaries) == 0:
-                continue
-            w_sorted = w[order]
-            t_sorted = t[order]
-            cum_w = np.cumsum(w_sorted)
-            if self.criterion == "gini":
-                cum_pos = np.cumsum(w_sorted * t_sorted)
-                w_left = cum_w[boundaries]
-                w_right = w_total - w_left
-                pos_left = cum_pos[boundaries]
-                pos_right = cum_pos[-1] - pos_left
-                gini_left = _gini_from_mass(pos_left, w_left)
-                gini_right = _gini_from_mass(pos_right, w_right)
-                q = w_left / w_total
-                improvement = parent_impurity - q * gini_left - (1 - q) * gini_right
-            else:
-                cum_s = np.cumsum(w_sorted * t_sorted)
-                cum_s2 = np.cumsum(w_sorted * t_sorted * t_sorted)
-                w_left = cum_w[boundaries]
-                w_right = w_total - w_left
-                s_left = cum_s[boundaries]
-                s_right = cum_s[-1] - s_left
-                s2_left = cum_s2[boundaries]
-                s2_right = cum_s2[-1] - s2_left
-                var_left = _variance_from_moments(s_left, s2_left, w_left)
-                var_right = _variance_from_moments(s_right, s2_right, w_right)
-                q = w_left / w_total
-                improvement = (
-                    parent_impurity - q * var_left - (1 - q) * var_right
-                )
-            k = int(np.argmax(improvement))
-            if improvement[k] <= 1e-12:
-                continue
-            if best is None or improvement[k] > best.improvement:
-                b = boundaries[k]
-                thr = 0.5 * (v_sorted[b] + v_sorted[b + 1])
-                go_left = values <= thr
-                # For adjacent floats the midpoint can round onto one of
-                # the two values and sweep every row to one side; such a
-                # split is unusable.
-                if go_left.all() or not go_left.any():
-                    continue
-                best = _Split(
-                    feature=int(j),
-                    threshold=float(thr),
-                    improvement=float(improvement[k]),
-                    left_index=index[go_left],
-                    right_index=index[~go_left],
-                )
+            parent_impurity = float((w * (t - mean) ** 2).sum() / w_total)
+            masses = (w, wt, wt * t)
+        best, floor = None, 1e-12
+        step = max(1, _BLOCK_CELLS // len(index))
+        for start in range(0, len(candidates), step):
+            split = self._block_split(
+                x, codes, index, masses, w_total, parent_impurity,
+                candidates[start : start + step], floor,
+            )
+            if split is not None:
+                best, floor = split, split.improvement
         return best
 
-    def _impurity(self, t: np.ndarray, w: np.ndarray) -> float:
-        w_total = w.sum()
-        if w_total <= 0:
-            return 0.0
+    def _block_split(
+        self,
+        x: np.ndarray,
+        codes: RankCodes,
+        index: np.ndarray,
+        masses: tuple[np.ndarray, ...],
+        w_total: float,
+        parent_impurity: float,
+        candidates: np.ndarray,
+        floor: float,
+    ) -> _Split | None:
+        """Best usable split over a block of candidates, if it beats ``floor``.
+
+        Row ``r`` of every ``(candidates, rows)`` array belongs to candidate
+        ``r``; boundary ``b`` sends its sorted rows ``..b`` left.  Boundaries
+        lie between distinct codes and leave ``min_samples_leaf`` rows on
+        both sides; everything after the cumulative sums runs on the
+        boundaries of all candidates at once, flattened candidate-major.
+        """
+        c, m = len(candidates), len(index)
+        lo, hi = self.min_samples_leaf - 1, m - self.min_samples_leaf
+        n = codes.ranks.shape[1]
+        block = codes.ranks.reshape(-1).take(candidates[:, None] * n + index)
+        order = _stable_order(block)
+        ranked = block.reshape(-1).take(order + (np.arange(c) * m)[:, None])
+        is_boundary = np.zeros((c, m), dtype=bool)
+        np.not_equal(
+            ranked[:, lo:hi], ranked[:, lo + 1 : hi + 1], out=is_boundary[:, lo:hi]
+        )
+        at = np.flatnonzero(is_boundary)
+        if len(at) == 0:
+            return None
+        per_candidate = np.count_nonzero(is_boundary, axis=1)
+        sums = [np.cumsum(mass.take(order), axis=1) for mass in masses]
+        w_left, *lefts = [cumulative.reshape(-1).take(at) for cumulative in sums]
+        w_right = w_total - w_left
+        rights = [
+            np.repeat(cumulative[:, -1], per_candidate) - left
+            for cumulative, left in zip(sums[1:], lefts)
+        ]
         if self.criterion == "gini":
-            p = float((w * t).sum() / w_total)
-            return 1.0 - p * p - (1 - p) * (1 - p)
-        mean = float((w * t).sum() / w_total)
-        return float((w * (t - mean) ** 2).sum() / w_total)
+            impurity_left = _gini_from_mass(lefts[0], w_left)
+            impurity_right = _gini_from_mass(rights[0], w_right)
+        else:
+            impurity_left = _variance_from_moments(lefts[0], lefts[1], w_left)
+            impurity_right = _variance_from_moments(rights[0], rights[1], w_right)
+        # parent - q * left - (1 - q) * right, in place.
+        q = np.divide(w_left, w_total, out=w_left)
+        improvement = np.multiply(q, impurity_left, out=impurity_left)
+        np.subtract(parent_impurity, improvement, out=improvement)
+        np.subtract(1, q, out=q)
+        np.subtract(improvement, q * impurity_right, out=improvement)
+        # Strongest boundary first; a candidate whose threshold cannot
+        # separate its rows is struck out and the next strongest tried.
+        while True:
+            k = int(improvement.argmax())
+            if improvement[k] <= floor:
+                return None
+            r, b = divmod(int(at[k]), m)
+            j = int(candidates[r])
+            values = codes.distinct[j]
+            thr = 0.5 * (values[ranked[r, b]] + values[ranked[r, b + 1]])
+            go_left = x[index, j] <= thr
+            # For adjacent floats the midpoint can round onto one of the two
+            # values and sweep every row to one side; such a split is
+            # unusable.
+            if go_left.all() or not go_left.any():
+                first = per_candidate[:r].sum()
+                improvement[first : first + per_candidate[r]] = -np.inf
+                continue
+            return _Split(
+                feature=j,
+                threshold=float(thr),
+                improvement=float(improvement[k]),
+                left_index=index[go_left],
+                right_index=index[~go_left],
+            )
 
     # ------------------------------------------------------------------
     # Prediction
@@ -358,14 +481,23 @@ def _is_pure(t: np.ndarray) -> bool:
 
 
 def _gini_from_mass(pos_mass: np.ndarray, total_mass: np.ndarray) -> np.ndarray:
-    safe = np.maximum(total_mass, 1e-300)
-    p = pos_mass / safe
-    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+    """``1 - p² - (1 - p)²`` with ``p = pos_mass / total_mass``."""
+    p = np.maximum(total_mass, 1e-300)
+    np.divide(pos_mass, p, out=p)
+    gini = p * p
+    np.subtract(1.0, gini, out=gini)
+    np.subtract(1.0, p, out=p)
+    np.multiply(p, p, out=p)
+    return np.subtract(gini, p, out=gini)
 
 
 def _variance_from_moments(
     s: np.ndarray, s2: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
+    """``max(s2 / w - (s / w)², 0)``: weighted variance from moment sums."""
     safe = np.maximum(w, 1e-300)
     mean = s / safe
-    return np.maximum(s2 / safe - mean * mean, 0.0)
+    np.multiply(mean, mean, out=mean)
+    np.divide(s2, safe, out=safe)
+    np.subtract(safe, mean, out=safe)
+    return np.maximum(safe, 0.0, out=safe)

@@ -95,6 +95,106 @@ class TestLDA:
             LatentDirichletAllocation(method="vb")
 
 
+def add_at_fit_bp(lda, docs, vocab_size):
+    """The BP fit as first written, scattering with ``np.add.at``: the
+    oracle for the bincount scatter.  Returns ``(theta, phi)``."""
+    pairs = [(d, int(w)) for d, doc in enumerate(docs) for w in doc]
+    keys = np.array([d * vocab_size + w for d, w in pairs], dtype=np.int64)
+    uniq, counts = np.unique(keys, return_counts=True)
+    pd, pw = uniq // vocab_size, uniq % vocab_size
+    weights = counts.astype(np.float64)
+    k = lda.n_topics
+    rng = np.random.default_rng(lda.seed)
+    theta = rng.dirichlet(np.ones(k), size=len(docs))
+    phi = rng.dirichlet(np.ones(vocab_size), size=k)
+    for _ in range(lda.n_iter):
+        resp = theta[pd] * phi[:, pw].T
+        resp /= np.maximum(resp.sum(axis=1, keepdims=True), 1e-300)
+        resp *= weights[:, None]
+        doc_topic = np.zeros((len(docs), k))
+        np.add.at(doc_topic, pd, resp)
+        word_topic = np.zeros((vocab_size, k))
+        np.add.at(word_topic, pw, resp)
+        theta = (doc_topic + lda.alpha) / (
+            doc_topic.sum(axis=1, keepdims=True) + k * lda.alpha
+        )
+        phi = (word_topic.T + lda.beta) / (
+            word_topic.sum(axis=0)[:, None] + vocab_size * lda.beta
+        )
+    return theta, phi
+
+
+def add_at_transform(lda, docs):
+    """Folding-in as first written (token lists, ``np.add.at``)."""
+    k = lda.n_topics
+    pd = np.array([d for d, doc in enumerate(docs) for _ in doc], dtype=np.intp)
+    pw = np.array([int(w) for doc in docs for w in doc], dtype=np.intp)
+    theta = np.full((len(docs), k), 1.0 / k)
+    for _ in range(10):
+        resp = theta[pd] * lda.topic_word[:, pw].T
+        resp /= np.maximum(resp.sum(axis=1, keepdims=True), 1e-300)
+        doc_topic = np.zeros((len(docs), k))
+        np.add.at(doc_topic, pd, resp)
+        theta = (doc_topic + lda.alpha) / (
+            doc_topic.sum(axis=1, keepdims=True) + k * lda.alpha
+        )
+    return theta
+
+
+def ragged_corpus(n_docs=120, vocab_size=40, seed=5):
+    """Zipf-ish docs with empty documents and repeated (doc, word) pairs."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for i in range(n_docs):
+        if i % 7 == 0:
+            docs.append([])
+            continue
+        words = np.minimum(rng.zipf(1.6, size=rng.integers(1, 30)), vocab_size) - 1
+        docs.append(words.tolist())
+    assert any(len(set(d)) < len(d) for d in docs)
+    return docs
+
+
+class TestLDAScatterParity:
+    """bincount scatter == ``np.add.at`` scatter, bit for bit."""
+
+    def test_fit_bp_equals_add_at_oracle(self):
+        docs = ragged_corpus()
+        lda = LatentDirichletAllocation(n_topics=6, n_iter=12, seed=3)
+        theta = lda.fit_transform(docs, vocab_size=40)
+        want_theta, want_phi = add_at_fit_bp(lda, docs, 40)
+        assert np.array_equal(theta, want_theta)
+        assert np.array_equal(lda.topic_word, want_phi)
+        # An empty document stays at its smoothed prior.
+        assert np.array_equal(theta[0], np.full(6, 1 / 6))
+
+    def test_transform_equals_add_at_oracle(self):
+        lda = LatentDirichletAllocation(n_topics=6, n_iter=12, seed=3)
+        lda.fit_transform(ragged_corpus(), vocab_size=40)
+        unseen = ragged_corpus(n_docs=75, seed=9)
+        assert np.array_equal(lda.transform(unseen), add_at_transform(lda, unseen))
+
+    def test_transform_accepts_numpy_documents(self):
+        lda = LatentDirichletAllocation(n_topics=3, n_iter=5, seed=0)
+        lda.fit_transform(two_topic_corpus(30), vocab_size=20)
+        docs = [[1, 1, 12], [], [3]]
+        as_arrays = [np.asarray(d, dtype=np.int64) for d in docs]
+        assert np.array_equal(lda.transform(as_arrays), lda.transform(docs))
+
+    def test_transform_out_of_vocab_rejected(self):
+        lda = LatentDirichletAllocation(n_topics=2, n_iter=5, seed=0)
+        lda.fit_transform(two_topic_corpus(20), vocab_size=20)
+        for bad in (20, -1):
+            with pytest.raises(ModelError, match="out of vocabulary"):
+                lda.transform([[1, 2], [bad]])
+
+    def test_transform_all_empty_is_uniform_prior(self):
+        lda = LatentDirichletAllocation(n_topics=4, n_iter=5, seed=0)
+        lda.fit_transform(two_topic_corpus(20), vocab_size=20)
+        assert np.array_equal(lda.transform([[], [], []]), np.full((3, 4), 0.25))
+        assert lda.transform([]).shape == (0, 4)
+
+
 class TestPageRank:
     def test_scores_sum_to_one(self):
         edges = np.array([[0, 1], [1, 2], [2, 0]])

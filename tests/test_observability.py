@@ -28,6 +28,8 @@ from repro.dataplat.observability import (
 from repro.dataplat.sql import SQLEngine
 from repro.dataplat.table import Table
 from repro.errors import DataPlatformError
+from repro.features import WideTableBuilder
+from repro.ml.forest import RandomForestClassifier
 
 
 def _double_dur(table: Table) -> Table:
@@ -307,3 +309,50 @@ class TestSQLSpans:
         scan = capture_spans.assert_span("sql.scan")
         assert scan.tags["table"] == "t"
         assert scan.counters["rows"] == 10
+
+
+class TestTrainingSpans:
+    """The two training stages a Figure-6 window spends its time in."""
+
+    def test_fit_extractors_span_tree(self, capture_spans, tiny_world):
+        months = [4, 5]
+        labels = {
+            m: np.zeros(tiny_world.month(m).imsi.size, dtype=np.int64)
+            for m in months
+        }
+        for m in months:
+            labels[m][::7] = 1
+        WideTableBuilder(tiny_world).fit_extractors(months, labels)
+        fit = capture_spans.assert_span("feature.fit_extractors")
+        children = [c.name for c in fit.children]
+        assert children[:2] == ["topic.fit", "topic.fit"]
+        assert children[-1] == "second_order.fit"
+        for category in ("F7", "F8"):
+            topic = capture_spans.assert_span("topic.fit", category=category)
+            assert topic.tags["docs"] > 0 and topic.tags["vocab"] > 0
+        assert fit.wall_s >= sum(c.wall_s for c in fit.children) * 0.99
+
+    def test_forest_fit_span(self, capture_spans):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(300, 9))
+        y = (x[:, 0] + 0.3 * rng.normal(size=300) > 0).astype(np.float64)
+        forest = RandomForestClassifier(n_trees=4, min_samples_leaf=5, seed=1)
+        forest.fit(x, y)
+        fit = capture_spans.assert_span("forest.fit", trees=4, rows=300, features=9)
+        assert fit.counters["nodes"] == sum(t.node_count for t in forest._trees)
+        # √9 = 3 candidates per searched node; every internal node was searched.
+        internal = sum(t.node_count - t.n_leaves for t in forest._trees)
+        assert fit.counters["split_candidates"] % 3 == 0
+        assert fit.counters["split_candidates"] >= 3 * internal
+        assert 0 <= fit.counters["presort_s"] <= fit.wall_s
+
+    def test_forest_fit_span_counts_process_workers(self, capture_spans):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(200, 4))
+        y = (x[:, 1] > 0).astype(np.float64)
+        counters = []
+        for backend in (SerialBackend(), ProcessPoolBackend(max_workers=2)):
+            RandomForestClassifier(n_trees=4, seed=3).fit(x, y, backend=backend)
+            counters.append(capture_spans.find("forest.fit")[-1].counters)
+        for name in ("nodes", "split_candidates"):
+            assert counters[0][name] == counters[1][name] > 0
