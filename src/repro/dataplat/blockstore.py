@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -177,11 +178,22 @@ class _DataNode:
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self.blocks: dict[str, bytes] = {}
+        #: Sum of the held payload lengths — what the balancer sorts on.
+        #: ``store``/``drop`` are the only mutations of ``blocks``.
+        self.used_bytes = 0
         self.alive = True
 
-    @property
-    def used_bytes(self) -> int:
-        return sum(len(b) for b in self.blocks.values())
+    def store(self, block_id: str, payload: bytes) -> None:
+        """Hold ``payload`` as ``block_id``, replacing any earlier copy."""
+        self.drop(block_id)
+        self.blocks[block_id] = payload
+        self.used_bytes += len(payload)
+
+    def drop(self, block_id: str) -> None:
+        """Forget ``block_id``; no-op if this node holds no copy."""
+        payload = self.blocks.pop(block_id, None)
+        if payload is not None:
+            self.used_bytes -= len(payload)
 
 
 class BlockStore:
@@ -240,6 +252,9 @@ class BlockStore:
         self._replication = min(replication, num_nodes)
         self._block_size = block_size
         self._files: dict[str, FileStatus] = {}
+        #: The keys of ``_files`` in sorted order, so a prefix listing is
+        #: two bisects instead of a walk of the whole namespace.
+        self._paths: list[str] = []
         self._next_block = 0
         self._injector = fault_injector
         self._retry = retry_policy
@@ -324,7 +339,9 @@ class BlockStore:
                 blocks=status.blocks,
             )
             del self._files[src]
+            del self._paths[bisect_left(self._paths, src)]
             self._files[dst] = moved
+            insort(self._paths, dst)
             self._notify_invalidation(src)
             self._notify_invalidation(dst)
             get_metrics().counter("blockstore.renames").inc()
@@ -394,7 +411,13 @@ class BlockStore:
 
     def list_files(self, prefix: str = "/") -> list[str]:
         """All file paths under ``prefix``, sorted."""
-        return sorted(p for p in self._files if p.startswith(prefix))
+        paths = self._paths
+        lo = bisect_left(paths, prefix)
+        # From ``lo`` on, "does not start with prefix" goes False…True once.
+        hi = bisect_left(
+            paths, True, lo=lo, key=lambda p: not p.startswith(prefix)
+        )
+        return paths[lo:hi]
 
     # ------------------------------------------------------------------
     # Durability model
@@ -529,7 +552,7 @@ class BlockStore:
                             break
                         if node.node_id in replicas:
                             continue
-                        node.blocks[block.block_id] = payload
+                        node.store(block.block_id, payload)
                         replicas.append(node.node_id)
                         created += 1
                         self.health.replicas_recreated += 1
@@ -583,9 +606,10 @@ class BlockStore:
         status = self._files.pop(path, None)
         if status is None:
             return
+        del self._paths[bisect_left(self._paths, path)]
         for block in status.blocks:
             for node_id in block.replicas:
-                self._nodes[node_id].blocks.pop(block.block_id, None)
+                self._nodes[node_id].drop(block.block_id)
 
     def _install_file(self, path: str, payload: bytes) -> FileStatus:
         """Store ``payload`` as fresh replicated blocks under ``path``."""
@@ -601,6 +625,7 @@ class BlockStore:
             blocks=tuple(blocks),
         )
         self._files[path] = status
+        insort(self._paths, path)
         return status
 
     def _read_raw(self, path: str) -> bytes:
@@ -671,7 +696,7 @@ class BlockStore:
         live.sort(key=lambda n: n.used_bytes)
         targets = live[: self._replication]
         for node in targets:
-            node.blocks[block_id] = chunk
+            node.store(block_id, chunk)
         return BlockInfo(block_id, len(chunk), tuple(n.node_id for n in targets))
 
     def _verified_payload(
@@ -714,7 +739,7 @@ class BlockStore:
             raise StorageError(f"no live replica for block {block.block_id}")
         if self._auto_repair:
             for node in corrupt_on:
-                node.blocks[block.block_id] = good
+                node.store(block.block_id, good)
                 self.health.replicas_repaired += 1
                 get_metrics().counter("blockstore.replicas_repaired").inc()
         return good
@@ -731,7 +756,7 @@ class BlockStore:
         payload = bytearray(node.blocks[block.block_id])
         if payload:
             payload[0] ^= 0xFF
-        node.blocks[block.block_id] = bytes(payload)
+        node.store(block.block_id, bytes(payload))
         # A cached decoded copy would mask the corruption from read paths.
         self._notify_invalidation(path)
 

@@ -4,10 +4,11 @@ The v1 on-store format serializes a whole table as one npz file, so every
 read decodes every column of every partition before projection or selection
 can happen.  v2 stores **one addressable chunk per column per partition**:
 
-* string columns are dictionary-encoded (sorted unique values + int32
+* string columns are dictionary-encoded (sorted unique values + integer
   codes),
 * bool columns are bit-packed,
-* int/float columns are raw little-endian bytes,
+* int/float columns — and dictionary codes — are little-endian values at
+  the narrowest width that restores every bit (8 bytes when none does),
 * any chunk body is zlib-compressed when that actually shrinks it.
 
 Each chunk carries a **zone map** — ``count`` / ``null_count`` / ``min`` /
@@ -202,10 +203,37 @@ def _json_scalar(value):
 
 
 def _maybe_compress(body: bytes) -> tuple[bytes, bool]:
-    packed = zlib.compress(body, 6)
+    packed = zlib.compress(body, 1)
     if len(packed) < len(body) * _COMPRESS_RATIO:
         return packed, True
     return body, False
+
+
+def _narrowest(values: np.ndarray) -> tuple[str, bytes]:
+    """``(dtype, body)`` of the narrowest lossless layout of ``values``.
+
+    ``values`` is int64 or float64.  The body is a little-endian integer
+    array of the first of ``u1 i1 u2 i2 u4 i4`` that holds ``[min, max]``
+    when ``np.frombuffer(body, dtype).astype(values.dtype)`` restores every
+    bit, else the 8-byte values themselves.  A float column qualifies only
+    when the int32-range test and the bit comparison both pass, which NaN,
+    ±inf, ``-0.0`` and non-integral values fail before anything is cast.
+    """
+    if len(values):
+        lo, hi = values.min(), values.max()
+        ints = values
+        if values.dtype.kind == "f" and -(2**31) <= lo and hi < 2**31:
+            ints = values.astype(np.int64)
+            if not np.array_equal(
+                ints.astype(np.float64).view(np.uint64), values.view(np.uint64)
+            ):
+                ints = values
+        if ints.dtype.kind == "i":
+            for dtype in ("<u1", "<i1", "<u2", "<i2", "<u4", "<i4"):
+                info = np.iinfo(dtype)
+                if info.min <= lo and hi <= info.max:
+                    return dtype, ints.astype(dtype).tobytes()
+    return values.dtype.str, values.tobytes()
 
 
 def encode_column(column: Column, arr: np.ndarray) -> tuple[bytes, ZoneMap]:
@@ -217,7 +245,7 @@ def encode_column(column: Column, arr: np.ndarray) -> tuple[bytes, ZoneMap]:
         if n:
             uniq, codes = np.unique(strings, return_inverse=True)
             values = [str(v) for v in uniq.tolist()]
-            body = codes.astype("<i4").tobytes()
+            header["dtype"], body = _narrowest(codes.astype(np.int64, copy=False))
             zone = ZoneMap(n, 0, values[0], values[-1], distinct=len(values))
         else:
             values, body, zone = [], b"", ZoneMap(0, 0, distinct=0)
@@ -237,9 +265,8 @@ def encode_column(column: Column, arr: np.ndarray) -> tuple[bytes, ZoneMap]:
     else:
         dtype = "<i8" if column.ctype is ColumnType.INT else "<f8"
         numeric = np.asarray(arr)
-        body = numeric.astype(dtype, copy=False).tobytes()
         header["enc"] = "raw"
-        header["dtype"] = dtype
+        header["dtype"], body = _narrowest(numeric.astype(dtype, copy=False))
         if column.ctype is ColumnType.FLOAT:
             nulls = int(np.isnan(numeric).sum())
             if n - nulls:
@@ -247,8 +274,8 @@ def encode_column(column: Column, arr: np.ndarray) -> tuple[bytes, ZoneMap]:
                 zone = ZoneMap(
                     n,
                     nulls,
-                    _json_scalar(np.nanmin(numeric)),
-                    _json_scalar(np.nanmax(numeric)),
+                    _json_scalar(present.min()),
+                    _json_scalar(present.max()),
                     distinct=len(np.unique(present)),
                 )
             else:
@@ -280,15 +307,18 @@ def decode_column(payload: bytes) -> np.ndarray:
         values = np.asarray(header["dict"], dtype=object)
         if rows == 0:
             return np.empty(0, dtype=object)
-        codes = np.frombuffer(body, dtype="<i4").astype(np.intp)
-        return values[codes]
+        # Chunks written before codes were narrowed carry no dtype: int32.
+        return values[np.frombuffer(body, dtype=header.get("dtype", "<i4"))]
     if enc == "bitpack":
         bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=rows)
         return bits.astype(bool)
     if enc == "raw":
-        # Copy: frombuffer views are read-only, and decoded columns must
-        # behave exactly like v1 npz arrays.
-        return np.frombuffer(body, dtype=header["dtype"]).copy()
+        # ``dtype`` is the stored width (8-byte values, or a narrower
+        # lossless integer layout); astype widens it back and copies, so
+        # the result is writable like a v1 npz array.
+        return np.frombuffer(body, dtype=header["dtype"]).astype(
+            ColumnType(header["ctype"]).dtype
+        )
     raise StorageError(f"unknown chunk encoding {enc!r}")
 
 

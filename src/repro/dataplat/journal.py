@@ -370,6 +370,25 @@ def _move_satisfiable(store: BlockStore, intent: dict, src: str, dst: str) -> bo
     return store.exists(dst) or _staged_intact(store, intent, src)
 
 
+def _superseded(
+    store: BlockStore, state: _TableJournalState, txn: int, intent: dict
+) -> bool:
+    """Whether every missing destination of finished save ``txn`` was
+    deleted on purpose: it is in the ``cleanup`` of a later committed
+    save/drop of the same partition, whose version replaced this one."""
+    cleaned = {
+        str(path)
+        for later, kinds in state.txns.items()
+        if later > txn
+        and "commit" in kinds
+        and kinds.get("intent", {}).get("partition") == intent.get("partition")
+        for path in kinds["intent"].get("cleanup", [])
+    }
+    return all(
+        store.exists(dst) or dst in cleaned for _src, dst in _intent_moves(intent)
+    )
+
+
 def _resolve_table(
     store: BlockStore, state: _TableJournalState, plan: RecoveryPlan
 ) -> None:
@@ -426,6 +445,8 @@ def _resolve_table(
                 for src, dst in _intent_moves(intent)
             )
             if not feasible:
+                if done and _superseded(store, state, txn, intent):
+                    continue  # a later txn registers or drops the partition
                 plan.lost.append(TxnPlan(*key, txn, op, "lost", intent))
                 dirty = True
                 continue

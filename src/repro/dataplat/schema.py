@@ -90,11 +90,12 @@ class Schema:
 
     def __init__(self, columns: Iterable[Column]) -> None:
         cols = tuple(columns)
-        names = [c.name for c in cols]
+        names = tuple(c.name for c in cols)
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise SchemaError(f"duplicate column names: {sorted(dupes)}")
         self._columns = cols
+        self._names = names
         self._by_name = {c.name: c for c in cols}
 
     @classmethod
@@ -117,7 +118,7 @@ class Schema:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self._columns)
+        return self._names
 
     def __len__(self) -> int:
         return len(self._columns)

@@ -18,9 +18,11 @@ needs cheap point lookups by customer id.  The store bridges the two:
   still fails raises, and the scoring service turns that into a
   ``failed`` outcome rather than a crash.
 
-Float64 feature chunks use the raw ``<f8`` codec, so a row read back for
-online scoring is bit-identical to the in-memory matrix the batch path
-scores — the parity tests pin this down.
+Float64 feature chunks go through the catalog's lossless column codec
+(8-byte ``<f8`` bodies, or a narrower integer layout only where every bit
+survives the round trip), so a row read back for online scoring is
+bit-identical to the in-memory matrix the batch path scores — by
+construction in the codec, and the parity tests pin it down.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Unit tests for the mini-HDFS block store, including fault injection."""
 
+import random
+
 import pytest
 
-from repro.dataplat.blockstore import BlockStore
+from repro.dataplat.blockstore import BlockInfo, BlockStore, _digest
 from repro.errors import StorageError
 
 
@@ -180,3 +182,94 @@ class TestFaultInjection:
         message = str(err.value)
         assert "3 block(s) lost all replicas" in message
         assert "/a" in message and "/b" in message
+
+
+class _RecomputingStore(BlockStore):
+    """Oracle balancer: sizes every node by walking its blocks, as the
+    store did before ``used_bytes`` became a running counter."""
+
+    def _store_block(self, chunk: bytes) -> BlockInfo:
+        block_id = f"blk_{self._next_block:012d}_{_digest(chunk)}"
+        self._next_block += 1
+        live = [n for n in self._nodes if n.alive]
+        live.sort(key=lambda n: sum(len(b) for b in n.blocks.values()))
+        targets = live[: self._replication]
+        for node in targets:
+            node.store(block_id, chunk)
+        return BlockInfo(block_id, len(chunk), tuple(n.node_id for n in targets))
+
+
+def _replica_map(store: BlockStore) -> dict:
+    return {
+        path: [(b.block_id, b.replicas) for b in store.status(path).blocks]
+        for path in store.list_files()
+    }
+
+
+class TestPlacementAccounting:
+    """``used_bytes`` is a running counter; it must track every mutation a
+    node sees, and the balancer must place exactly as a recomputing one."""
+
+    @staticmethod
+    def _step(rng: random.Random, store: BlockStore) -> None:
+        """One seeded mutation; draws the same numbers on twin stores."""
+        files = store.list_files()
+        dead = [n.node_id for n in store._nodes if not n.alive]
+        op = rng.choice(
+            ["write", "write", "overwrite", "delete", "rename", "corrupt",
+             "kill", "heal", "fsync", "crash"]
+        )
+        payload = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 90)))
+        pick = rng.randrange(1 << 30)
+        if op == "write":
+            store.write(f"/d{pick % 3}/f{pick % 40}", payload)
+        elif op == "fsync":
+            store.fsync_all()
+        elif op == "crash":
+            store.crash()
+        elif op == "kill" and not dead:
+            store.kill_node(pick % len(store._nodes))
+        elif op == "heal" and dead:
+            store.re_replicate()
+            store.revive_node(dead[0])
+        elif not files:
+            return
+        elif op == "overwrite":
+            store.write(files[pick % len(files)], payload)
+        elif op == "delete":
+            store.delete(files[pick % len(files)])
+        elif op == "rename":
+            store.rename(files[pick % len(files)], files[(pick >> 8) % len(files)])
+        elif op == "corrupt" and not dead:
+            path = files[pick % len(files)]
+            # The first replica is the one a read tries first, so the read
+            # notices the damage and rewrites it from the second.
+            store.corrupt_block(path, 0, store.status(path).blocks[0].replicas[0])
+            store.read(path)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counter_matches_recomputed_sizes_and_oracle_placement(self, seed):
+        config = dict(num_nodes=4, replication=2, block_size=16, volatile=True)
+        store, oracle = BlockStore(**config), _RecomputingStore(**config)
+        rngs = random.Random(seed), random.Random(seed)
+        for _ in range(400):
+            self._step(rngs[0], store)
+            self._step(rngs[1], oracle)
+            sizes = [sum(len(b) for b in n.blocks.values()) for n in store._nodes]
+            assert [n.used_bytes for n in store._nodes] == sizes
+            assert store.physical_bytes == sum(sizes) == oracle.physical_bytes
+        assert _replica_map(store) == _replica_map(oracle)
+        assert store.health.replicas_repaired > 0
+        assert store.health.replicas_recreated > 0
+
+    def test_prefix_listing_matches_a_full_walk(self, store):
+        paths = ["/a", "/a/x", "/a/y", "/ab", "/a0", "/b/z", "/a/x/y"]
+        for path in paths:
+            store.write(path, b"1")
+        store.rename("/a/y", "/c/y")
+        store.delete("/ab")
+        remaining = sorted(set(paths) - {"/a/y", "/ab"} | {"/c/y"})
+        for prefix in ["/", "/a", "/a/", "/a/x", "/b", "/c/", "/zz", ""]:
+            assert store.list_files(prefix) == [
+                p for p in remaining if p.startswith(prefix)
+            ]

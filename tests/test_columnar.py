@@ -1,7 +1,12 @@
 """Columnar v2 format: chunk codec, zone maps, and catalog scan pruning."""
 
+import json
+import warnings
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dataplat.blockstore import BlockStore
 from repro.dataplat.catalog import Catalog
@@ -88,6 +93,149 @@ class TestChunkCodec:
     def test_unknown_encoding_rejected(self):
         with pytest.raises(StorageError):
             decode_column(b'{"enc": "wat", "rows": 1, "comp": false}\n??')
+
+
+def _header(payload: bytes) -> dict:
+    return json.loads(payload[: payload.index(b"\n")])
+
+
+def _bits(*patterns: int) -> list[float]:
+    return np.asarray(patterns, dtype=np.uint64).view(np.float64).tolist()
+
+
+_INT_EDGES = sorted(
+    {
+        sign * 2**k + d
+        for k in (7, 8, 15, 16, 31, 32, 63)
+        for sign in (1, -1)
+        for d in (-1, 0, 1)
+        if -(2**63) <= sign * 2**k + d < 2**63
+    }
+    | {0}
+)
+_FLOAT_EDGES = [
+    *_bits(
+        0x7FF8000000000000,  # default quiet NaN
+        0x7FF8000000000001,  # NaN payloads must survive bit for bit
+        0xFFF800000000BEEF,
+        0x7FF4000000000000,
+        0x0000000000000001,  # smallest subnormal
+        0x800FFFFFFFFFFFFF,  # largest negative subnormal
+    ),
+    np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 0.5, 127.0, 128.0, 255.0, 256.0,
+    -129.0, 65535.0, 65536.0, 2.0**31 - 1, 2.0**31, -(2.0**31), -(2.0**31) - 1,
+    2.0**32, 2.0**53, 2.0**53 + 2, -(2.0**53), 1e300,
+]  # fmt: skip
+_ints = st.lists(
+    st.sampled_from(_INT_EDGES) | st.integers(-(2**63), 2**63 - 1)
+    | st.integers(-300, 300)
+)  # fmt: skip
+_floats = st.lists(
+    st.sampled_from(_FLOAT_EDGES)
+    | st.integers(-70000, 70000).map(float)
+    | st.integers(0, 2**64 - 1).map(lambda b: _bits(b)[0])
+)
+
+
+class TestNarrowedCodec:
+    """Numeric bodies are stored at the narrowest lossless width; every bit
+    of every value must come back, with no numpy warning on the way."""
+
+    @staticmethod
+    def _check(ctype: ColumnType, arr: np.ndarray) -> None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under ``python -W error``
+            payload, zone = encode_column(Column("c", ctype), arr)
+            out = decode_column(payload)
+        assert out.dtype == arr.dtype and out.flags.writeable
+        assert np.array_equal(out.view(np.uint64), arr.view(np.uint64))
+        # Zone maps describe the input, whatever width the body took.
+        present = [v for v in arr.tolist() if v == v]
+        assert zone == ZoneMap(
+            len(arr),
+            len(arr) - len(present),
+            min(present) if present else None,
+            max(present) if present else None,
+            distinct=len(set(present)),
+        )
+        assert type(zone.min) is type(zone.max)
+        assert zone.min is None or type(zone.min) is type(arr.tolist()[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ints)
+    def test_int_round_trip_is_bit_exact(self, values):
+        self._check(ColumnType.INT, np.asarray(values, dtype=np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_floats)
+    def test_float_round_trip_is_bit_exact(self, values):
+        self._check(ColumnType.FLOAT, np.asarray(values, dtype=np.float64))
+
+    @pytest.mark.parametrize(
+        "ctype, values, dtype",
+        [
+            ("int", [0, 255], "<u1"),
+            ("int", [-128, 127], "<i1"),
+            ("int", [0, 256], "<u2"),
+            ("int", [-129, 0], "<i2"),
+            ("int", [0, 65536], "<u4"),
+            ("int", [-32769, 0], "<i4"),
+            ("int", [-1, 2**31], "<i8"),
+            ("int", [0, 2**32], "<i8"),
+            ("int", [-(2**63), 2**63 - 1], "<i8"),
+            ("int", [], "<i8"),
+            ("float", [0.0, 3.0, 255.0], "<u1"),
+            ("float", [-(2.0**31), 7.0], "<i4"),
+            ("float", [2.0**31, 7.0], "<f8"),
+            ("float", [1.0, -0.0], "<f8"),
+            ("float", [1.0, 2.5], "<f8"),
+            ("float", [1.0, np.nan], "<f8"),
+            ("float", [1.0, np.inf], "<f8"),
+            ("float", [], "<f8"),
+            ("string", ["b", "a", "b"], "<u1"),
+            ("string", [str(i) for i in range(300)], "<u2"),
+        ],
+    )
+    def test_stored_width(self, ctype, values, dtype):
+        arr = np.asarray(values, dtype=ColumnType(ctype).dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            payload, _ = encode_column(Column("c", ColumnType(ctype)), arr)
+        header = _header(payload)
+        assert header["dtype"] == dtype
+        assert header["enc"] == ("dict" if ctype == "string" else "raw")
+        assert np.array_equal(decode_column(payload), arr, equal_nan=ctype == "float")
+
+    def test_narrow_body_is_smaller(self):
+        wide = np.arange(0, 4000, dtype=np.int64) * 2**33
+        small = np.arange(0, 4000, dtype=np.int64) % 200
+        col = Column("c", ColumnType.INT)
+        assert len(encode_column(col, small)[0]) * 4 < len(encode_column(col, wide)[0])
+
+    @pytest.mark.parametrize(
+        "header, arr",
+        [
+            ({"ctype": "int", "enc": "raw", "dtype": "<i8"}, np.arange(-40, 40)),
+            (
+                {"ctype": "float", "enc": "raw", "dtype": "<f8"},
+                np.array([1.0, -0.0, np.nan, 4.0] * 20),
+            ),
+        ],
+    )
+    def test_legacy_eight_byte_chunks_still_decode(self, header, arr):
+        # As written before narrowing: full-width body, zlib level 6.
+        body = zlib.compress(arr.astype(header["dtype"]).tobytes(), 6)
+        head = {**header, "rows": len(arr), "comp": True}
+        out = decode_column(json.dumps(head).encode() + b"\n" + body)
+        assert out.dtype == arr.dtype and out.flags.writeable
+        assert np.array_equal(out.view(np.uint64), arr.view(np.uint64))
+
+    def test_legacy_dictionary_chunk_has_int32_codes(self):
+        head = {"ctype": "string", "rows": 3, "enc": "dict", "dict": ["a", "b"],
+                "comp": False}  # fmt: skip
+        body = np.asarray([1, 0, 1], dtype="<i4").tobytes()
+        out = decode_column(json.dumps(head).encode() + b"\n" + body)
+        assert out.tolist() == ["b", "a", "b"]
 
 
 class TestZoneAllows:

@@ -189,6 +189,63 @@ class TestRecovery:
         assert reopened.load("legacy") == make_table(seed=3)
         assert reopened.load("audit", database="ops") == make_table(seed=4)
 
+    def test_superseded_versions_are_not_lost_commits(self):
+        # An overwrite / drop / format change deletes the replaced version's
+        # files on purpose (the later txn's ``cleanup``); a restart must not
+        # call the earlier finished saves lost.
+        catalog, _ = crash_world()
+        catalog.save(make_table(seed=1), "t", partition="m=1")
+        catalog.save(make_table(seed=2), "t", partition="m=1")
+        catalog.save(make_table(seed=3), "t", partition="m=2")
+        catalog.drop_partition("t", "m=2")
+        catalog.save(make_table(seed=4), "t", partition="m=2")
+        catalog.save(make_table(seed=5), "mixed", format="v1")
+        catalog.save(make_table(seed=6), "mixed", format="v2")
+        store = catalog.store
+        records = store.list_files("/journal/")
+        assert fsck_store(store).clean
+        reopened = Catalog.open(store)
+        report = reopened.last_recovery
+        assert report.lost_commits == 0 and report.clean, report.details
+        assert store.list_files("/journal/") == records  # no checkpoint rewrite
+        assert reopened.load("t", partition="m=1") == make_table(seed=2)
+        assert reopened.load("t", partition="m=2") == make_table(seed=4)
+        assert reopened.load("mixed") == make_table(seed=6)
+
+    def test_lost_commit_still_counts(self):
+        def build():
+            catalog, crash = crash_world()
+            catalog.save(make_table(seed=1), "t", partition="m=1")
+            return catalog, crash
+
+        # Commit record durable, staged data gone, not done.
+        store = crash_during(
+            build,
+            lambda c: c.save(make_table(seed=9), "t", partition="m=2"),
+            "catalog.save.commit",
+        )
+        store.delete(store.list_files(staging_root("default", "t"))[0])
+        reopened = Catalog.open(store)
+        assert reopened.last_recovery.lost_commits == 1
+        assert not reopened.last_recovery.clean
+        assert reopened.partitions("t") == ["m=1"]
+        assert reopened.load("t", partition="m=1") == make_table(seed=1)
+        assert Catalog.open(store).last_recovery.clean
+
+    def test_vanished_files_are_lost_unless_a_later_txn_cleaned_them(self):
+        # A finished save whose chunk disappeared is excused only by a later
+        # committed txn of the *same* partition that lists it as cleanup.
+        catalog, _ = crash_world()
+        catalog.save(make_table(seed=1), "t", partition="m=1")
+        catalog.save(make_table(seed=2), "t", partition="m=2")
+        catalog.save(make_table(seed=3), "t", partition="m=2")
+        store = catalog.store
+        store.delete(store.list_files("/warehouse/default/t/m_1/")[0])
+        reopened = Catalog.open(store)
+        assert reopened.last_recovery.lost_commits == 1
+        assert reopened.partitions("t") == ["m=2"]
+        assert reopened.load("t", partition="m=2") == make_table(seed=3)
+
     def test_uncommitted_save_rolls_back(self):
         def build():
             catalog, crash = crash_world()
