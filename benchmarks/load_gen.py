@@ -4,8 +4,9 @@ Builds a synthetic feature snapshot, trains a compact forest, and drives
 a seeded open-loop arrival process through the
 :class:`~repro.serve.service.ScoringService`, printing the resulting
 :class:`~repro.serve.loadgen.LoadReport` (or JSON with ``--json``).  The
-``serve`` section of ``benchmarks/baseline.py`` calls :func:`run_load`
-with the same defaults, so a CI number can be reproduced interactively::
+``serve-soak`` CI job runs it longer than the tests do, and the gated
+serve numbers are the ``serve_load`` workload of ``benchmarks/e2e/run.py``
+(which builds its service the same way)::
 
     python benchmarks/load_gen.py --population 5000 --rate 6000 --duration 2
 
@@ -86,7 +87,7 @@ def run_load(
     max_batch: int = 64,
     max_queue_depth: int = 1024,
 ) -> dict:
-    """One benchmark run; returns the BENCH_micro.json ``serve`` section."""
+    """One load run; returns the report as a flat dict (``--json`` prints it)."""
     config = ServeConfig(
         max_batch=max_batch,
         batch_window_s=batch_window_s,

@@ -136,14 +136,15 @@ def recovery_rules() -> tuple[AlertRule, ...]:
 
     A scenario run is expected to open its catalog cleanly; any window
     where crash recovery actually replayed, rolled back or lost a
-    transaction means the previous process died mid-commit — that pages.
+    transaction means the previous process died mid-commit, and one where
+    it refused a registration means foreign files in the store — that pages.
     Orphan chunks swept during recovery are benign on their own (the
     crashed transaction's staging files) but worth a warning trail.
 
     The counters land in ``__telemetry.metrics`` via
     :meth:`~repro.dataplat.telemetry.TelemetryWarehouse.record_recovery`.
     """
-    work = "('recovery.replayed', 'recovery.rolled_back', 'recovery.lost_commits', 'recovery.torn_records')"
+    work = "('recovery.replayed', 'recovery.rolled_back', 'recovery.lost_commits', 'recovery.torn_records', 'recovery.rejected')"
     return (
         AlertRule(
             name="unexpected-crash-recovery",

@@ -6,9 +6,8 @@ it maps ``database.table`` (optionally partitioned, e.g. by month) onto block
 store paths, caches deserialized tables, and exposes the listing / drop /
 describe surface a metastore has.
 
-Partitions are stored in the **v2 columnar format** by default (one chunk
-per column, zone maps in a JSON manifest — see :mod:`.columnar`); v1
-whole-table npz partitions remain readable, negotiated per path.  The
+Partitions are stored in the **v2 columnar format** (one chunk per column,
+zone maps in a JSON manifest — see :mod:`.columnar`).  The
 :meth:`Catalog.scan` API reads only the column chunks a query references
 and skips partitions whose zone maps cannot satisfy the pushed-down
 conjuncts.
@@ -19,9 +18,8 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-from ..errors import CatalogError, StorageError
+from ..errors import CatalogError
 from .blockstore import DEFAULT_TABLE_CACHE_BYTES, BlockStore, TableCache
-from .executor import ExecutorBackend, resolve_backend
 from .columnar import (
     CHUNK_SUFFIX,
     MANIFEST_SUFFIX,
@@ -30,7 +28,6 @@ from .columnar import (
     ScanPredicate,
     TableStats,
     array_nbytes,
-    chunk_dir,
     column_stats_from_array,
     decode_column,
     encode_column,
@@ -50,11 +47,6 @@ from .journal import (
 from .observability import get_metrics, span
 from .schema import Schema
 from .table import Table
-
-#: Below these floors a scan decodes serially even with a parallel decode
-#: backend configured — fan-out overhead would dominate the decode work.
-PARALLEL_DECODE_MIN_CHUNKS = 4
-PARALLEL_DECODE_MIN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -79,28 +71,16 @@ class Catalog:
     store:
         Backing :class:`BlockStore`; a private one is created if omitted.
     cache_bytes:
-        Decoded-bytes budget of the LRU table cache.  v2 partitions cache
+        Decoded-bytes budget of the LRU table cache.  Partitions cache
         **per column chunk**, so a two-column query over a 140-column table
-        no longer evicts the whole cache; v1 partitions still cache as one
-        decoded table per file.  Hit/miss/eviction counters land on the
-        store's :class:`StorageHealth`, and the cache is invalidated
+        does not evict the whole cache.  Hit/miss/eviction counters land on
+        the store's :class:`StorageHealth`, and the cache is invalidated
         whenever the store reports a path's bytes may have changed (write,
         delete, repair, injected corruption).
-    default_format:
-        ``"v2"`` (chunked columnar, the default) or ``"v1"`` (whole-table
-        npz) for new :meth:`save` calls; either format stays readable.
     durability:
-        Crash-safety configuration (see :class:`~.journal.Durability`).
-        By default every save/drop runs as a journaled transaction with
-        fsync barriers at the commit point; ``Durability.disabled()``
-        restores the pre-journal direct write path.
-    decode_backend:
-        Optional :class:`~.executor.ExecutorBackend` (or kind string) that
-        :meth:`scan` fans surviving partitions' column-chunk decodes out
-        through, the same pattern as the wide-table prefetch.  ``None``
-        (the default) keeps the serial decode path; small scans stay
-        serial regardless (see ``PARALLEL_DECODE_MIN_CHUNKS``/``_BYTES``).
-        Results and cache/bytes accounting are identical either way.
+        Crash-safety configuration (see :class:`~.journal.Durability`):
+        every save/drop runs as a journaled transaction, by default with
+        fsync barriers at the commit point.
     """
 
     #: Partition value used for unpartitioned tables.
@@ -110,17 +90,9 @@ class Catalog:
         self,
         store: BlockStore | None = None,
         cache_bytes: int = DEFAULT_TABLE_CACHE_BYTES,
-        default_format: str = "v2",
         durability: Durability | None = None,
-        decode_backend: "ExecutorBackend | str | None" = None,
     ) -> None:
-        if default_format not in ("v1", "v2"):
-            raise CatalogError(
-                f"unknown format {default_format!r}; expected 'v1' or 'v2'"
-            )
         self._store = store if store is not None else BlockStore()
-        self._format = default_format
-        self._decode_backend = decode_backend
         self._durability = durability if durability is not None else Durability()
         self._tables: dict[tuple[str, str], dict[str, str]] = {}
         self._schemas: dict[tuple[str, str], Schema] = {}
@@ -143,21 +115,11 @@ class Catalog:
         self.last_recovery: RecoveryReport | None = None
         self._store.add_invalidation_listener(self._on_invalidated)
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        if isinstance(state.get("_decode_backend"), ExecutorBackend):
-            # Backends own OS pool handles and never travel; a pickled
-            # catalog copy (e.g. shipped to a shard worker) decodes
-            # serially, which is always result-identical.
-            state["_decode_backend"] = None
-        return state
-
     @classmethod
     def open(
         cls,
         store: BlockStore,
         cache_bytes: int = DEFAULT_TABLE_CACHE_BYTES,
-        default_format: str = "v2",
         durability: Durability | None = None,
     ) -> "Catalog":
         """Open a catalog over an existing store, running crash recovery.
@@ -165,12 +127,12 @@ class Catalog:
         Journals are replayed (committed-but-unfinished transactions) or
         rolled back (uncommitted ones), staging/orphan files are swept,
         and registrations are rebuilt from journal checkpoints — falling
-        back to the identity fields v2 manifests embed when no journal
+        back to the identity fields manifests embed when no journal
         survives.  The recovery outcome lands in :attr:`last_recovery`,
         on ``recovery.*`` metric counters, and under a ``catalog.recover``
         span.
         """
-        catalog = cls(store, cache_bytes, default_format, durability)
+        catalog = cls(store, cache_bytes, durability)
         catalog._recover()
         return catalog
 
@@ -232,27 +194,21 @@ class Catalog:
         database: str = "default",
         partition: str | None = None,
         overwrite: bool = True,
-        format: str | None = None,
     ) -> None:
         """Write ``table`` to the store and register it.
 
         A ``partition`` value (e.g. ``"month=3"``) appends/overwrites one
-        partition; omitted means the whole unpartitioned table.  ``format``
-        overrides the catalog's default storage format for this partition.
+        partition; omitted means the whole unpartitioned table.
 
-        With journaling on (the default), the write runs as one
-        crash-atomic transaction: files are staged, an intent + commit
-        record pair makes the decision durable, staged files are renamed
-        into place (the manifest last, as the atomic visibility switch)
-        and only then are the replaced version's files deleted.  A crash
-        anywhere leaves either the old or the new version, recoverable by
-        :meth:`open`.
+        The write runs as one crash-atomic transaction: files are staged,
+        an intent + commit record pair makes the decision durable, staged
+        files are renamed into place (the manifest last, as the atomic
+        visibility switch) and only then are the replaced version's files
+        deleted.  A crash anywhere leaves either the old or the new
+        version, recoverable by :meth:`open`.
         """
         if database not in self._databases:
             raise CatalogError(f"unknown database: {database}")
-        fmt = format or self._format
-        if fmt not in ("v1", "v2"):
-            raise CatalogError(f"unknown format {fmt!r}; expected 'v1' or 'v2'")
         key = (database, name)
         partition = partition or self.DEFAULT_PARTITION
         existing = self._schemas.get(key)
@@ -262,26 +218,21 @@ class Catalog:
                 f"{table.schema!r} != table schema {existing!r}"
             )
         base = self._path_base(database, name, partition)
-        path = base + (MANIFEST_SUFFIX if fmt == "v2" else ".npz")
+        path = base + MANIFEST_SUFFIX
         old = self._tables.get(key, {}).get(partition)
         if old is not None and self._store.exists(old) and not overwrite:
             raise CatalogError(f"partition exists: {database}.{name}/{partition}")
         self._crash("catalog.save.begin", f"{database}.{name}/{partition}")
-        if self._durability.journal:
-            self._save_journaled(key, partition, table, fmt, base, path, old)
-        else:
-            self._save_direct(key, partition, table, fmt, base, path, old)
+        self._save_journaled(key, partition, table, base, path, old)
 
     def _encode_chunks(
-        self, table: Table, base: str, txn: int, stage: str | None
+        self, table: Table, base: str, txn: int, stage: str
     ) -> tuple[list[ChunkMeta], dict[str, object], dict[str, bytes]]:
-        """Encode v2 chunks with version-stamped final paths.
+        """Encode column chunks with version-stamped final paths.
 
-        Returns ``(metas, arrays-by-final-path, payloads-by-write-path)``
-        where the write path is the staging path when ``stage`` is given,
-        else the final path (direct mode).  Version-stamping final chunk
-        names with the txn id is what lets an overwrite publish without
-        ever clobbering a committed chunk file.
+        Returns ``(metas, arrays-by-final-path, payloads-by-staging-path)``.
+        Version-stamping final chunk names with the txn id is what lets an
+        overwrite publish without ever clobbering a committed chunk file.
         """
         metas: list[ChunkMeta] = []
         arrays: dict[str, object] = {}
@@ -290,7 +241,6 @@ class Catalog:
             arr = table.column(column.name)
             payload, zone = encode_column(column, arr)
             dst = f"{base}/{column.name}.{txn:08d}{CHUNK_SUFFIX}"
-            write_path = f"{stage}/{column.name}{CHUNK_SUFFIX}" if stage else dst
             metas.append(
                 ChunkMeta(
                     name=column.name,
@@ -302,7 +252,7 @@ class Catalog:
                 )
             )
             arrays[dst] = arr
-            payloads[write_path] = payload
+            payloads[f"{stage}/{column.name}{CHUNK_SUFFIX}"] = payload
         return metas, arrays, payloads
 
     def _save_journaled(
@@ -310,7 +260,6 @@ class Catalog:
         key: tuple[str, str],
         partition: str,
         table: Table,
-        fmt: str,
         base: str,
         path: str,
         old: str | None,
@@ -323,39 +272,28 @@ class Catalog:
         label = f"{database}.{name}/{partition}"
         moves: list[tuple[str, str]] = []
         crcs: dict[str, int] = {}
-        arrays: dict[str, object] = {}
-        manifest: PartitionManifest | None = None
-        if fmt == "v1":
-            payload = table.to_bytes()
-            src = f"{stage}/table.npz"
+        metas, arrays, payloads = self._encode_chunks(table, base, txn, stage)
+        for (src, payload), meta in zip(payloads.items(), metas):
             self._store.write(src, payload)
             if sync_every:
                 self._store.fsync(src)
             crcs[src] = zlib.crc32(payload) & 0xFFFFFFFF
-            moves.append((src, path))
-        else:
-            metas, arrays, payloads = self._encode_chunks(table, base, txn, stage)
-            for (src, payload), meta in zip(payloads.items(), metas):
-                self._store.write(src, payload)
-                if sync_every:
-                    self._store.fsync(src)
-                crcs[src] = zlib.crc32(payload) & 0xFFFFFFFF
-                moves.append((src, meta.path))
-            manifest = PartitionManifest(
-                rows=table.num_rows,
-                chunks=tuple(metas),
-                database=database,
-                table=name,
-                partition=partition,
-            )
-            manifest_payload = manifest.to_bytes()
-            src = f"{stage}/manifest{MANIFEST_SUFFIX}"
-            self._store.write(src, manifest_payload)
-            if sync_every:
-                self._store.fsync(src)
-            crcs[src] = zlib.crc32(manifest_payload) & 0xFFFFFFFF
-            # The manifest rename runs last: it is the visibility switch.
-            moves.append((src, path))
+            moves.append((src, meta.path))
+        manifest = PartitionManifest(
+            rows=table.num_rows,
+            chunks=tuple(metas),
+            database=database,
+            table=name,
+            partition=partition,
+        )
+        manifest_payload = manifest.to_bytes()
+        src = f"{stage}/manifest{MANIFEST_SUFFIX}"
+        self._store.write(src, manifest_payload)
+        if sync_every:
+            self._store.fsync(src)
+        crcs[src] = zlib.crc32(manifest_payload) & 0xFFFFFFFF
+        # The manifest rename runs last: it is the visibility switch.
+        moves.append((src, path))
         cleanup = (
             [f for f in self._partition_files_for_path(old) if f != path]
             if old is not None
@@ -367,7 +305,7 @@ class Catalog:
             {
                 "op": "save",
                 "partition": partition,
-                "fmt": fmt,
+                "fmt": "v2",
                 "path": path,
                 "rows": table.num_rows,
                 "schema": schema_doc(table.schema),
@@ -397,72 +335,17 @@ class Catalog:
                 self._store.delete(stale)
         self._crash("catalog.save.cleanup", label)
         journal.append("done", {}, txn, sync=False)
-        self._finish_save(key, partition, path, old, table, manifest, arrays)
-        self._maybe_compact(journal, key)
-
-    def _save_direct(
-        self,
-        key: tuple[str, str],
-        partition: str,
-        table: Table,
-        fmt: str,
-        base: str,
-        path: str,
-        old: str | None,
-    ) -> None:
-        """The unjournaled write path (``Durability.disabled()``)."""
-        database, name = key
-        txn = self._next_txn()
-        cleanup = (
-            [f for f in self._partition_files_for_path(old) if f != path]
-            if old is not None
-            else []
-        )
-        manifest: PartitionManifest | None = None
-        arrays: dict[str, object] = {}
-        if fmt == "v1":
-            self._store.write(path, table.to_bytes())
-        else:
-            metas, arrays, payloads = self._encode_chunks(table, base, txn, None)
-            for dst, payload in payloads.items():
-                self._store.write(dst, payload)
-            manifest = PartitionManifest(
-                rows=table.num_rows,
-                chunks=tuple(metas),
-                database=database,
-                table=name,
-                partition=partition,
-            )
-            self._store.write(path, manifest.to_bytes())
-        for stale in cleanup:
-            if self._store.exists(stale):
-                self._store.delete(stale)
-        self._finish_save(key, partition, path, old, table, manifest, arrays)
-
-    def _finish_save(
-        self,
-        key: tuple[str, str],
-        partition: str,
-        path: str,
-        old: str | None,
-        table: Table,
-        manifest: PartitionManifest | None,
-        arrays: dict[str, object],
-    ) -> None:
-        """Update registration, schema, and caches after a publish."""
+        # Update registration, schema, and caches after the publish; the
+        # writes invalidated any stale entries, so cache the fresh chunks.
         if old is not None:
             self._temp.pop(old, None)
         self._tables.setdefault(key, {})[partition] = path
         self._schemas[key] = table.schema
         self._stats.pop(key, None)
-        if manifest is None:
-            # The write invalidated any stale entry; cache the fresh table.
-            self._cache.put(path, table, table.nbytes)
-        else:
-            # The writes invalidated any stale entries; cache fresh chunks.
-            self._manifests[path] = manifest
-            for chunk_path, arr in arrays.items():
-                self._cache.put(chunk_path, arr, array_nbytes(arr))
+        self._manifests[path] = manifest
+        for chunk_path, arr in arrays.items():
+            self._cache.put(chunk_path, arr, array_nbytes(arr))
+        self._maybe_compact(journal, key)
 
     def register_temp(
         self,
@@ -527,10 +410,10 @@ class Catalog:
         ``columns`` (when given) projects the result in the given order;
         names the table does not have are ignored.  ``predicate`` is a list
         of AND-ed :class:`~.columnar.ScanPredicate` conjuncts used purely
-        to *skip* v2 partitions whose zone maps prove no row can match —
+        to *skip* partitions whose zone maps prove no row can match —
         surviving partitions are returned unfiltered, so callers must still
-        apply their full predicate.  v1 partitions and temp views never
-        prune (no zone maps) and simply decode + project.
+        apply their full predicate.  Temp views never prune (no zone maps)
+        and simply project.
         """
         key = self._resolve(name, database)
         parts = self._tables[key]
@@ -539,73 +422,36 @@ class Catalog:
         if columns is not None:
             sel = [c for c in columns if c in schema]
         health = self._store.health
+        metrics = get_metrics()
         with span("catalog.scan", table=f"{key[0]}.{key[1]}") as sp:
-            # Pass 1: prune, leaving an ordered mix of already-materialized
-            # pieces (temp views, v1) and surviving v2 partitions.
-            ordered: list[tuple[str, object]] = []
-            survivors: list[tuple[str, object, list]] = []
+
+            def count_skipped(metas) -> None:
+                saved = sum(m.decoded_bytes for m in metas)
+                health.chunks_skipped += len(metas)
+                health.bytes_decoded_saved += saved
+                sp.incr("chunks_skipped", len(metas))
+                sp.incr("bytes_decoded_saved", saved)
+                metrics.counter("columnar.chunks_skipped").inc(len(metas))
+                metrics.counter("columnar.bytes_decoded_saved").inc(saved)
+
+            pieces: list[Table] = []
             for pname in sorted(parts):
                 path = parts[pname]
-                if path in self._temp or not path.endswith(MANIFEST_SUFFIX):
-                    piece = self._read(path)
+                if path not in self._temp:
+                    manifest = self._manifest(path)
+                    if predicate and not manifest_allows(manifest, predicate):
+                        health.partitions_pruned += 1
+                        sp.incr("partitions_pruned")
+                        metrics.counter("columnar.partitions_pruned").inc()
+                        count_skipped(manifest.chunks)
+                        continue
                     if sel is not None:
-                        piece = piece.select(sel)
-                    ordered.append(("table", piece))
-                    continue
-                manifest = self._manifest(path)
-                wanted = (
-                    manifest.chunks
-                    if sel is None
-                    else [m for m in manifest.chunks if m.name in set(sel)]
-                )
-                if predicate and not manifest_allows(manifest, predicate):
-                    health.partitions_pruned += 1
-                    skipped = len(manifest.chunks)
-                    saved = sum(m.decoded_bytes for m in manifest.chunks)
-                    health.chunks_skipped += skipped
-                    health.bytes_decoded_saved += saved
-                    sp.incr("partitions_pruned")
-                    sp.incr("chunks_skipped", skipped)
-                    sp.incr("bytes_decoded_saved", saved)
-                    metrics = get_metrics()
-                    metrics.counter("columnar.partitions_pruned").inc()
-                    metrics.counter("columnar.chunks_skipped").inc(skipped)
-                    metrics.counter("columnar.bytes_decoded_saved").inc(saved)
-                    continue
-                projected_away = len(manifest.chunks) - len(wanted)
-                if projected_away:
-                    saved = sum(
-                        m.decoded_bytes
-                        for m in manifest.chunks
-                        if m not in wanted
-                    )
-                    health.chunks_skipped += projected_away
-                    health.bytes_decoded_saved += saved
-                    sp.incr("chunks_skipped", projected_away)
-                    sp.incr("bytes_decoded_saved", saved)
-                    metrics = get_metrics()
-                    metrics.counter("columnar.chunks_skipped").inc(
-                        projected_away
-                    )
-                    metrics.counter("columnar.bytes_decoded_saved").inc(saved)
-                ordered.append(("v2", path))
-                survivors.append((path, manifest, list(wanted)))
-            # Pass 2: prefetch-decode the survivors' missing chunks through
-            # the configured backend (no-op without one, or below the
-            # small-scan floors).  Cache hit/miss and bytes accounting stay
-            # in _read_v2, so counters match the serial path exactly.
-            decoded = self._prefetch_chunks(survivors)
-            pieces: list[Table] = []
-            manifests = {path: manifest for path, manifest, _ in survivors}
-            for kind, value in ordered:
-                if kind == "table":
-                    pieces.append(value)
-                else:
-                    pieces.append(
-                        self._read_v2(
-                            value, sel, manifests[value], decoded=decoded
-                        )
-                    )
+                        projected_away = [
+                            m for m in manifest.chunks if m.name not in sel
+                        ]
+                        if projected_away:
+                            count_skipped(projected_away)
+                pieces.append(self._read(path, sel))
             if not pieces:
                 out_schema = schema if sel is None else schema.select(sel)
                 sp.incr("rows", 0)
@@ -638,9 +484,7 @@ class Catalog:
         Dropping the last partition removes the table itself (and its
         journal).  This is the retention primitive of the telemetry
         warehouse: expiring a run is a set of partition drops, never a
-        rewrite of surviving rows.  The deletion covers mixed-format
-        residue too: a partition registered as v2 whose interrupted v1
-        migration left an ``.npz`` sibling (or vice versa) loses both.
+        rewrite of surviving rows.
         """
         key = self._resolve(name, database)
         parts = self._tables[key]
@@ -653,9 +497,10 @@ class Catalog:
         label = f"{database}.{name}/{partition}"
         self._stats.pop(key, None)
         self._crash("catalog.drop.begin", label)
-        if path in self._temp or not self._durability.journal:
+        if path in self._temp:
+            # A temp view has no files and was never journaled.
             parts.pop(partition)
-            self._delete_partition_files(path)
+            del self._temp[path]
             if not parts:
                 del self._tables[key]
                 del self._schemas[key]
@@ -721,12 +566,9 @@ class Catalog:
         """Statistics for the binder: row count + per-column stats.
 
         Temp views compute exact stats from the in-memory arrays; persisted
-        v2 tables roll up their partition zone maps without decoding any
-        chunk.  Tables with any v1 (npz) partition return ``None`` — the
-        binder falls back to conservative defaults rather than paying a
-        full decode on the planning path.  Results are memoized per table
-        and invalidated by saves, drops, temp re-registration, and any
-        store-level byte change.
+        tables roll up their partition zone maps without decoding any
+        chunk.  Results are memoized per table and invalidated by saves,
+        drops, temp re-registration, and any store-level byte change.
         """
         key = self._resolve(name, database)
         if key in self._stats:
@@ -744,11 +586,11 @@ class Catalog:
                 },
                 exact=True,
             )
-        elif all(
-            p.endswith(MANIFEST_SUFFIX) and p not in self._temp for p in paths
-        ):
+        elif not any(p in self._temp for p in paths):
             stats = rollup_table_stats([self._manifest(p) for p in paths])
         else:
+            # A temp view with persisted partitions saved beside it: the
+            # binder falls back to conservative defaults.
             stats = None
         self._stats[key] = stats
         return stats
@@ -809,9 +651,9 @@ class Catalog:
     ) -> list[str]:
         """Store files backing one partition (or every partition).
 
-        Includes mixed-format residue (an ``.npz`` sibling of a v2
-        partition or vice versa), which is what drop and fsck must remove.
-        Temp views contribute nothing — they have no backing files.
+        Includes chunk files a torn overwrite left in the partition's
+        chunk directory, which is what drop and fsck must remove.  Temp
+        views contribute nothing — they have no backing files.
         """
         key = self._resolve(name, database)
         parts = self._tables[key]
@@ -831,15 +673,6 @@ class Catalog:
             return []
         return partition_residue(self._store, path)
 
-    def _delete_partition_files(self, path: str) -> None:
-        """Delete every store file backing one partition registration."""
-        for stale in self._partition_files_for_path(path):
-            if self._store.exists(stale):
-                self._store.delete(stale)
-        self._cache.invalidate(path)
-        self._manifests.pop(path, None)
-        self._temp.pop(path, None)
-
     def _manifest(self, path: str) -> PartitionManifest:
         manifest = self._manifests.get(path)
         if manifest is None:
@@ -847,78 +680,13 @@ class Catalog:
             self._manifests[path] = manifest
         return manifest
 
-    def _read(self, path: str) -> Table:
+    def _read(self, path: str, columns: list[str] | None = None) -> Table:
+        """One partition as a table: a temp view, or its column chunks
+        assembled through the per-chunk cache."""
         temp = self._temp.get(path)
         if temp is not None:
-            return temp
-        if path.endswith(MANIFEST_SUFFIX):
-            return self._read_v2(path, None)
-        cached = self._cache.get(path)
-        if cached is not None:
-            return cached
-        table = Table.from_bytes(self._store.read(path))
-        self._store.health.bytes_decoded += table.nbytes
-        self._cache.put(path, table, table.nbytes)
-        return table
-
-    def _prefetch_chunks(self, survivors) -> dict | None:
-        """Decode surviving partitions' missing chunks through the backend.
-
-        ``survivors`` is ``[(path, manifest, wanted_metas)]`` from
-        :meth:`scan`'s pruning pass.  Payload reads happen here in the
-        parent (the store never travels to workers); only the pure
-        ``decode_column`` calls fan out.  Cache lookups use :meth:`peek`
-        so the hit/miss counters are untouched — :meth:`_read_v2` still
-        performs the one counted ``get`` per chunk, and does the
-        ``bytes_decoded``/``put`` accounting for prefetched arrays in its
-        miss branch, exactly like a serial decode.
-        """
-        if self._decode_backend is None or not survivors:
-            return None
-        backend = resolve_backend(self._decode_backend)
-        if backend.parallelism <= 1:
-            return None
-        metas = []
-        seen: set[str] = set()
-        for _, _, wanted in survivors:
-            for meta in wanted:
-                if meta.path in seen or self._cache.peek(meta.path) is not None:
-                    continue
-                seen.add(meta.path)
-                metas.append(meta)
-        if (
-            len(metas) < PARALLEL_DECODE_MIN_CHUNKS
-            or sum(m.decoded_bytes for m in metas) < PARALLEL_DECODE_MIN_BYTES
-        ):
-            return None
-        payloads = [self._store.read(m.path) for m in metas]
-        with span(
-            "catalog.parallel_decode",
-            chunks=len(metas),
-            backend=backend.name,
-        ):
-            arrays = backend.map(decode_column, payloads)
-        get_metrics().counter("columnar.parallel_decode_chunks").inc(
-            len(metas)
-        )
-        return {m.path: arr for m, arr in zip(metas, arrays)}
-
-    def _read_v2(
-        self,
-        path: str,
-        columns: list[str] | None,
-        manifest: PartitionManifest | None = None,
-        decoded: dict | None = None,
-    ) -> Table:
-        """Assemble a table from per-column chunks (cache keyed per chunk).
-
-        ``decoded`` optionally maps chunk paths to arrays a prefetch pass
-        already decoded; consuming one still runs the miss-branch
-        accounting (``bytes_decoded`` + cache insert) so counters match
-        the serial decode path.
-        """
-        if manifest is None:
-            manifest = self._manifest(path)
+            return temp if columns is None else temp.select(columns)
+        manifest = self._manifest(path)
         if columns is None:
             metas = list(manifest.chunks)
         else:
@@ -928,10 +696,7 @@ class Catalog:
         for meta in metas:
             arr = self._cache.get(meta.path)
             if arr is None:
-                if decoded is not None:
-                    arr = decoded.pop(meta.path, None)
-                if arr is None:
-                    arr = decode_column(self._store.read(meta.path))
+                arr = decode_column(self._store.read(meta.path))
                 self._store.health.bytes_decoded += array_nbytes(arr)
                 self._cache.put(meta.path, arr, array_nbytes(arr))
             data[meta.name] = arr

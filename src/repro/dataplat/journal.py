@@ -1,7 +1,7 @@
 """Write-ahead journal: crash-atomic catalog mutations, recovery, fsck.
 
-Every persistent catalog mutation (partition save/overwrite, drop, format
-migration, telemetry-sink append) runs as a journaled transaction:
+Every persistent catalog mutation (partition save/overwrite, drop,
+telemetry-sink append) runs as a journaled transaction:
 
 1. **Stage** — new files are written under
    ``/warehouse/{db}/{table}/.staging/{txn}/``, never at their final
@@ -27,7 +27,7 @@ Recovery (:func:`plan_recovery` + :func:`apply_recovery`, driven by
 ``Catalog.open``) replays committed-but-unfinished transactions, rolls
 back uncommitted ones, sweeps staging/orphan files, and re-registers
 partitions from journal checkpoints — falling back to the identity fields
-embedded in v2 manifests when the journal itself is gone.  The same plan,
+embedded in partition manifests when the journal itself is gone.  The same plan,
 rendered instead of applied, is the ``scripts/fsck.py`` report.
 
 Records are one file each (``{txn:08d}-{kind}.rec``) instead of one
@@ -71,11 +71,6 @@ _CHUNK_VERSION_RE = re.compile(r"\.(\d{8})\.chunk$")
 class Durability:
     """Crash-safety knobs for catalog writes.
 
-    ``journal``
-        When false, writes go straight to their final paths with no
-        intent/commit records — the pre-journal fast path, used as the
-        benchmark baseline for journal overhead.  Crash atomicity is then
-        limited to what manifest adoption can reconstruct.
     ``fsync``
         ``"always"`` syncs every write as it happens; ``"commit"`` (the
         default) syncs at the two protocol barriers (staged files + intent,
@@ -88,7 +83,6 @@ class Durability:
         holds more than this many record files.
     """
 
-    journal: bool = True
     fsync: str = "commit"
     compact_after: int = 64
 
@@ -101,11 +95,6 @@ class Durability:
             raise CatalogError(
                 f"compact_after must be >= 2, got {self.compact_after}"
             )
-
-    @classmethod
-    def disabled(cls) -> "Durability":
-        """No journal, no barriers — the pre-journal write path."""
-        return cls(journal=False, fsync="never")
 
     @property
     def sync_every_write(self) -> bool:
@@ -486,30 +475,18 @@ def _manifest_or_none(
 def partition_residue(
     store: BlockStore, path: str, memo: dict | None = None
 ) -> list[str]:
-    """Every store file attributable to a partition registered at ``path``,
-    including mixed-format siblings left by interrupted migrations."""
+    """Every store file attributable to the partition whose manifest is
+    registered at ``path``: the manifest, the chunks it lists, and any
+    other chunk file (a torn overwrite's leftovers) in its chunk directory."""
     if memo is None:
         memo = {}
     files = []
-    candidates = [path]
-    if path.endswith(MANIFEST_SUFFIX):
-        base = path[: -len(MANIFEST_SUFFIX)]
-        candidates.append(base + ".npz")
-    elif path.endswith(".npz"):
-        base = path[: -len(".npz")]
-        candidates.append(base + MANIFEST_SUFFIX)
-    else:
-        base = path
-    for candidate in candidates:
-        if candidate.endswith(MANIFEST_SUFFIX):
-            manifest = _manifest_or_none(store, candidate, memo)
-            if manifest is not None:
-                files.extend(
-                    c.path for c in manifest.chunks if store.exists(c.path)
-                )
-            files.extend(store.list_files(chunk_dir(candidate)))
-        if store.exists(candidate):
-            files.append(candidate)
+    manifest = _manifest_or_none(store, path, memo)
+    if manifest is not None:
+        files.extend(c.path for c in manifest.chunks if store.exists(c.path))
+    files.extend(store.list_files(chunk_dir(path)))
+    if store.exists(path):
+        files.append(path)
     return sorted(set(files))
 
 
@@ -529,15 +506,26 @@ def _validate_registrations(
     }
     for key, regs in list(plan.tables.items()):
         for partition, path in list(regs.items()):
+            if not path.endswith(MANIFEST_SUFFIX):
+                # Foreign input (e.g. a retired ``.npz`` whole-table file):
+                # refuse to serve it, and never delete what we cannot read.
+                regs.pop(partition)
+                plan.checkpoint_tables.add(key)
+                plan.issues.append(
+                    FsckIssue(
+                        "unsupported-format",
+                        path,
+                        f"{key[0]}.{key[1]}/{partition}: not a partition "
+                        f"manifest; deregistered, file left in place",
+                    )
+                )
+                continue
             if (key[0], key[1], partition) in pending:
                 continue
-            ok = store.exists(path)
-            if ok and path.endswith(MANIFEST_SUFFIX):
-                manifest = _manifest_or_none(store, path, memo)
-                ok = manifest is not None and all(
-                    store.exists(c.path) for c in manifest.chunks
-                )
-            if ok:
+            manifest = _manifest_or_none(store, path, memo)
+            if manifest is not None and all(
+                store.exists(c.path) for c in manifest.chunks
+            ):
                 continue
             regs.pop(partition)
             plan.checkpoint_tables.add(key)
@@ -639,7 +627,7 @@ def _plan_sweeps(store: BlockStore, plan: RecoveryPlan, memo: dict) -> None:
     for regs in plan.tables.values():
         for path in regs.values():
             manifest = _manifest_or_none(store, path, memo)
-            if path.endswith(MANIFEST_SUFFIX) and manifest is not None:
+            if manifest is not None:
                 expected.update(c.path for c in manifest.chunks)
     for path in preserved_manifests:
         expected.add(path)
@@ -671,10 +659,10 @@ def _plan_sweeps(store: BlockStore, plan: RecoveryPlan, memo: dict) -> None:
             plan.deletes.append((path, reason))
             continue
         if path.endswith(".npz"):
-            # A v1 table with no journal and no manifest identity (written
-            # with journaling disabled, or its journal wiped).  Like
-            # identity-less manifests: never delete data we cannot
-            # attribute — report it and leave it in place.
+            # A whole-table file in the retired v1 format, which nothing
+            # here reads or writes.  Like identity-less manifests: never
+            # delete data we cannot attribute — report it and leave it in
+            # place.
             plan.issues.append(
                 FsckIssue(
                     "unattributable-table",
@@ -732,6 +720,8 @@ class RecoveryReport:
     adopted: int = 0
     lost_commits: int = 0
     torn_records: int = 0
+    #: Registrations refused as ``unsupported-format`` (file left in place).
+    rejected: int = 0
     details: list[str] = field(default_factory=list)
 
     @property
@@ -744,6 +734,7 @@ class RecoveryReport:
             or self.adopted
             or self.lost_commits
             or self.torn_records
+            or self.rejected
         )
 
     def counters(self) -> dict[str, int]:
@@ -755,6 +746,7 @@ class RecoveryReport:
             "recovery.adopted": self.adopted,
             "recovery.lost_commits": self.lost_commits,
             "recovery.torn_records": self.torn_records,
+            "recovery.rejected": self.rejected,
         }
 
 
@@ -831,6 +823,10 @@ def apply_recovery(
         report.details.append(
             f"adopted {database}.{table}/{partition} from manifest {path}"
         )
+    for issue in plan.issues:
+        if issue.kind == "unsupported-format":
+            report.rejected += 1
+            report.details.append(f"rejected {issue.render()}")
     # Convergence: rewrite touched journals as single checkpoints so the
     # next open finds a clean store instead of re-resolving the same txns.
     next_txn = plan.max_txn
@@ -874,17 +870,11 @@ def recover_store(
         if raw:
             schemas[key] = schema_from_doc(raw)
             continue
-        # No schema on record (e.g., adopted v1 table): infer from data.
+        # No schema on record: infer it from a partition manifest.
         for path in sorted(regs.values()):
-            if path.endswith(MANIFEST_SUFFIX):
-                manifest = _manifest_or_none(store, path, memo)
-                if manifest is not None:
-                    schemas[key] = manifest.schema
-                    break
-            else:
-                from .table import Table
-
-                schemas[key] = Table.from_bytes(store.read(path)).schema
+            manifest = _manifest_or_none(store, path, memo)
+            if manifest is not None:
+                schemas[key] = manifest.schema
                 break
     return RecoveredCatalog(
         tables={k: dict(v) for k, v in plan.tables.items()},

@@ -16,8 +16,9 @@ reproduction's observability layer, deliberately dependency-free:
   like the resilience layer's fault counters.
 * :func:`span` / :func:`profiled` — the hooks hot paths are threaded with.
   When no tracer is installed they cost one module-global load and return a
-  shared no-op context, keeping the disabled-path overhead within the
-  ≤5 % budget measured by ``benchmarks/baseline.py``.
+  shared no-op context; the cost of tracing *on* is the
+  ``bench.tracing_overhead_ratio`` row of every traced
+  ``benchmarks/e2e/run.py`` run.
 
 Worker propagation: a process-pool task runs under a *fresh* local tracer,
 exports its finished spans to dicts, and the parent re-attaches them under

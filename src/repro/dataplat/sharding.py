@@ -242,7 +242,6 @@ class ShardedCatalog:
         partition: str | None = None,
         key=_AUTO,
         overwrite: bool = True,
-        format: str | None = None,
     ) -> Placement:
         """Hash-split (or replicate) ``table`` across the shards.
 
@@ -262,7 +261,6 @@ class ShardedCatalog:
                     database=database,
                     partition=partition,
                     overwrite=overwrite,
-                    format=format,
                 )
                 sp.incr("rows", piece.num_rows)
         self._placement[(database, name)] = placement

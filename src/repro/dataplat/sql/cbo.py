@@ -1,8 +1,7 @@
 """Cost-based plan rewrites driven by binder row estimates.
 
-Runs after the rule-based optimizer and the binder, gated behind the
-engine's ``cost_based`` flag (env ``REPRO_CBO``).  Four rewrites, applied
-in order with re-annotation between them:
+Runs after the rule-based optimizer and the binder on every optimized
+plan.  Four rewrites, applied in order with re-annotation between them:
 
 1. **Join reordering** — maximal inner-join clusters are rebuilt greedy
    left-deep, starting from the smallest estimated leaf and always adding
@@ -16,8 +15,9 @@ in order with re-annotation between them:
    keys, that side is pre-aggregated by those keys before the join, with
    partial SUM/MIN/MAX columns plus a ``COUNT(*)`` partial.  The upper
    aggregate combines partials (``SUM``→``SUM``, ``MIN``→``MIN``,
-   ``MAX``→``MAX``, any non-distinct ``COUNT``→``SUM`` of the count
-   partial — exact because this engine's COUNT never skips NaN).
+   ``MAX``→``MAX``, any non-distinct ``COUNT``→ the integer sum
+   (:data:`~.functions.COUNT_MERGE`) of the count partial — exact because
+   this engine's COUNT never skips NaN).
 3. **Early projection (Narrow)** — between chained joins, drop columns no
    operator above references, sized by estimated bytes saved.
 4. **Join strategy** — flip ``hash`` to ``merge`` when both inputs are
@@ -42,7 +42,7 @@ from .ast_nodes import (
     UnaryOp,
 )
 from .binder import Binder
-from .functions import AGGREGATE_FUNCTIONS
+from .functions import AGGREGATE_FUNCTIONS, COUNT_MERGE
 from .plan import (
     Aggregate,
     Distinct,
@@ -349,7 +349,7 @@ def _push_into_side(
                 # COUNT never skips NaN here, so any COUNT is the pair
                 # count per group: the sum of per-key pre-agg row counts.
                 used_count[0] = True
-                return FunctionCall("SUM", (ColumnRef("__cnt__"),))
+                return FunctionCall(COUNT_MERGE, (ColumnRef("__cnt__"),))
             if expr.name not in ("SUM", "MIN", "MAX") or len(expr.args) != 1:
                 raise _PushAbort
             refs = _expr_bindings(expr.args[0])

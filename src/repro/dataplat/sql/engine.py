@@ -6,13 +6,12 @@ optimizes, binds and executes queries against a
 tables (like Spark's ``createOrReplaceTempView``).
 
 Planning pipeline per query: parse → logical plan → rule-based optimize →
-**bind** (attach catalog statistics and ``est_rows``) → optionally the
-**cost-based optimizer** (join reorder, aggregate pushdown, early
-projection, join strategy), enabled by the ``cost_based`` flag or the
-``REPRO_CBO`` environment variable.  ``EXPLAIN <select>`` returns the
-final plan as a one-column table instead of executing it;
-``EXPLAIN ANALYZE <select>`` executes it and annotates every operator
-with actual rows, wall/CPU time and storage counters.
+**bind** (attach catalog statistics and ``est_rows``) → the **cost-based
+optimizer** (join reorder, aggregate pushdown, early projection, join
+strategy).  ``EXPLAIN <select>`` returns the final plan as a one-column
+table instead of executing it; ``EXPLAIN ANALYZE <select>`` executes it
+and annotates every operator with actual rows, wall/CPU time and storage
+counters.
 
 Profiling (``profiling=True`` or ``REPRO_SQL_PROFILE=1``) records a
 :class:`~.profile.QueryProfile` for every executed query — readable via
@@ -48,10 +47,6 @@ def _env_flag(name: str) -> bool:
     return os.environ.get(name, "").strip().lower() in _ENV_TRUTHY
 
 
-def _env_cost_based() -> bool:
-    return _env_flag("REPRO_CBO")
-
-
 class SQLEngine:
     """Run SQL over catalog tables.
 
@@ -61,13 +56,11 @@ class SQLEngine:
     >>> float(engine.query("SELECT SUM(x) AS total FROM t")["total"][0])
     6.0
 
-    ``cost_based`` turns on the statistics-driven optimizer; ``None``
-    (default) defers to the ``REPRO_CBO`` environment variable so whole
-    test suites can flip it without touching call sites.  ``profiling``
-    works the same way against ``REPRO_SQL_PROFILE``, and ``feedback``
-    against ``REPRO_CBO_FEEDBACK`` (pass an existing
-    :class:`~.feedback.CardinalityFeedback` to share one store across
-    engines).  ``profile_sink`` is called with each finished
+    ``profiling`` defaults (``None``) to the ``REPRO_SQL_PROFILE``
+    environment variable so whole test suites can flip it without touching
+    call sites, and ``feedback`` likewise to ``REPRO_CBO_FEEDBACK`` (pass
+    an existing :class:`~.feedback.CardinalityFeedback` to share one store
+    across engines).  ``profile_sink`` is called with each finished
     :class:`~.profile.QueryProfile` (the telemetry sink's
     ``record_query_profile`` slots in directly).
     """
@@ -76,18 +69,12 @@ class SQLEngine:
         self,
         catalog: Catalog | None = None,
         database: str = "default",
-        scan_pruning: bool = True,
-        cost_based: bool | None = None,
         profiling: bool | None = None,
         profile_sink=None,
         feedback: "CardinalityFeedback | bool | None" = None,
     ) -> None:
         self._catalog = catalog if catalog is not None else Catalog()
         self._database = database
-        self._scan_pruning = scan_pruning
-        self._cost_based = (
-            _env_cost_based() if cost_based is None else bool(cost_based)
-        )
         self._profiling = (
             _env_flag("REPRO_SQL_PROFILE") if profiling is None else bool(profiling)
         )
@@ -105,10 +92,6 @@ class SQLEngine:
     @property
     def catalog(self) -> Catalog:
         return self._catalog
-
-    @property
-    def cost_based(self) -> bool:
-        return self._cost_based
 
     @property
     def feedback(self) -> CardinalityFeedback | None:
@@ -131,8 +114,10 @@ class SQLEngine:
     def plan(self, sql: str, optimized: bool = True) -> PlanNode:
         """Parse, plan and bind a query without executing it.
 
-        ``EXPLAIN`` prefixes are transparent here: the plan of the inner
-        statement is returned.
+        ``optimized=False`` returns the raw bound plan — no rule-based or
+        cost-based rewrite — which the differential tests execute as their
+        oracle.  ``EXPLAIN`` prefixes are transparent here: the plan of the
+        inner statement is returned.
         """
         with span("sql.parse"):
             stmt = parse(sql)
@@ -152,13 +137,13 @@ class SQLEngine:
         binder = Binder(self._catalog, self._database, feedback=self._feedback)
         with span("sql.bind"):
             binder.bind(plan)
-        if self._cost_based and optimized:
+        if optimized:
             with span("sql.cbo"):
                 plan = optimize_cost_based(plan, binder)
         return plan
 
     def explain(self, sql: str) -> str:
-        """Readable bound (and, if enabled, cost-optimized) plan."""
+        """Readable bound, cost-optimized plan."""
         return self.plan(sql).describe()
 
     def _collecting(self) -> bool:
@@ -172,12 +157,7 @@ class SQLEngine:
         self, plan: PlanNode, sql: str
     ) -> tuple[Table, QueryProfile]:
         collector = ProfileCollector(health=self._catalog.store.health)
-        executor = Executor(
-            self._catalog,
-            self._database,
-            scan_pruning=self._scan_pruning,
-            profiler=collector,
-        )
+        executor = Executor(self._catalog, self._database, profiler=collector)
         with span("sql.execute"):
             out = executor.execute(plan)
         profile = collector.finish(sql)
@@ -220,11 +200,7 @@ class SQLEngine:
             if self._collecting():
                 out, _ = self._execute_profiled(plan, sql)
             else:
-                executor = Executor(
-                    self._catalog,
-                    self._database,
-                    scan_pruning=self._scan_pruning,
-                )
+                executor = Executor(self._catalog, self._database)
                 with span("sql.execute"):
                     out = executor.execute(plan)
             sp.incr("rows", out.num_rows)

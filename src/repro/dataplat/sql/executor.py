@@ -70,22 +70,19 @@ def _record_estimate(node: PlanNode, actual: int) -> None:
 class Executor:
     """Evaluates logical plans against a :class:`Catalog`.
 
-    ``scan_pruning`` forwards the optimizer's storage-level conjuncts to
-    :meth:`Catalog.scan` so zone maps can skip partitions; turning it off
-    (the pruning-parity fuzz harness does) must never change results, only
-    how many chunks get decoded.
+    A :class:`~.plan.Scan`'s storage-level conjuncts are forwarded to
+    :meth:`Catalog.scan` so zone maps can skip partitions; that never
+    changes results, only how many chunks get decoded.
     """
 
     def __init__(
         self,
         catalog: Catalog,
         database: str = "default",
-        scan_pruning: bool = True,
         profiler=None,
     ) -> None:
         self._catalog = catalog
         self._database = database
-        self._scan_pruning = scan_pruning
         self._profiler = profiler
 
     def execute(self, plan: PlanNode) -> Table:
@@ -206,12 +203,11 @@ class Executor:
         database = self._database
         if "." in name:
             database, name = name.split(".", 1)
-        predicate = list(node.predicate) if self._scan_pruning else None
         table = self._catalog.scan(
             name,
             database=database,
             columns=node.columns,
-            predicate=predicate or None,
+            predicate=list(node.predicate) or None,
         )
         return table.rename(
             {c: f"{node.binding}.{c}" for c in table.schema.names}

@@ -16,10 +16,18 @@ from ...errors import SQLAnalysisError
 
 ScalarFn = Callable[..., np.ndarray]
 
+#: Internal aggregate merging partial ``COUNT`` columns: an *integer* sum,
+#: so a count is int64 whichever plan answers it (user-visible ``SUM`` is
+#: float by contract).  Only the partial-aggregate rewrites in :mod:`.cbo`
+#: and :mod:`.scatter` emit it; the ``$`` is a character the lexer rejects,
+#: so no SQL text can name it.
+COUNT_MERGE = "$SUM_COUNTS"
+
 #: Aggregate function names understood by the planner.  ``count`` supports
 #: ``COUNT(*)`` and ``COUNT(DISTINCT x)``.
 AGGREGATE_FUNCTIONS = {
     "COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV", "VARIANCE", "MEDIAN",
+    COUNT_MERGE,
 }
 
 
@@ -146,6 +154,10 @@ def aggregate_grouped(
         raise SQLAnalysisError(f"{name} requires an argument")
     if distinct:
         raise SQLAnalysisError(f"DISTINCT is only supported inside COUNT, not {name}")
+    if name == COUNT_MERGE:
+        out = np.zeros(n_groups, dtype=np.int64)
+        np.add.at(out, group_ids, np.asarray(values, dtype=np.int64))
+        return out
     numeric = _as_float(values)
     if name == "SUM":
         # bincount returns int64 on empty input even with float weights.

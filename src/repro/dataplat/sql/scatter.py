@@ -19,10 +19,12 @@ shard-executable subtrees and a central remainder:
   their shard) and the pieces concatenate in shard order.
 - An aggregate sitting on a Gather is decomposed into per-shard partial
   aggregates merged at the gather node, reusing the PR 7 aggregate-pushdown
-  algebra: ``COUNT → SUM(__cnt__)``, SUM/MIN/MAX merge as themselves,
+  algebra: ``COUNT`` → the integer sum of ``__cnt__``
+  (:data:`~.functions.COUNT_MERGE`), SUM/MIN/MAX merge as themselves,
   ``AVG → SUM(partial sums) / SUM(__cnt__)``.  Non-decomposable aggregates
   (DISTINCT counts, MEDIAN, STDDEV, VARIANCE) fall back to gathering the
-  input rows and aggregating centrally — still scan/join-parallel.
+  input rows and aggregating centrally — still scan/join-parallel, and
+  counted as ``shard.partial_fallbacks``.
 
 Results are bit-identical to the single-catalog engine up to row order
 (hash partitioning permutes rows; aggregates see identical per-group row
@@ -60,7 +62,7 @@ from .ast_nodes import (
 from .cbo import _rebuild
 from .engine import SQLEngine
 from .executor import Executor
-from .functions import AGGREGATE_FUNCTIONS
+from .functions import AGGREGATE_FUNCTIONS, COUNT_MERGE
 from .plan import (
     Aggregate,
     Distinct,
@@ -131,11 +133,10 @@ class _ShardExecutor(Executor):
         self,
         catalog,
         database: str,
-        scan_pruning: bool,
         shard_id: int,
         num_shards: int,
     ) -> None:
-        super().__init__(catalog, database, scan_pruning=scan_pruning)
+        super().__init__(catalog, database)
         self._shard_id = shard_id
         self._num_shards = num_shards
 
@@ -166,14 +167,12 @@ def _execute_shard_plan(args):
     ``shard.execute`` span tagged with the shard id — travel back for
     :meth:`Tracer.attach`, so scatter skew is visible per shard.
     """
-    catalog, database, scan_pruning, plan, shard_id, num_shards, traced = args
+    catalog, database, plan, shard_id, num_shards, traced = args
     worker_tracer = observability.Tracer() if traced else None
     previous = observability.set_tracer(worker_tracer) if traced else None
     try:
         with span("shard.execute", shard=shard_id) as sp:
-            executor = _ShardExecutor(
-                catalog, database, scan_pruning, shard_id, num_shards
-            )
+            executor = _ShardExecutor(catalog, database, shard_id, num_shards)
             table = executor.execute(plan)
             sp.incr("rows", table.num_rows)
     finally:
@@ -454,6 +453,9 @@ def _push_partials(node: PlanNode) -> PlanNode:
         if pushed is not None:
             get_metrics().counter("shard.partials_pushed").inc()
             return pushed
+        # Not decomposable: the raw rows gather and aggregate centrally.
+        get_metrics().counter("shard.partial_fallbacks").inc()
+        observability.current_span().incr("partial_fallbacks")
     if isinstance(node, Distinct) and isinstance(node.child, Gather):
         # Pre-distinct per shard: cheap transfer shrink, still centrally
         # deduped (identical rows may live on different shards).
@@ -471,7 +473,8 @@ def _decompose(agg: Aggregate, gather: Gather) -> PlanNode | None:
 
     The merge algebra mirrors :mod:`.cbo`'s aggregate pushdown —
     ``__partial{i}__`` aliases, a ``__cnt__`` row count, ``COUNT`` merged
-    as ``SUM(__cnt__)`` — extended with AVG as total-sum over total-count.
+    as the integer sum of ``__cnt__`` — extended with AVG as total-sum over
+    total-count.
     A ``__cnt__ > 0`` filter between the gather and the merge drops the
     placeholder row an *empty* shard emits for a global aggregate, whose
     zero-fill MIN/MAX would otherwise poison the merge.
@@ -495,7 +498,7 @@ def _decompose(agg: Aggregate, gather: Gather) -> PlanNode | None:
             if expr.distinct:
                 raise _Abort
             if expr.name == "COUNT":
-                return FunctionCall("SUM", (ColumnRef("__cnt__"),))
+                return FunctionCall(COUNT_MERGE, (ColumnRef("__cnt__"),))
             if expr.name == "AVG" and len(expr.args) == 1:
                 total = partial_ref(FunctionCall("SUM", expr.args))
                 return BinaryOp(
@@ -503,7 +506,10 @@ def _decompose(agg: Aggregate, gather: Gather) -> PlanNode | None:
                     FunctionCall("SUM", (total,)),
                     FunctionCall("SUM", (ColumnRef("__cnt__"),)),
                 )
-            if expr.name in ("SUM", "MIN", "MAX") and len(expr.args) == 1:
+            if (
+                expr.name in ("SUM", "MIN", "MAX", COUNT_MERGE)
+                and len(expr.args) == 1
+            ):
                 return FunctionCall(expr.name, (partial_ref(expr),))
             raise _Abort  # MEDIAN/STDDEV/VARIANCE need the raw rows
         if isinstance(expr, BinaryOp):
@@ -547,22 +553,14 @@ class ShardedSQLEngine:
         self,
         catalog: ShardedCatalog,
         database: str = "default",
-        scan_pruning: bool = True,
-        cost_based: bool | None = None,
         backend: "ExecutorBackend | str | None" = None,
         spill_bytes: int = DEFAULT_SPILL_BYTES,
     ) -> None:
         self._sharded = catalog
         self._database = database
-        self._scan_pruning = scan_pruning
         self._backend = backend
         self._planner = SQLEngine(
-            catalog.shards[0],
-            database,
-            scan_pruning=scan_pruning,
-            cost_based=cost_based,
-            profiling=False,
-            feedback=False,
+            catalog.shards[0], database, profiling=False, feedback=False
         )
         self._exchange = ShuffleExchange(catalog, spill_bytes=spill_bytes)
 
@@ -649,7 +647,6 @@ class ShardedSQLEngine:
                     (
                         catalog,
                         self._database,
-                        self._scan_pruning,
                         gather.subplan,
                         i,
                         self._sharded.num_shards,
@@ -670,11 +667,7 @@ class ShardedSQLEngine:
                 metrics.counter("shard.rows_gathered").inc(out.num_rows)
                 sp.incr("tasks", len(tasks))
                 sp.incr("rows", out.num_rows)
-        executor = _GatherExecutor(
-            self._sharded.shards[0],
-            self._database,
-            scan_pruning=self._scan_pruning,
-        )
+        executor = _GatherExecutor(self._sharded.shards[0], self._database)
         with span("shard.merge"):
             return executor.execute(plan)
 

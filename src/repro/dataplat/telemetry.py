@@ -185,10 +185,10 @@ class TelemetryWarehouse:
     retention_runs:
         When set, every record call compacts the warehouse down to the
         newest ``retention_runs`` run ids (by lexicographic order).
-    scan_pruning:
-        Forwarded to the SQL engine.  Telemetry tables partition per
-        (run, window), so watchtower queries filtering on ``window`` or
-        ``run_id`` skip every other partition via zone maps.
+
+    Telemetry tables partition per (run, window), so watchtower queries
+    filtering on ``window`` or ``run_id`` skip every other partition via
+    zone maps.
     """
 
     def __init__(
@@ -196,7 +196,6 @@ class TelemetryWarehouse:
         catalog: Catalog | None = None,
         git_sha: str | None = None,
         retention_runs: int | None = None,
-        scan_pruning: bool = True,
     ) -> None:
         if retention_runs is not None and retention_runs < 1:
             raise DataPlatformError(
@@ -204,11 +203,7 @@ class TelemetryWarehouse:
             )
         self._catalog = catalog if catalog is not None else Catalog()
         self._catalog.create_database(TELEMETRY_DATABASE)
-        self._engine = SQLEngine(
-            self._catalog,
-            database=TELEMETRY_DATABASE,
-            scan_pruning=scan_pruning,
-        )
+        self._engine = SQLEngine(self._catalog, database=TELEMETRY_DATABASE)
         self.git_sha = git_sha if git_sha is not None else current_git_sha()
         self.retention_runs = retention_runs
         # Monotone discriminator for query profiles: two executions of

@@ -77,7 +77,7 @@ def _build_shard_blocks(args):
     roots its spans at ``shard.widetable`` tagged with the shard id, so a
     trace of the fan-out shows per-shard skew directly.
     """
-    world, seed, scan_pruning, month, categories, shard_id, num_shards, traced = args
+    world, seed, month, categories, shard_id, num_shards, traced = args
     worker_tracer = observability.Tracer() if traced else None
     previous = observability.set_tracer(worker_tracer) if traced else None
     try:
@@ -85,7 +85,6 @@ def _build_shard_blocks(args):
             world,
             seed=seed,
             table_source=_ShardSource(world, shard_id, num_shards),
-            scan_pruning=scan_pruning,
         )
         with span("shard.widetable", shard=shard_id, month=month) as sp:
             blocks = {c: builder.category(c, month) for c in categories}
@@ -126,7 +125,7 @@ class ShardedWideTableBuilder:
         The simulated history.
     num_shards:
         Hash-shard count for the per-customer families.
-    seed, scan_pruning:
+    seed:
         Forwarded to the per-shard and central builders.
     backend:
         :class:`~repro.dataplat.executor.ExecutorBackend` (or name) the
@@ -138,7 +137,6 @@ class ShardedWideTableBuilder:
         world: TelcoWorld,
         num_shards: int,
         seed: int = 0,
-        scan_pruning: bool = True,
         backend: "ExecutorBackend | str | None" = None,
     ) -> None:
         if num_shards < 1:
@@ -146,11 +144,8 @@ class ShardedWideTableBuilder:
         self._world = world
         self._num_shards = int(num_shards)
         self._seed = seed
-        self._scan_pruning = scan_pruning
         self._backend = backend
-        self._central = WideTableBuilder(
-            world, seed=seed, scan_pruning=scan_pruning
-        )
+        self._central = WideTableBuilder(world, seed=seed)
 
     @property
     def world(self) -> TelcoWorld:
@@ -224,7 +219,6 @@ class ShardedWideTableBuilder:
             (
                 self._world,
                 self._seed,
-                self._scan_pruning,
                 month,
                 missing,
                 shard_id,

@@ -51,11 +51,6 @@ class WideTableBuilder:
         reads through the block store instead, so storage faults and down
         feeds reach the feature layer, where :meth:`surviving_categories`
         degrades around them.
-    scan_pruning:
-        Forwarded to the private SQL engine: the per-month feature queries
-        then fetch only the column chunks they reference and skip
-        partitions zone maps prove empty.  Off is for A/B-ing the pruned
-        path; results are identical either way.
     """
 
     def __init__(
@@ -63,12 +58,11 @@ class WideTableBuilder:
         world: TelcoWorld,
         seed: int = 0,
         table_source: Callable[[int], dict] | None = None,
-        scan_pruning: bool = True,
     ) -> None:
         self._world = world
         self._seed = seed
         self._table_source = table_source
-        self._engine = SQLEngine(scan_pruning=scan_pruning)
+        self._engine = SQLEngine()
         self._registered: set[int] = set()
         self._cache: dict[tuple[str, int], FeatureMatrix] = {}
         self._graphs = GraphFeatureBuilder(world)

@@ -23,7 +23,7 @@ from repro.dataplat.columnar import (
 )
 from repro.dataplat.schema import Column, ColumnType, Schema
 from repro.dataplat.table import Table
-from repro.errors import CatalogError, StorageError
+from repro.errors import StorageError
 
 
 def chunk_path(catalog: Catalog, column: str, table: str = "t") -> str:
@@ -418,40 +418,6 @@ class TestCatalogScan:
 
 
 class TestFormatNegotiation:
-    def test_v1_partitions_still_readable(self):
-        catalog = Catalog(default_format="v1")
-        table = Table.from_arrays(x=np.arange(5), s=np.asarray(
-            ["a", "b", "c", "d", "e"], dtype=object
-        ))
-        catalog.save(table, "t")
-        assert catalog.store.exists("/warehouse/default/t/__all__.npz")
-        assert catalog.load("t") == table
-        assert catalog.scan("t", columns=["s"]) == table.select(["s"])
-
-    def test_mixed_format_partitions(self):
-        catalog = Catalog()
-        t1 = Table.from_arrays(m=np.full(3, 1), v=np.arange(3) * 1.0)
-        t2 = Table.from_arrays(m=np.full(3, 2), v=np.arange(3) * 2.0)
-        catalog.save(t1, "t", partition="m=1", format="v1")
-        catalog.save(t2, "t", partition="m=2", format="v2")
-        assert catalog.load("t").num_rows == 6
-        # Pruning skips the v2 partition; the v1 one is format-blind.
-        out = catalog.scan("t", predicate=[ScanPredicate("m", "=", 1)])
-        assert out.num_rows == 3
-        assert catalog.store.health.partitions_pruned == 1
-
-    def test_save_format_switch_deletes_stale_files(self):
-        catalog = Catalog()
-        table = Table.from_arrays(x=np.arange(4))
-        catalog.save(table, "t", format="v1")
-        catalog.save(table, "t", format="v2")
-        assert not catalog.store.exists("/warehouse/default/t/__all__.npz")
-        catalog.save(table, "t", format="v1")
-        assert not catalog.store.exists(
-            "/warehouse/default/t/__all__" + MANIFEST_SUFFIX
-        )
-        assert catalog.load("t") == table
-
     def test_drop_removes_all_chunk_files(self):
         store = BlockStore()
         catalog = Catalog(store)
@@ -459,12 +425,6 @@ class TestFormatNegotiation:
         catalog.drop("t")
         assert store.total_bytes == 0
         assert store.list_files("/warehouse/") == []
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(CatalogError):
-            Catalog(default_format="v3")
-        with pytest.raises(CatalogError):
-            Catalog().save(Table.from_arrays(x=np.arange(2)), "t", format="v9")
 
 
 class TestChunkCache:

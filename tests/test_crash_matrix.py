@@ -85,32 +85,6 @@ SCENARIOS = [
         is_new=lambda c: _loads(c, "t", 2),
     ),
     Scenario(
-        name="v1-overwrite",
-        setup=lambda c: c.save(make_table(1), "t", format="v1"),
-        op=lambda c: c.save(make_table(2), "t", format="v1", overwrite=True),
-        commit_label="catalog.save.commit",
-        is_old=lambda c: _loads(c, "t", 1),
-        is_new=lambda c: _loads(c, "t", 2),
-    ),
-    Scenario(
-        name="migrate-v1-to-v2",
-        setup=lambda c: c.save(make_table(1), "t", format="v1"),
-        op=lambda c: c.save(make_table(2), "t", format="v2", overwrite=True),
-        commit_label="catalog.save.commit",
-        is_old=lambda c: _loads(c, "t", 1),
-        is_new=lambda c: _loads(c, "t", 2)
-        and not c.store.exists("/warehouse/default/t/__all__.npz"),
-    ),
-    Scenario(
-        name="migrate-v2-to-v1",
-        setup=lambda c: c.save(make_table(1), "t", format="v2"),
-        op=lambda c: c.save(make_table(2), "t", format="v1", overwrite=True),
-        commit_label="catalog.save.commit",
-        is_old=lambda c: _loads(c, "t", 1),
-        is_new=lambda c: _loads(c, "t", 2)
-        and c.partition_files("t") == ["/warehouse/default/t/__all__.npz"],
-    ),
-    Scenario(
         name="drop-partition",
         setup=lambda c: (
             c.save(make_table(1), "t", partition="m=1"),

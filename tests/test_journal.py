@@ -75,15 +75,10 @@ def crash_during(build, op, label: str, occurrence: int = 1) -> BlockStore:
 class TestDurability:
     def test_defaults_and_flags(self):
         d = Durability()
-        assert d.journal and d.fsync == "commit"
+        assert d.fsync == "commit"
         assert d.sync_on_commit and not d.sync_every_write
         always = Durability(fsync="always")
         assert always.sync_every_write and always.sync_on_commit
-
-    def test_disabled_is_the_pre_journal_path(self):
-        d = Durability.disabled()
-        assert not d.journal
-        assert not d.sync_on_commit and not d.sync_every_write
 
     def test_validation(self):
         with pytest.raises(CatalogError):
@@ -158,19 +153,6 @@ class TestJournaledWrites:
         assert catalog.store.total_bytes == 0
         assert catalog.store.list_files("/") == []
 
-    def test_mixed_format_overwrite_leaves_no_residue(self):
-        # v2 -> v1 and back: each overwrite must also remove the other
-        # format's files (the interrupted-migration cleanup, satellite 1).
-        catalog, _ = crash_world()
-        catalog.save(make_table(), "t", format="v2")
-        catalog.save(make_table(), "t", format="v1", overwrite=True)
-        files = catalog.partition_files("t")
-        assert files == ["/warehouse/default/t/__all__.npz"]
-        assert catalog.store.list_files("/warehouse/") == files
-        catalog.save(make_table(), "t", format="v2", overwrite=True)
-        assert not catalog.store.exists("/warehouse/default/t/__all__.npz")
-        assert catalog.load("t") == make_table()
-
 
 class TestRecovery:
     def test_clean_reopen_round_trips_everything(self):
@@ -178,7 +160,7 @@ class TestRecovery:
         catalog.create_database("ops")
         catalog.save(make_table(seed=1), "calls", partition="m=1")
         catalog.save(make_table(seed=2), "calls", partition="m=2")
-        catalog.save(make_table(seed=3), "legacy", format="v1")
+        catalog.save(make_table(seed=3), "legacy")
         catalog.save(make_table(seed=4), "audit", database="ops")
         reopened = Catalog.open(catalog.store)
         assert reopened.last_recovery is not None
@@ -190,7 +172,7 @@ class TestRecovery:
         assert reopened.load("audit", database="ops") == make_table(seed=4)
 
     def test_superseded_versions_are_not_lost_commits(self):
-        # An overwrite / drop / format change deletes the replaced version's
+        # An overwrite / drop deletes the replaced version's
         # files on purpose (the later txn's ``cleanup``); a restart must not
         # call the earlier finished saves lost.
         catalog, _ = crash_world()
@@ -199,8 +181,8 @@ class TestRecovery:
         catalog.save(make_table(seed=3), "t", partition="m=2")
         catalog.drop_partition("t", "m=2")
         catalog.save(make_table(seed=4), "t", partition="m=2")
-        catalog.save(make_table(seed=5), "mixed", format="v1")
-        catalog.save(make_table(seed=6), "mixed", format="v2")
+        catalog.save(make_table(seed=5), "mixed")
+        catalog.save(make_table(seed=6), "mixed")
         store = catalog.store
         records = store.list_files("/journal/")
         assert fsck_store(store).clean
@@ -362,21 +344,65 @@ class TestRecovery:
         assert any(i.kind == "unadoptable-manifest" for i in report.issues)
 
     def test_unjournaled_v1_table_is_preserved_and_reported(self):
-        catalog, _ = crash_world(durability=Durability.disabled())
-        catalog.save(make_table(), "t", format="v1")
-        store = catalog.store
+        # A whole-table ``.npz`` file (the retired v1 format) that no
+        # journal mentions: foreign input, never read and never deleted.
+        store = BlockStore()
+        path = "/warehouse/default/t/__all__.npz"
+        payload = make_table().to_bytes()
+        store.write(path, payload)
         reopened = Catalog.open(store)
-        assert store.exists("/warehouse/default/t/__all__.npz")
+        assert reopened.tables() == []
+        assert store.read(path) == payload
         report = fsck_store(store)
-        assert any(i.kind == "unattributable-table" for i in report.issues)
+        assert any(
+            i.kind == "unattributable-table" and i.path == path
+            for i in report.issues
+        )
 
-    def test_disabled_durability_recovers_via_adoption(self):
-        catalog, _ = crash_world(durability=Durability.disabled())
+    def test_journaled_retired_format_partition_is_refused_loudly(self):
+        # A checkpoint that registers an ``.npz`` path (written by hand:
+        # nothing here produces one) must not be served, and the file must
+        # survive; the table's real partitions stay loadable.
+        catalog, _ = crash_world()
         catalog.save(make_table(seed=1), "t", partition="m=1")
-        assert catalog.store.list_files("/journal/") == []
-        reopened = Catalog.open(catalog.store)
-        assert reopened.last_recovery.adopted == 1
-        assert reopened.load("t", partition="m=1") == make_table(seed=1)
+        store = catalog.store
+        legacy = "/warehouse/default/t/m_0.npz"
+        payload = make_table(seed=2).to_bytes()
+        store.write(legacy, payload)
+        txn = txn_floor(store) + 1
+        registered = {"m=0": legacy, "m=1": "/warehouse/default/t/m_1.v2m"}
+        store.write(
+            f"{journal_dir('default', 't')}/{txn:08d}-checkpoint.rec",
+            encode_record(
+                {
+                    "kind": "checkpoint",
+                    "txn": txn,
+                    "db": "default",
+                    "table": "t",
+                    "partitions": registered,
+                    "schema": [["imsi", "int"], ["dur", "int"]],
+                }
+            ),
+        )
+        report = fsck_store(store)
+        assert [i.path for i in report.issues if i.kind == "unsupported-format"] == [
+            legacy
+        ]
+        reopened = Catalog.open(store)
+        recovery = reopened.last_recovery
+        assert not recovery.clean and recovery.rejected == 1
+        assert any("unsupported-format" in line for line in recovery.details)
+        assert reopened.partitions("t") == ["m=1"]
+        assert reopened.load("t") == make_table(seed=1)
+        assert store.read(legacy) == payload
+        # The refusal is recorded once: the rewritten checkpoint no longer
+        # registers the file, which stays reported as unattributable.
+        again = Catalog.open(store)
+        assert again.last_recovery.clean and again.partitions("t") == ["m=1"]
+        assert store.read(legacy) == payload
+        assert [i.kind for i in fsck_store(store).issues] == [
+            "unattributable-table"
+        ]
 
     def test_txn_floor_prevents_id_reuse(self):
         catalog, _ = crash_world()

@@ -300,7 +300,9 @@ class TestSQLSpans:
         query = capture_spans.assert_span("sql.query")
         assert query.counters["rows"] == 3
         child_names = [c.name for c in query.children]
-        assert child_names == ["sql.parse", "sql.plan", "sql.bind", "sql.execute"]
+        assert child_names == [
+            "sql.parse", "sql.plan", "sql.bind", "sql.cbo", "sql.execute"
+        ]
         # Operator spans nest under execute, mirroring the plan tree.
         execute = query.children[-1]
         ops = [s.name for s in execute.walk()]

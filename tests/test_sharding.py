@@ -326,6 +326,18 @@ class TestScatterGatherSQL:
         single, sharded = self._engines()
         assert _norm(sharded.query(sql)) == _norm(single.query(sql)), sql
 
+    def test_raw_row_fallback_is_counted(self, capture_spans):
+        _, sharded = self._engines()
+        sharded.query("SELECT SUM(dur) AS total FROM facts")
+        assert capture_spans.counter("shard.partials_pushed") == 1
+        assert capture_spans.counter("shard.partial_fallbacks") == 0
+        sharded.query("SELECT COUNT(DISTINCT cell) AS n FROM facts")
+        assert capture_spans.counter("shard.partials_pushed") == 1
+        assert capture_spans.counter("shard.partial_fallbacks") == 1
+        pushed, fell_back = capture_spans.find("shard.plan")
+        assert "partial_fallbacks" not in pushed.counters
+        assert fell_back.counters["partial_fallbacks"] == 1
+
     def test_explain_shows_gather(self):
         _, sharded = self._engines()
         plan = sharded.explain(

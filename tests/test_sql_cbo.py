@@ -8,7 +8,9 @@ from repro.dataplat.catalog import Catalog
 from repro.dataplat.observability import MetricsRegistry
 from repro.dataplat.sql import SQLEngine
 from repro.dataplat.sql.cbo import MERGE_MIN_ROWS, _choose_strategies
+from repro.dataplat.sql.executor import Executor
 from repro.dataplat.sql.plan import Aggregate, Join, Narrow, Scan
+from repro.dataplat.schema import ColumnType
 from repro.dataplat.table import Table
 from repro.errors import SchemaError
 
@@ -50,11 +52,16 @@ def _rows(table):
     )
 
 
+def _raw(engine, sql):
+    """``sql`` answered by its raw plan (no rule-based or cost-based
+    rewrite) — the oracle every optimized result is compared against."""
+    return Executor(engine.catalog).execute(engine.plan(sql, optimized=False))
+
+
 def _star_world(n_facts=3000, n_dims=500):
     """A skewed fact table plus two shrinking dimensions."""
     rng = np.random.default_rng(11)
-    engine_off = SQLEngine(Catalog(), cost_based=False)
-    engine_on = SQLEngine(engine_off.catalog, cost_based=True)
+    engine = SQLEngine(Catalog())
     facts = Table.from_arrays(
         cust=rng.integers(0, n_dims, size=n_facts),
         dur=rng.integers(0, 100, size=n_facts).astype(np.float64),
@@ -69,8 +76,8 @@ def _star_world(n_facts=3000, n_dims=500):
     )
     offers = Table.from_arrays(id=np.arange(8, dtype=np.int64), kind=kinds)
     for name, table in (("calls", facts), ("custs", custs), ("offers", offers)):
-        engine_off.register(table, name)
-    return engine_off, engine_on
+        engine.register(table, name)
+    return engine
 
 
 JOIN_SQL = (
@@ -83,8 +90,8 @@ JOIN_SQL = (
 
 class TestJoinReordering:
     def test_smallest_filtered_leaf_becomes_build_side(self, metrics):
-        _, engine_on = _star_world()
-        plan = engine_on.plan(JOIN_SQL)
+        engine = _star_world()
+        plan = engine.plan(JOIN_SQL)
         joins = [n for n in _walk(plan) if isinstance(n, Join)]
         assert len(joins) == 2
         # The deepest join must start from the filtered offers dimension,
@@ -98,62 +105,46 @@ class TestJoinReordering:
         assert "o" in bindings and "c" not in bindings
         assert metrics.counter("planner.joins_reordered").value == 1
 
-    def test_reordered_results_match_heuristic_plan(self):
-        engine_off, engine_on = _star_world()
-        assert _rows(engine_off.query(JOIN_SQL)) == _rows(
-            engine_on.query(JOIN_SQL)
-        )
+    def test_reordered_results_match_raw_plan(self):
+        engine = _star_world()
+        assert _rows(_raw(engine, JOIN_SQL)) == _rows(engine.query(JOIN_SQL))
 
     def test_two_table_join_not_reordered(self, metrics):
-        _, engine_on = _star_world()
-        engine_on.plan(
+        engine = _star_world()
+        engine.plan(
             "SELECT c.dur FROM calls c JOIN custs u ON c.cust = u.id"
         )
+        assert metrics.counter("planner.plans_bound").value == 1
         assert metrics.counter("planner.joins_reordered").value == 0
 
     def test_left_join_cluster_kept_in_written_order(self, metrics):
-        _, engine_on = _star_world()
+        engine = _star_world()
         sql = (
             "SELECT c.dur, o.kind FROM calls c "
             "LEFT JOIN custs u ON c.cust = u.id "
             "LEFT JOIN offers o ON u.offer = o.id"
         )
-        plan = engine_on.plan(sql)
+        plan = engine.plan(sql)
         joins = [n for n in _walk(plan) if isinstance(n, Join)]
         assert all(j.kind == "left" for j in joins)
         assert metrics.counter("planner.joins_reordered").value == 0
 
     def test_select_star_disables_structural_rewrites(self, metrics):
-        _, engine_on = _star_world()
+        engine = _star_world()
         sql = (
             "SELECT * FROM calls c JOIN custs u ON c.cust = u.id "
             "JOIN offers o ON u.offer = o.id WHERE o.kind = 'promo'"
         )
-        plan = engine_on.plan(sql)
+        plan = engine.plan(sql)
         assert metrics.counter("planner.joins_reordered").value == 0
         assert not any(isinstance(n, Narrow) for n in _walk(plan))
-        engine_off, _ = _star_world()
-        assert _rows(engine_off.query(sql)) == _rows(engine_on.query(sql))
-
-    def test_cbo_disabled_by_default(self, metrics):
-        engine = SQLEngine()
-        engine.register(Table.from_arrays(k=np.arange(5)), "t")
-        assert engine.cost_based is False
-        engine.query("SELECT k FROM t")
-        assert metrics.counter("planner.plans_bound").value == 1
-        assert metrics.counter("planner.joins_reordered").value == 0
-
-    def test_env_flag_enables_cbo(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CBO", "1")
-        assert SQLEngine().cost_based is True
-        monkeypatch.setenv("REPRO_CBO", "0")
-        assert SQLEngine().cost_based is False
+        assert _rows(_raw(engine, sql)) == _rows(engine.query(sql))
 
 
 class TestAggregatePushdown:
     def test_pre_aggregate_appears_below_join(self, metrics):
-        _, engine_on = _star_world()
-        plan = engine_on.plan(JOIN_SQL)
+        engine = _star_world()
+        plan = engine.plan(JOIN_SQL)
         aggs = [n for n in _walk(plan) if isinstance(n, Aggregate)]
         assert len(aggs) == 2
         assert metrics.counter("planner.aggregates_pushed").value == 1
@@ -176,51 +167,88 @@ class TestAggregatePushdown:
         ],
     )
     def test_pushed_aggregates_match_unpushed(self, exprs):
-        engine_off, engine_on = _star_world()
+        engine = _star_world()
         sql = (
             f"SELECT o.kind AS kind, {exprs} "
             "FROM calls c JOIN custs u ON c.cust = u.id "
             "JOIN offers o ON u.offer = o.id GROUP BY o.kind"
         )
-        assert _rows(engine_off.query(sql)) == _rows(engine_on.query(sql))
+        assert _rows(_raw(engine, sql)) == _rows(engine.query(sql))
 
     def test_having_rewritten_with_partials(self):
-        engine_off, engine_on = _star_world()
+        engine = _star_world()
         sql = (
             "SELECT u.offer AS offer, SUM(c.dur) AS total "
             "FROM calls c JOIN custs u ON c.cust = u.id "
             "GROUP BY u.offer HAVING COUNT(*) > 300"
         )
-        assert _rows(engine_off.query(sql)) == _rows(engine_on.query(sql))
+        assert _rows(_raw(engine, sql)) == _rows(engine.query(sql))
+
+    def test_count_is_an_integer_through_the_pre_aggregate(self, metrics):
+        rng = np.random.default_rng(3)
+        engine = SQLEngine(Catalog())
+        engine.register(
+            Table.from_arrays(
+                uid=np.arange(1000, dtype=np.int64),
+                town_id=rng.integers(0, 20, size=1000),
+            ),
+            "users",
+        )
+        engine.register(
+            Table.from_arrays(
+                town_id=np.arange(20, dtype=np.int64),
+                region=np.asarray(
+                    [f"r{i % 4}" for i in range(20)], dtype=object
+                ),
+            ),
+            "towns",
+        )
+        sql = (
+            "SELECT t.region, COUNT(*) AS n FROM users u "
+            "JOIN towns t ON u.town_id = t.town_id GROUP BY t.region"
+        )
+        plan = engine.plan(sql)
+        assert any(
+            item.alias == "__cnt__"
+            for node in _walk(plan)
+            if isinstance(node, Aggregate)
+            for item in node.items
+        ), plan.describe()
+        assert metrics.counter("planner.aggregates_pushed").value == 1
+        out = engine.query(sql)
+        raw = _raw(engine, sql)
+        assert out.schema["n"].ctype is ColumnType.INT
+        assert np.asarray(out["n"]).dtype == np.int64
+        assert out.schema == raw.schema
+        assert _rows(out) == _rows(raw)
 
     def test_distinct_aggregate_not_pushed(self, metrics):
-        _, engine_on = _star_world()
+        engine = _star_world()
         sql = (
             "SELECT o.kind AS kind, COUNT(DISTINCT c.cust) AS n "
             "FROM calls c JOIN custs u ON c.cust = u.id "
             "JOIN offers o ON u.offer = o.id GROUP BY o.kind"
         )
-        engine_on.plan(sql)
+        engine.plan(sql)
         assert metrics.counter("planner.aggregates_pushed").value == 0
 
     def test_avg_not_pushed_but_correct(self, metrics):
-        engine_off, engine_on = _star_world()
+        engine = _star_world()
         sql = (
             "SELECT o.kind AS kind, AVG(c.dur) AS mean "
             "FROM calls c JOIN custs u ON c.cust = u.id "
             "JOIN offers o ON u.offer = o.id GROUP BY o.kind"
         )
-        engine_on.plan(sql)
+        engine.plan(sql)
         assert metrics.counter("planner.aggregates_pushed").value == 0
-        assert _rows(engine_off.query(sql)) == _rows(engine_on.query(sql))
+        assert _rows(_raw(engine, sql)) == _rows(engine.query(sql))
 
 
 class TestEarlyProjection:
     def test_narrow_inserted_and_results_unchanged(self, metrics):
         rng = np.random.default_rng(5)
         n = 30_000
-        engine_off = SQLEngine(Catalog(), cost_based=False)
-        engine_on = SQLEngine(engine_off.catalog, cost_based=True)
+        engine = SQLEngine(Catalog())
         wide = Table.from_arrays(
             k=rng.integers(0, 50, size=n),
             a=rng.normal(size=n),
@@ -235,19 +263,19 @@ class TestEarlyProjection:
             grp=np.arange(5, dtype=np.int64),
             label=np.asarray(list("vwxyz"), dtype=object),
         )
-        engine_off.register(wide, "wide")
-        engine_off.register(dim, "dim")
-        engine_off.register(other, "other")
+        engine.register(wide, "wide")
+        engine.register(dim, "dim")
+        engine.register(other, "other")
         sql = (
             "SELECT o.label AS label, SUM(w.a) AS s "
             "FROM wide w JOIN dim d ON w.k = d.k "
             "JOIN other o ON d.grp = o.grp "
             "GROUP BY o.label ORDER BY label"
         )
-        plan = engine_on.plan(sql)
+        plan = engine.plan(sql)
         # b and c never used above the join: a Narrow (or the pre-agg
         # rewrite) must keep them out of the join intermediates.
-        assert _rows(engine_off.query(sql)) == _rows(engine_on.query(sql))
+        assert _rows(_raw(engine, sql)) == _rows(engine.query(sql))
 
     def test_narrow_drops_used_up_join_keys(self, metrics):
         # Scan-level pruning already strips columns no operator uses at
@@ -257,8 +285,7 @@ class TestEarlyProjection:
         # never read them, so the large intermediate should shed them.
         rng = np.random.default_rng(6)
         n = 30_000
-        engine_off = SQLEngine(Catalog(), cost_based=False)
-        engine_on = SQLEngine(engine_off.catalog, cost_based=True)
+        engine = SQLEngine(Catalog())
         ta = Table.from_arrays(
             k=rng.integers(0, 500, size=n),
             k2=rng.integers(0, 20, size=n),
@@ -269,21 +296,21 @@ class TestEarlyProjection:
             k2=np.arange(20, dtype=np.int64),
             w=np.arange(20, dtype=np.float64),
         )
-        engine_off.register(ta, "ta")
-        engine_off.register(tb, "tb")
-        engine_off.register(tc, "tc")
+        engine.register(ta, "ta")
+        engine.register(tb, "tb")
+        engine.register(tc, "tc")
         sql = (
             "SELECT a.v1, c.w FROM ta a JOIN tb b ON a.k = b.k "
             "JOIN tc c ON a.k2 = c.k2 WHERE c.w < 5"
         )
-        plan = engine_on.plan(sql)
+        plan = engine.plan(sql)
         narrows = [n for n in _walk(plan) if isinstance(n, Narrow)]
         assert narrows, plan.describe()
         assert metrics.counter("planner.narrows_inserted").value >= 1
         for narrow in narrows:
             names = {col.rsplit(".", 1)[-1] for col in narrow.columns}
             assert "k2" not in names
-        assert _rows(engine_off.query(sql)) == _rows(engine_on.query(sql))
+        assert _rows(_raw(engine, sql)) == _rows(engine.query(sql))
 
 
 class TestJoinStrategy:
@@ -363,21 +390,20 @@ class TestJoinStrategy:
         # sure it still answers correctly through the executor.
         rng = np.random.default_rng(9)
         n = 60_000
-        engine_off = SQLEngine(Catalog(), cost_based=False)
-        engine_on = SQLEngine(engine_off.catalog, cost_based=True)
+        engine = SQLEngine(Catalog())
         left = Table.from_arrays(
             k=np.arange(n, dtype=np.int64), v=rng.normal(size=n)
         )
         right = Table.from_arrays(
             k=np.arange(n, dtype=np.int64), w=rng.normal(size=n)
         )
-        engine_off.register(left, "big_l")
-        engine_off.register(right, "big_r")
+        engine.register(left, "big_l")
+        engine.register(right, "big_r")
         sql = (
             "SELECT SUM(l.v + r.w) AS s "
             "FROM big_l l JOIN big_r r ON l.k = r.k"
         )
-        plan = engine_on.plan(sql)
+        plan = engine.plan(sql)
         joins = [n for n in _walk(plan) if isinstance(n, Join)]
         assert joins and joins[0].strategy == "merge"
-        assert _rows(engine_off.query(sql)) == _rows(engine_on.query(sql))
+        assert _rows(_raw(engine, sql)) == _rows(engine.query(sql))

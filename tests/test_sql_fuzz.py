@@ -3,7 +3,9 @@
 Seeded random queries run through the full production stack (parser →
 planner → optimizer → vectorized executor) and through the naive
 row-at-a-time reference in :mod:`repro.dataplat.sql.fuzz`; results must
-match row-for-row (sorted, float tolerance).  The suite runs under both
+match row-for-row (sorted, float tolerance), and their column names and
+types must match the statement's raw, unrewritten plan (the reference
+yields bare rows, so it cannot hold the schema).  The suite runs under both
 execution backends to pin down any backend-dependent state, and a failing
 query is written to ``fuzz_failures/repro.json`` so CI can upload it as a
 reproducer artifact.
@@ -22,6 +24,7 @@ from repro.dataplat.executor import (
     set_default_backend,
 )
 from repro.dataplat.sql import SQLEngine
+from repro.dataplat.sql.executor import Executor
 from repro.dataplat.sql.fuzz import (
     generate_queries,
     make_fuzz_tables,
@@ -51,24 +54,36 @@ def _write_reproducer(failures: list[dict]) -> Path:
     return path
 
 
-def _run_suite(seed: int, count: int) -> None:
+def _raw_schema(engine: SQLEngine, sql: str):
+    """Column names and types of ``sql`` answered by its raw plan — no
+    rule-based or cost-based rewrite, so no partial aggregate can have
+    changed a column's type."""
+    raw = engine.plan(sql, optimized=False)
+    return Executor(engine.catalog).execute(raw).schema
+
+
+def _run_suite(seed: int, count: int, build=_build_engine) -> None:
     tables = make_fuzz_tables(seed)
-    engine = _build_engine(tables)
+    engine = build(tables)
     failures = []
     for index, sql in enumerate(generate_queries(seed, count)):
         try:
             expected = reference_query(sql, tables)
-            actual = table_rows(engine.query(sql))
+            result = engine.query(sql)
+            actual = table_rows(result)
+            raw_schema = _raw_schema(engine, sql)
         except Exception as exc:  # record, keep fuzzing
             failures.append(
                 {"index": index, "sql": sql, "error": f"{type(exc).__name__}: {exc}"}
             )
             continue
-        if not rows_equal(actual, expected):
+        if not rows_equal(actual, expected) or result.schema != raw_schema:
             failures.append(
                 {
                     "index": index,
                     "sql": sql,
+                    "engine_schema": repr(result.schema),
+                    "raw_plan_schema": repr(raw_schema),
                     "engine_rows": len(actual),
                     "reference_rows": len(expected),
                     "engine_sample": [list(r) for r in sorted(map(tuple, actual))[:5]],
@@ -129,10 +144,11 @@ class TestDifferential:
     def test_secondary_seed(self):
         _run_suite(SEED + 1, 60)
 
+    def test_tertiary_seed(self):
+        _run_suite(SEED + 3, 60)
+
     def test_unoptimized_plan_matches_reference(self):
         """The optimizer must not change results: execute raw plans too."""
-        from repro.dataplat.sql.executor import Executor
-
         tables = make_fuzz_tables(SEED)
         engine = _build_engine(tables)
         executor = Executor(engine.catalog)
@@ -158,70 +174,7 @@ class TestDifferential:
         assert results["serial"] == results["pool"]
 
 
-class TestCBOParity:
-    """The cost-based optimizer must never change results.
-
-    Every fuzz query runs on two engines over the same catalog — one with
-    ``cost_based=False``, one with ``cost_based=True`` — and the *sorted*
-    normalized rows must match (sorted because join reordering legitimately
-    changes physical row order, and partial-COUNT rewrites can widen int
-    columns to float).  The reference evaluator keeps both honest.
-    """
-
-    def _run(self, seed: int, count: int) -> None:
-        tables = make_fuzz_tables(seed)
-        catalog = Catalog()
-        heuristic = SQLEngine(catalog, cost_based=False)
-        for name, table in tables.items():
-            heuristic.register(table, name)
-        cost_based = SQLEngine(catalog, cost_based=True)
-        failures = []
-        for index, sql in enumerate(generate_queries(seed, count)):
-            try:
-                expected = reference_query(sql, tables)
-                off_rows = table_rows(heuristic.query(sql))
-                on_rows = table_rows(cost_based.query(sql))
-            except Exception as exc:  # record, keep fuzzing
-                failures.append(
-                    {
-                        "index": index,
-                        "sql": sql,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
-                continue
-            if not rows_equal(on_rows, expected) or not rows_equal(
-                on_rows, off_rows
-            ):
-                failures.append(
-                    {
-                        "index": index,
-                        "sql": sql,
-                        "cbo_on_rows": len(on_rows),
-                        "cbo_off_rows": len(off_rows),
-                        "reference_rows": len(expected),
-                    }
-                )
-        if failures:
-            path = _write_reproducer(failures)
-            pytest.fail(
-                f"{len(failures)}/{count} queries diverged between CBO "
-                f"on/off (seed {seed}); reproducer written to {path}"
-            )
-
-    def test_serial_backend(self, restore_backend):
-        set_default_backend(SerialBackend())
-        self._run(SEED, QUERY_COUNT)
-
-    def test_process_pool_backend(self, restore_backend):
-        set_default_backend(ProcessPoolBackend(max_workers=2))
-        self._run(SEED, QUERY_COUNT)
-
-    def test_secondary_seed(self):
-        self._run(SEED + 3, 60)
-
-
-def _build_partitioned_engine(tables, scan_pruning: bool) -> SQLEngine:
+def _build_partitioned_engine(tables) -> SQLEngine:
     """Persist the fuzz tables grp-sorted into 4 partitions each.
 
     Sorting by ``grp`` gives each partition a tight, distinct grp zone map,
@@ -235,7 +188,18 @@ def _build_partitioned_engine(tables, scan_pruning: bool) -> SQLEngine:
         for i in range(4):
             part = ordered.take(np.arange(i * n // 4, (i + 1) * n // 4))
             catalog.save(part, name, partition=f"p{i}")
-    return SQLEngine(catalog, scan_pruning=scan_pruning)
+    return SQLEngine(catalog)
+
+
+def _build_unpruned_engine(tables) -> SQLEngine:
+    """The same grp-sorted tables as temp views.
+
+    Temp views have no zone maps, so no scan over them ever prunes, and
+    their row order is exactly the partitions' concatenation.
+    """
+    return _build_engine(
+        {name: table.sort_by(["grp"]) for name, table in tables.items()}
+    )
 
 
 def _ordered_rows(table) -> list[tuple]:
@@ -244,12 +208,12 @@ def _ordered_rows(table) -> list[tuple]:
 
 
 class TestPruningParity:
-    """Zone-map pruning must be invisible: identical rows, pruning on/off."""
+    """Zone-map pruning must be invisible: identical rows, pruned or not."""
 
     def _run(self, count: int) -> None:
         tables = make_fuzz_tables(SEED)
-        pruned = _build_partitioned_engine(tables, scan_pruning=True)
-        plain = _build_partitioned_engine(tables, scan_pruning=False)
+        pruned = _build_partitioned_engine(tables)
+        plain = _build_unpruned_engine(tables)
         health = pruned.catalog.store.health
         pruned_query_count = 0
         for sql in generate_queries(SEED, count):
@@ -257,13 +221,14 @@ class TestPruningParity:
             with_pruning = pruned.query(sql)
             without = plain.query(sql)
             assert _ordered_rows(with_pruning) == _ordered_rows(without), sql
+            assert with_pruning.schema == _raw_schema(pruned, sql), sql
             if health.chunks_skipped > before:
                 pruned_query_count += 1
         assert health.partitions_pruned > 0
         assert health.chunks_skipped > 0
         assert health.bytes_decoded_saved > 0
         assert pruned_query_count > 0, "no query ever skipped a chunk"
-        # Pruning-off must never touch the pruning counters.
+        # Temp views must never touch the pruning counters.
         assert plain.catalog.store.health.partitions_pruned == 0
 
     def test_serial_backend(self, restore_backend):
@@ -276,12 +241,7 @@ class TestPruningParity:
 
     def test_pruning_matches_reference(self):
         """Pruned engine vs the naive reference (transitively: vs unpruned)."""
-        tables = make_fuzz_tables(SEED + 2)
-        engine = _build_partitioned_engine(tables, scan_pruning=True)
-        for sql in generate_queries(SEED + 2, 60):
-            expected = reference_query(sql, tables)
-            actual = table_rows(engine.query(sql))
-            assert rows_equal(actual, expected), sql
+        _run_suite(SEED + 2, 60, build=_build_partitioned_engine)
 
 
 class TestShardedParity:
@@ -291,7 +251,8 @@ class TestShardedParity:
     hash-split on ``id``, non-aligned joins repartitioned through the
     shuffle exchange, decomposable aggregates merged at the gather — and
     the sorted rows must match both the single-shard engine and the naive
-    row-at-a-time reference.  A small ``spill_bytes`` forces some shuffles
+    row-at-a-time reference, and the column names and types the single
+    engine's.  A small ``spill_bytes`` forces some shuffles
     through the block-store spill path so it is differentially covered too.
     """
 
@@ -312,8 +273,10 @@ class TestShardedParity:
         for index, sql in enumerate(generate_queries(seed, count)):
             try:
                 expected = reference_query(sql, tables)
-                single_rows = table_rows(single.query(sql))
-                sharded_rows = table_rows(sharded.query(sql))
+                single_out = single.query(sql)
+                sharded_out = sharded.query(sql)
+                single_rows = table_rows(single_out)
+                sharded_rows = table_rows(sharded_out)
             except Exception as exc:  # record, keep fuzzing
                 failures.append(
                     {
@@ -323,13 +286,17 @@ class TestShardedParity:
                     }
                 )
                 continue
-            if not rows_equal(sharded_rows, expected) or not rows_equal(
-                sharded_rows, single_rows
+            if (
+                not rows_equal(sharded_rows, expected)
+                or not rows_equal(sharded_rows, single_rows)
+                or sharded_out.schema != single_out.schema
             ):
                 failures.append(
                     {
                         "index": index,
                         "sql": sql,
+                        "sharded_schema": repr(sharded_out.schema),
+                        "single_schema": repr(single_out.schema),
                         "sharded_rows": len(sharded_rows),
                         "single_rows": len(single_rows),
                         "reference_rows": len(expected),

@@ -138,7 +138,7 @@ class TestProfileCollection:
         assert profile.wall_s == ops[0].wall_s >= 0.0
 
     def test_estimates_recorded_per_operator(self):
-        engine = make_engine(profiling=True, cost_based=True)
+        engine = make_engine(profiling=True)
         engine.query(QUERY)
         ops = engine.last_profile.operators
         keyed = [op for op in ops if op.rel]
@@ -242,10 +242,13 @@ class TestFeedbackKeys:
         )
 
     def test_key_invariant_under_join_order(self):
-        heuristic = make_engine(cost_based=False)
-        cbo = make_engine(cost_based=True)
-        sql = (
+        engine = make_engine()
+        written = (
             "SELECT COUNT(*) AS n FROM t JOIN u ON t.grp = u.grp "
+            "WHERE t.v < 5"
+        )
+        swapped = (
+            "SELECT COUNT(*) AS n FROM u JOIN t ON t.grp = u.grp "
             "WHERE t.v < 5"
         )
 
@@ -258,7 +261,9 @@ class TestFeedbackKeys:
                 stack.extend(node.children())
             return None
 
-        assert top_join_key(heuristic.plan(sql)) == top_join_key(cbo.plan(sql))
+        key = top_join_key(engine.plan(written))
+        assert key is not None
+        assert key == top_join_key(engine.plan(swapped))
 
 
 class TestFeedbackStore:
@@ -299,7 +304,7 @@ class TestFeedbackStore:
         assert fb.correction_for("t", "scan|") == pytest.approx(10.0)
 
     def test_mean_q_error_strictly_drops_across_runs(self):
-        engine = make_engine(cost_based=True, feedback=True)
+        engine = make_engine(feedback=True)
         engine.query(QUERY)
         first = engine.last_profile.mean_q_error()
         engine.query(QUERY)
@@ -309,7 +314,7 @@ class TestFeedbackStore:
         assert second == pytest.approx(1.0, abs=0.5)
 
     def test_feedback_corrects_bound_estimates(self):
-        engine = make_engine(cost_based=True, feedback=True)
+        engine = make_engine(feedback=True)
         engine.query(QUERY)
         profile = engine.last_profile
         plan = engine.plan(QUERY)
@@ -340,10 +345,10 @@ class TestFeedbackStore:
 
     def test_shared_store_across_engines(self):
         fb = CardinalityFeedback()
-        learner = make_engine(cost_based=True, feedback=fb)
+        learner = make_engine(feedback=fb)
         learner.query(QUERY)
         assert len(fb) > 0
-        reader = make_engine(cost_based=True, feedback=fb)
+        reader = make_engine(feedback=fb)
         reader.query(QUERY)
         assert reader.last_profile.mean_q_error() == pytest.approx(
             1.0, abs=0.5
@@ -358,7 +363,7 @@ class TestFeedbackStore:
 
     def test_from_warehouse_roundtrip(self):
         wh = TelemetryWarehouse(git_sha="sha")
-        engine = make_engine(cost_based=True, feedback=True)
+        engine = make_engine(feedback=True)
         engine.query(QUERY)
         wh.record_query_profile("r1", 0, engine.last_profile)
         rebuilt = CardinalityFeedback.from_warehouse(wh, run_id="r1")
