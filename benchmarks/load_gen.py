@@ -58,7 +58,7 @@ def build_service(
         names=[f"f{i}" for i in range(n_features)],
         values=values,
     )
-    store = FeatureStore(cache_rows=max(population // 2, 1024))
+    store = FeatureStore()
     store.materialize(matrix, "bench", buckets=buckets)
     train_n = min(population, 2000)
     y = (

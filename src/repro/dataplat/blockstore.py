@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import weakref
 from bisect import bisect_left, insort
 from collections import OrderedDict
 from collections.abc import Callable
@@ -265,7 +266,7 @@ class BlockStore:
         #: only populated in volatile mode, first capture wins.
         self._preimages: dict[str, bytes | None] = {}
         self.health = StorageHealth()
-        self._invalidation_listeners: list[Callable[[str], None]] = []
+        self._invalidation_listeners: list[weakref.WeakMethod] = []
 
     @property
     def injector(self) -> FaultInjector | None:
@@ -277,14 +278,35 @@ class BlockStore:
             self._injector.crash_point.hit(label, detail)
 
     def add_invalidation_listener(self, listener: Callable[[str], None]) -> None:
-        """Register a callback fired with a path whenever its bytes may
-        have changed (write, delete, repair, deliberate corruption) — the
-        catalog uses this to evict stale decoded tables."""
-        self._invalidation_listeners.append(listener)
+        """Register a bound method fired with a path whenever its bytes
+        may have changed (write, delete, repair, deliberate corruption) —
+        the catalog uses this to evict stale decoded tables.
+
+        The store holds the method weakly: it never keeps the method's
+        object alive (a dropped catalog is freed at once instead of
+        lingering as a store <-> catalog cycle until the collector runs),
+        and a dead listener is forgotten.  Listeners are not pickled; an
+        owner that can be unpickled registers again in ``__setstate__``.
+        """
+        self._invalidation_listeners.append(weakref.WeakMethod(listener))
 
     def _notify_invalidation(self, path: str) -> None:
-        for listener in self._invalidation_listeners:
-            listener(path)
+        dead = False
+        for ref in self._invalidation_listeners:
+            listener = ref()
+            if listener is None:
+                dead = True
+            else:
+                listener(path)
+        if dead:
+            self._invalidation_listeners = [
+                ref for ref in self._invalidation_listeners if ref() is not None
+            ]
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_invalidation_listeners"] = []
+        return state
 
     @property
     def corrupt_replicas_detected(self) -> int:

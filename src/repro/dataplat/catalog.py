@@ -167,6 +167,11 @@ class Catalog:
         """The decoded-table/chunk LRU (for monitoring and tests)."""
         return self._cache
 
+    def __setstate__(self, state: dict) -> None:
+        # The store does not pickle its listeners: listen to the copy.
+        self.__dict__.update(state)
+        self._store.add_invalidation_listener(self._on_invalidated)
+
     def _on_invalidated(self, path: str) -> None:
         self._stats.clear()
         self._cache.invalidate(path)
@@ -392,11 +397,7 @@ class Catalog:
                     f"available: {sorted(parts)}"
                 )
             return self._read(parts[partition])
-        tables = [self._read(parts[p]) for p in sorted(parts)]
-        out = tables[0]
-        for t in tables[1:]:
-            out = out.concat_rows(t)
-        return out
+        return Table.concat([self._read(parts[p]) for p in sorted(parts)])
 
     def scan(
         self,
@@ -456,9 +457,7 @@ class Catalog:
                 out_schema = schema if sel is None else schema.select(sel)
                 sp.incr("rows", 0)
                 return Table.empty(out_schema)
-            out = pieces[0]
-            for piece in pieces[1:]:
-                out = out.concat_rows(piece)
+            out = Table.concat(pieces)
             sp.incr("rows", out.num_rows)
         return out
 
@@ -704,6 +703,13 @@ class Catalog:
         return Table(Schema(cols), data)
 
     @staticmethod
+    def table_dir(name: str, database: str = "default") -> str:
+        """Block-store directory (with trailing slash) under which every
+        file of one persisted table lives — the prefix to match against
+        the paths a store invalidation listener receives."""
+        return f"/warehouse/{database}/{name}/"
+
+    @staticmethod
     def _path_base(database: str, name: str, partition: str) -> str:
         safe = partition.replace("=", "_").replace("/", "_")
-        return f"/warehouse/{database}/{name}/{safe}"
+        return Catalog.table_dir(name, database) + safe

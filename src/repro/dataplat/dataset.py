@@ -266,11 +266,9 @@ class Dataset:
         default.
         """
         self.materialize(backend)
-        parts = [self._partition(i) for i in range(self.num_partitions)]
-        out = parts[0]
-        for part in parts[1:]:
-            out = out.concat_rows(part)
-        return out
+        return Table.concat(
+            [self._partition(i) for i in range(self.num_partitions)]
+        )
 
     def count(self, backend: "ExecutorBackend | str | None" = None) -> int:
         """Total number of rows."""
@@ -511,10 +509,7 @@ class _ShuffleThunk:
             part = self.parent._partition(i)
             hashes = _bucket_hash(part.column(self.key)) % self.num_partitions
             pieces.append(part.mask(hashes == self.target))
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out = out.concat_rows(piece)
-        return out
+        return Table.concat(pieces)
 
 
 class _JoinThunk:

@@ -325,10 +325,7 @@ class ShardedCatalog:
             )
             for shard in self._shards
         ]
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out = out.concat_rows(piece)
-        return out
+        return Table.concat(pieces)
 
     def load(self, name: str, database: str = "default") -> Table:
         return self.scan(name, database=database)
@@ -428,9 +425,7 @@ class ShuffleExchange:
                 shuffled = f"{shuffled}__{digest:08x}"
             spilled = 0
             for dest, parts in enumerate(buckets):
-                out = parts[0]
-                for part in parts[1:]:
-                    out = out.concat_rows(part)
+                out = Table.concat(parts)
                 nbytes = _table_nbytes(out)
                 target = self._catalog.shards[dest]
                 if nbytes > self._spill_bytes:

@@ -659,9 +659,7 @@ class ShardedSQLEngine:
                     pieces.append(table)
                     if spans and tracer is not None:
                         tracer.attach(spans)
-                out = pieces[0]
-                for piece in pieces[1:]:
-                    out = out.concat_rows(piece)
+                out = Table.concat(pieces)
                 gather.result = out
                 metrics.counter("shard.scatter_tasks").inc(len(tasks))
                 metrics.counter("shard.rows_gathered").inc(out.num_rows)

@@ -229,15 +229,25 @@ class Table:
 
     def concat_rows(self, other: "Table") -> "Table":
         """Stack another table with an identical schema underneath."""
-        if other.schema != self._schema:
-            raise SchemaError(
-                f"schema mismatch: {self._schema!r} vs {other.schema!r}"
-            )
+        return Table.concat([self, other])
+
+    @classmethod
+    def concat(cls, tables: Sequence["Table"]) -> "Table":
+        """Stack tables sharing one schema, in order, copying each column
+        once (a single table is returned as is)."""
+        first = tables[0]
+        for other in tables[1:]:
+            if other.schema != first.schema:
+                raise SchemaError(
+                    f"schema mismatch: {first.schema!r} vs {other.schema!r}"
+                )
+        if len(tables) == 1:
+            return first
         data = {
-            n: np.concatenate([self._data[n], other._data[n]])
-            for n in self._schema.names
+            n: np.concatenate([t._data[n] for t in tables])
+            for n in first.schema.names
         }
-        return Table(self._schema, data)
+        return cls(first.schema, data)
 
     def join(
         self,

@@ -6,17 +6,25 @@ needs cheap point lookups by customer id.  The store bridges the two:
 
 * :meth:`FeatureStore.materialize` sorts a snapshot by ``imsi`` and saves
   it as a handful of contiguous-id-range partitions ("buckets") in the
-  catalog.  Because the buckets cover disjoint id ranges, each bucket's
-  ``imsi`` zone map is disjoint too, and a point lookup's ``in``
-  predicate lets :meth:`~repro.dataplat.catalog.Catalog.scan` prune every
-  bucket that cannot hold a requested id — the point-lookup path is the
-  same zone-map machinery the analytical scans use, not a parallel
-  keyed index.
-* :meth:`FeatureStore.lookup` serves a batch of ids from an LRU row cache
-  first, fetching only the misses through a pruned scan.  Transient
-  block-store faults are absorbed by a :class:`RetryPolicy`; a fetch that
-  still fails raises, and the scoring service turns that into a
-  ``failed`` outcome rather than a crash.
+  catalog, remembering each bucket's first id (:attr:`SnapshotInfo.bounds`).
+  Because the buckets cover disjoint id ranges, each bucket's ``imsi``
+  zone map is disjoint too, and a fetch's ``in`` predicate lets
+  :meth:`~repro.dataplat.catalog.Catalog.scan` prune every bucket that
+  cannot hold a requested id — the fetch path is the same zone-map
+  machinery the analytical scans use, not a parallel keyed index.
+* :meth:`FeatureStore.lookup` keeps recently used buckets **resident** as
+  row-major blocks (sorted ``int64`` ids + a ``(rows, F)`` float64
+  matrix).  A batch resolves to buckets with one ``searchsorted`` over
+  the bounds, fetches every non-resident bucket in one pruned scan, and
+  answers each bucket with one ``searchsorted`` + one gather — a lookup
+  over resident buckets reads no storage and copies only the rows it
+  returns.  Transient block-store faults are absorbed by a
+  :class:`RetryPolicy`; a fetch that still fails raises, and the scoring
+  service turns that into a ``failed`` outcome rather than a crash.
+* Resident blocks are dropped whenever the block store reports a write or
+  delete under the snapshot's table directory, so a snapshot rewritten
+  through the same catalog (by this store or another) is never served
+  half old, half new.
 
 Float64 feature chunks go through the catalog's lossless column codec
 (8-byte ``<f8`` bodies, or a narrower integer layout only where every bit
@@ -43,6 +51,8 @@ from ..features.spec import FeatureMatrix
 #: Database the store materializes snapshots into.
 SERVE_DATABASE = "serve"
 
+_TABLE_PREFIX = "features_"
+
 
 @dataclass(frozen=True)
 class SnapshotInfo:
@@ -53,10 +63,13 @@ class SnapshotInfo:
     feature_names: tuple[str, ...]
     n_rows: int
     buckets: int
+    #: First customer id of each bucket, ascending: bucket ``b`` holds the
+    #: ids in ``[bounds[b], bounds[b + 1])``.
+    bounds: tuple[int, ...]
 
 
 class FeatureStore:
-    """Snapshot materializer + cached point-lookup reader.
+    """Snapshot materializer + point-lookup reader over resident buckets.
 
     Parameters
     ----------
@@ -65,9 +78,12 @@ class FeatureStore:
     database:
         Catalog database snapshots land in (created if missing).
     cache_rows:
-        LRU row-cache capacity in customer rows; ``0`` disables caching
-        (every lookup hits storage — the chaos tests use this to keep the
-        fault-injected read path hot).
+        Budget, in customer rows, for the buckets kept resident (LRU by
+        bucket).  A bucket larger than the budget is never admitted, so
+        ``0`` sends every lookup to storage — the chaos tests use this to
+        keep the fault-injected read path hot.  A resident row costs
+        ``8 * (F + 1)`` bytes, so the default 32 768 rows is ≈ 5.3 MiB at
+        20 features.
     retry_policy:
         Backoff schedule for transient scan failures; ``None`` scans once.
     clock:
@@ -78,7 +94,7 @@ class FeatureStore:
         self,
         catalog: Catalog | None = None,
         database: str = SERVE_DATABASE,
-        cache_rows: int = 8192,
+        cache_rows: int = 32768,
         retry_policy: RetryPolicy | None = None,
         clock: SimClock | None = None,
     ) -> None:
@@ -90,9 +106,28 @@ class FeatureStore:
         self._cache_rows = int(cache_rows)
         self._retry = retry_policy
         self._clock = clock if clock is not None else SimClock()
-        self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
+        #: Resident buckets of the active snapshot: index -> (ids, rows).
+        self._blocks: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = (
+            OrderedDict()
+        )
+        self._resident_rows = 0
         self._snapshots: dict[str, SnapshotInfo] = {}
         self._active: SnapshotInfo | None = None
+        self._bounds = np.empty(0, dtype=np.int64)
+        #: Set when the active snapshot's files changed under us; the next
+        #: lookup re-reads its layout from the catalog.
+        self._stale = False
+        self._listen()
+
+    def __setstate__(self, state: dict) -> None:
+        # The store does not pickle its listeners: listen to the copy.
+        self.__dict__.update(state)
+        self._listen()
+
+    def _listen(self) -> None:
+        # Held weakly by the store, so it never keeps this object (and its
+        # resident blocks) alive.
+        self._catalog.store.add_invalidation_listener(self._on_store_change)
 
     @property
     def catalog(self) -> Catalog:
@@ -113,9 +148,10 @@ class FeatureStore:
 
         Rows are sorted by ``imsi`` and split into ``buckets`` contiguous
         ranges, one catalog partition each, so the per-partition ``imsi``
-        zone maps tile the id space without overlap.  The new snapshot
-        becomes the active one and the row cache is invalidated (cached
-        rows belong to the previous snapshot).
+        zone maps tile the id space without overlap.  Buckets left over
+        from an earlier, wider materialization of the same snapshot are
+        dropped.  The new snapshot becomes the active one and no bucket
+        is resident (resident blocks belong to the previous snapshot).
         """
         if not snapshot or any(ch in snapshot for ch in "/= "):
             raise ServeError(f"invalid snapshot name {snapshot!r}")
@@ -132,14 +168,15 @@ class FeatureStore:
         ids = ids[order]
         values = matrix.values[order]
         buckets = min(int(buckets), len(ids))
-        table = f"features_{snapshot}"
+        table = _TABLE_PREFIX + snapshot
+        splits = np.array_split(np.arange(len(ids)), buckets)
         with span(
             "serve.store.materialize",
             snapshot=snapshot,
             rows=int(len(ids)),
             buckets=buckets,
         ):
-            for b, idx in enumerate(np.array_split(np.arange(len(ids)), buckets)):
+            for b, idx in enumerate(splits):
                 cols: dict[str, np.ndarray] = {"imsi": ids[idx]}
                 for j, name in enumerate(matrix.names):
                     cols[name] = values[idx, j]
@@ -149,49 +186,36 @@ class FeatureStore:
                     database=self._database,
                     partition=f"bucket={b:04d}",
                 )
+            for leftover in self._catalog.partitions(table, self._database)[
+                buckets:
+            ]:
+                self._catalog.drop_partition(table, leftover, self._database)
         info = SnapshotInfo(
             name=snapshot,
             table=table,
             feature_names=tuple(matrix.names),
             n_rows=int(len(ids)),
             buckets=buckets,
+            bounds=tuple(int(ids[idx[0]]) for idx in splits),
         )
         self._snapshots[snapshot] = info
-        self._active = info
-        self._cache.clear()
+        self._activate(info)
         get_metrics().counter("serve.store.materialized_rows").inc(len(ids))
         return info
 
     def attach(self, snapshot: str) -> SnapshotInfo:
         """Make a previously materialized snapshot the active one.
 
-        Snapshots materialized by another process are rediscovered from
-        the catalog's schema metadata (feature order is the saved column
-        order minus ``imsi``).
+        Snapshots materialized by another store are rediscovered from the
+        catalog: feature order is the saved column order minus ``imsi``,
+        and each bucket's bound is the first ``imsi`` of its partition.
         """
         info = self._snapshots.get(snapshot)
         if info is None:
-            table = f"features_{snapshot}"
-            if not self._catalog.exists(table, self._database):
-                raise ServeError(f"unknown snapshot {snapshot!r}")
-            tinfo = self._catalog.info(table, self._database)
-            names = tuple(n for n in tinfo.schema.names if n != "imsi")
-            n_rows = int(
-                self._catalog.scan(
-                    table, self._database, columns=["imsi"]
-                ).num_rows
-            )
-            info = SnapshotInfo(
-                name=snapshot,
-                table=table,
-                feature_names=names,
-                n_rows=n_rows,
-                buckets=len(tinfo.partitions),
-            )
+            info = self._discover(snapshot)
             self._snapshots[snapshot] = info
         if self._active is not info:
-            self._cache.clear()
-        self._active = info
+            self._activate(info)
         return info
 
     def lookup(self, customer_ids) -> np.ndarray:
@@ -200,40 +224,89 @@ class FeatureStore:
         Returns an ``(n, n_features)`` float64 matrix.  Unknown ids raise
         :class:`ServeError`; transient storage faults that survive the
         retry schedule propagate as :class:`TransientError` for the
-        caller's admission control to absorb.
+        caller's admission control to absorb.  At most one catalog scan
+        runs per call, and none when every touched bucket is resident.
         """
         info = self._require_active()
         cids = np.asarray(customer_ids, dtype=np.int64)
-        metrics = get_metrics()
-        rows: dict[int, np.ndarray] = {}
-        need: list[int] = []
+        n = len(cids)
+        # Work in id order: each bucket's requests are then one contiguous
+        # run, cut at the bounds by a single searchsorted.
+        order = np.argsort(cids, kind="stable")
+        sorted_ids = cids[order]
+        edges = np.append(np.searchsorted(sorted_ids, self._bounds), n).tolist()
+        runs = [
+            (b, lo, hi) for b, (lo, hi) in enumerate(zip(edges, edges[1:])) if lo < hi
+        ]
+        blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        fetch: list[int] = []
+        for b, _, _ in runs:
+            block = self._blocks.get(b)
+            if block is None:
+                fetch.append(b)
+            else:
+                self._blocks.move_to_end(b)
+                blocks[b] = block
+        hits = sum(hi - lo for b, lo, hi in runs if b in blocks)
         with span(
-            "serve.store.lookup", snapshot=info.name, rows=int(len(cids))
+            "serve.store.lookup",
+            snapshot=info.name,
+            rows=n,
+            buckets=len(runs),
+            buckets_fetched=len(fetch),
         ) as sp:
-            for cid in dict.fromkeys(cids.tolist()):
-                row = self._cache.get(cid)
-                if row is not None:
-                    self._cache.move_to_end(cid)
-                    rows[cid] = row
-                else:
-                    need.append(cid)
-            hits = len(rows)
-            if need:
-                rows.update(self._fetch(info, need))
+            if fetch:
+                wanted = np.unique(
+                    np.concatenate(
+                        [sorted_ids[lo:hi] for b, lo, hi in runs if b in fetch]
+                    )
+                )
+                blocks.update(self._fetch(info, fetch, wanted))
+            # Each run gathers its block's ids beside its rows; an id whose
+            # searchsorted slot holds another id is unknown.  So are ids
+            # below the first bound and ids of a bucket the scan pruned
+            # (``got`` keeps those equal, so only the lists flag them).
+            got = sorted_ids.copy()
+            rows_sorted = np.empty((n, len(info.feature_names)), dtype=np.float64)
+            absent = [sorted_ids[: edges[0]]]
+            for b, lo, hi in runs:
+                block = blocks.get(b)
+                if block is None:
+                    absent.append(sorted_ids[lo:hi])
+                    continue
+                block_ids, rows = block
+                pos = block_ids.searchsorted(sorted_ids[lo:hi])
+                block_ids.take(pos, out=got[lo:hi], mode="clip")
+                rows.take(pos, axis=0, out=rows_sorted[lo:hi], mode="clip")
+            mismatch = got != sorted_ids
+            if edges[0] or len(absent) > 1 or mismatch.any():
+                unknown = np.unique(
+                    np.concatenate([*absent, sorted_ids[mismatch]])
+                )
+                raise ServeError(
+                    f"unknown customer ids in snapshot {info.name!r}: "
+                    f"{unknown[:10].tolist()}"
+                )
+            out = np.empty_like(rows_sorted)
+            out[order] = rows_sorted
+            misses = n - hits
+            metrics = get_metrics()
             metrics.counter("serve.store.hits").inc(hits)
-            metrics.counter("serve.store.misses").inc(len(need))
+            metrics.counter("serve.store.misses").inc(misses)
             sp.incr("cache_hits", hits)
-            sp.incr("cache_misses", len(need))
-            out = np.empty((len(cids), len(info.feature_names)), dtype=np.float64)
-            for i, cid in enumerate(cids.tolist()):
-                out[i] = rows[cid]
+            sp.incr("cache_misses", misses)
         return out
 
     def _fetch(
-        self, info: SnapshotInfo, need: list[int]
-    ) -> dict[int, np.ndarray]:
-        """Read the missing rows through a zone-map-pruned scan."""
-        predicate = [ScanPredicate("imsi", "in", tuple(int(c) for c in need))]
+        self, info: SnapshotInfo, fetch: list[int], wanted: np.ndarray
+    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Read the buckets in ``fetch`` through one zone-map-pruned scan.
+
+        Returns a block per bucket the scan returned (a bucket whose zone
+        map excludes every wanted id is pruned and absent) and admits each
+        into the resident set.
+        """
+        predicate = [ScanPredicate("imsi", "in", tuple(wanted.tolist()))]
 
         def read() -> Table:
             return self._catalog.scan(
@@ -244,44 +317,96 @@ class FeatureStore:
             piece = self._retry.call(read, clock=self._clock)
         else:
             piece = read()
+        # Scans return whole partitions in bucket order; cut at the bounds.
         scan_ids = piece.column("imsi")
-        wanted = np.asarray(need, dtype=np.int64)
-        if len(scan_ids) == 0:
-            raise ServeError(
-                f"unknown customer ids in snapshot {info.name!r}: "
-                f"{sorted(int(m) for m in wanted)[:10]}"
-            )
-        pos = np.searchsorted(scan_ids, wanted)
-        clipped = np.minimum(pos, len(scan_ids) - 1)
-        ok = (pos < len(scan_ids)) & (scan_ids[clipped] == wanted)
-        if not ok.all():
-            missing = wanted[~ok]
-            raise ServeError(
-                f"unknown customer ids in snapshot {info.name!r}: "
-                f"{sorted(int(m) for m in missing)[:10]}"
-            )
-        if info.feature_names:
-            mat = np.column_stack(
-                [piece.column(n) for n in info.feature_names]
-            ).astype(np.float64, copy=False)
-        else:
-            mat = np.empty((piece.num_rows, 0), dtype=np.float64)
-        fetched: dict[int, np.ndarray] = {}
-        for cid, p in zip(need, pos.tolist()):
-            row = mat[p].copy()
-            fetched[cid] = row
-            if self._cache_rows:
-                self._cache[cid] = row
-                self._cache.move_to_end(cid)
-                while len(self._cache) > self._cache_rows:
-                    self._cache.popitem(last=False)
-                    get_metrics().counter("serve.store.evictions").inc()
-        get_metrics().counter("serve.store.rows_fetched").inc(len(need))
+        edges = np.append(np.searchsorted(scan_ids, self._bounds), len(scan_ids))
+        fetched: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for b in fetch:
+            lo, hi = int(edges[b]), int(edges[b + 1])
+            if lo == hi:
+                continue
+            rows = np.empty((hi - lo, len(info.feature_names)), dtype=np.float64)
+            for j, name in enumerate(info.feature_names):
+                rows[:, j] = piece.column(name)[lo:hi]
+            fetched[b] = (scan_ids[lo:hi].copy(), rows)
+            self._admit(b, fetched[b])
+        get_metrics().counter("serve.store.rows_fetched").inc(piece.num_rows)
         return fetched
+
+    def _admit(self, b: int, block: tuple[np.ndarray, np.ndarray]) -> None:
+        """Make bucket ``b`` resident, evicting least-recently-used buckets
+        to stay within ``cache_rows``; a bucket over budget is skipped."""
+        size = len(block[0])
+        if size > self._cache_rows:
+            return
+        self._blocks[b] = block
+        self._resident_rows += size
+        evictions = get_metrics().counter("serve.store.evictions")
+        while self._resident_rows > self._cache_rows:
+            _, (old_ids, _) = self._blocks.popitem(last=False)
+            self._resident_rows -= len(old_ids)
+            evictions.inc()
+
+    def _activate(self, info: SnapshotInfo) -> None:
+        self._active = info
+        self._bounds = np.asarray(info.bounds, dtype=np.int64)
+        self._blocks.clear()
+        self._resident_rows = 0
+        self._stale = False
+
+    def _discover(self, snapshot: str) -> SnapshotInfo:
+        """Read a snapshot's layout back from the catalog."""
+        table = _TABLE_PREFIX + snapshot
+        if not self._catalog.exists(table, self._database):
+            raise ServeError(f"unknown snapshot {snapshot!r}")
+        tinfo = self._catalog.info(table, self._database)
+        firsts: list[int] = []
+        n_rows = 0
+        for partition in tinfo.partitions:
+            ids = self._catalog.load(
+                table, self._database, partition=partition
+            ).column("imsi")
+            firsts.append(int(ids[0]))
+            n_rows += len(ids)
+        return SnapshotInfo(
+            name=snapshot,
+            table=table,
+            feature_names=tuple(n for n in tinfo.schema.names if n != "imsi"),
+            n_rows=n_rows,
+            buckets=len(tinfo.partitions),
+            bounds=tuple(firsts),
+        )
+
+    def _on_store_change(self, path: str) -> None:
+        """Block-store invalidation hook: a file's bytes may have changed.
+
+        A change under a snapshot's table directory forgets what this
+        store memoized about that snapshot; for the active one it drops
+        every resident bucket and re-reads the layout on the next lookup.
+        """
+        changed = [
+            name
+            for name, info in self._snapshots.items()
+            if path.startswith(self._table_dir(info))
+        ]
+        for name in changed:
+            del self._snapshots[name]
+        active = self._active
+        if active is not None and path.startswith(self._table_dir(active)):
+            self._blocks.clear()
+            self._resident_rows = 0
+            self._stale = True
+
+    def _table_dir(self, info: SnapshotInfo) -> str:
+        return Catalog.table_dir(info.table, self._database)
 
     def _require_active(self) -> SnapshotInfo:
         if self._active is None:
             raise ServeError(
                 "no active snapshot; call materialize() or attach() first"
             )
+        if self._stale:
+            info = self._discover(self._active.name)
+            self._snapshots[info.name] = info
+            self._activate(info)
         return self._active

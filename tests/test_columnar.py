@@ -408,6 +408,42 @@ class TestCatalogScan:
     def test_scan_without_arguments_equals_load(self, months_catalog):
         assert months_catalog.scan("cdr") == months_catalog.load("cdr")
 
+    @pytest.mark.parametrize("parts", [1, 2, 8])
+    @pytest.mark.parametrize("columns", [None, ["plan", "dur", "month", "ok"]])
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_scan_concat_equals_pairwise(self, parts, columns, pruned):
+        catalog = Catalog()
+        rng = np.random.default_rng(parts)
+        for month in range(1, parts + 1):
+            n = 10 + 7 * month
+            catalog.save(
+                Table.from_arrays(
+                    month=np.full(n, month, dtype=np.int64),
+                    dur=rng.normal(size=n),
+                    plan=np.asarray(rng.choice(["a", "bb"], size=n), dtype=object),
+                    ok=rng.random(n) < 0.5,
+                ),
+                "t",
+                partition=f"month={month:02d}",
+            )
+        predicate = [ScanPredicate("month", "<=", 4)] if pruned else None
+        kept = range(1, (min(parts, 4) if pruned else parts) + 1)
+        # The old kernel: partitions stacked two at a time, in order.
+        pieces = [catalog.load("t", partition=f"month={m:02d}") for m in kept]
+        names = columns or list(pieces[0].schema.names)
+        expected = {n: pieces[0].column(n) for n in names}
+        for piece in pieces[1:]:
+            expected = {
+                n: np.concatenate([expected[n], piece.column(n)]) for n in names
+            }
+        out = catalog.scan("t", columns=columns, predicate=predicate)
+        assert list(out.schema.names) == names
+        for n in names:
+            assert out.column(n).dtype == expected[n].dtype
+            assert np.array_equal(out.column(n), expected[n])
+        if not pruned and columns is None:
+            assert catalog.load("t") == out
+
     def test_string_predicate_conservative(self, months_catalog):
         # Every partition has both plans; nothing prunable.
         out = months_catalog.scan(

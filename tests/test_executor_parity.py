@@ -9,6 +9,10 @@ submission order.
 
 from __future__ import annotations
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -298,6 +302,37 @@ class TestCatalogCache:
         catalog.drop("t")
         assert not any(path in catalog.table_cache for path in chunks)
         assert chunks  # the partition had backing files before the drop
+
+    def test_store_does_not_keep_a_dropped_catalog_alive(self, table):
+        store = BlockStore()
+        catalog = Catalog(store)
+        catalog.save(table, "t")
+        ref = weakref.ref(catalog)
+        gc.disable()  # freed by reference counting alone: no cycle
+        try:
+            del catalog
+            assert ref() is None
+        finally:
+            gc.enable()
+        survivor = Catalog(store)  # dead listener is skipped, then pruned
+        survivor.save(table, "u")
+        assert survivor.load("u") == table
+
+    def test_pickled_catalog_invalidates_its_own_cache(self, table):
+        catalog = Catalog()
+        catalog.save(table, "t")
+        copy = pickle.loads(pickle.dumps(catalog))
+        copy.load("t")
+        [path] = [
+            p
+            for p in copy.store.list_files("/warehouse/default/t/__all__/")
+            if p.rsplit("/", 1)[-1].startswith("imsi.")
+        ]
+        assert path in copy.table_cache
+        status = copy.store.status(path)
+        copy.store.corrupt_block(path, 0, status.blocks[0].replicas[0])
+        assert path not in copy.table_cache
+        assert path in catalog.table_cache  # the original's store is untouched
 
     def test_temp_views_survive_clear_cache(self, table):
         catalog = Catalog()

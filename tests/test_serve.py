@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataplat.catalog import Catalog
 from repro.dataplat.observability import Histogram
@@ -65,6 +70,52 @@ def row_for(matrix: FeatureMatrix, cid: int) -> np.ndarray:
     return matrix.values[idx[0]]
 
 
+def count_scans(store: FeatureStore) -> list[str]:
+    """Record every ``catalog.scan`` the store makes from now on."""
+    calls: list[str] = []
+    real_scan = store.catalog.scan
+
+    def scan(name, *args, **kwargs):
+        calls.append(name)
+        return real_scan(name, *args, **kwargs)
+
+    store.catalog.scan = scan
+    return calls
+
+
+_PROP_MATRIX = make_matrix(seed=5)
+_PROP_STORES: dict[tuple[int, int], FeatureStore] = {}
+
+
+def _prop_store(buckets: int, cache_rows: int) -> FeatureStore:
+    """One store per (buckets, budget), kept across examples so resident
+    state carries from one drawn lookup to the next."""
+    key = (buckets, cache_rows)
+    if key not in _PROP_STORES:
+        catalog = Catalog()
+        FeatureStore(catalog=catalog).materialize(
+            _PROP_MATRIX, "prop", buckets=buckets
+        )
+        _PROP_STORES[key] = FeatureStore(catalog=catalog, cache_rows=cache_rows)
+        _PROP_STORES[key].attach("prop")
+    return _PROP_STORES[key]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    buckets=st.sampled_from([1, 3, 8]),
+    budget=st.sampled_from(["none", "one bucket", "all rows"]),
+    rows=st.lists(st.integers(0, N_ROWS - 1), max_size=80),
+)
+def test_lookup_equals_matrix_rows(buckets, budget, rows):
+    cache_rows = {"none": 0, "one bucket": -(-N_ROWS // buckets), "all rows": N_ROWS}
+    store = _prop_store(buckets, cache_rows[budget])
+    got = store.lookup(_PROP_MATRIX.imsi[rows])
+    want = _PROP_MATRIX.values[rows]
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestFeatureStore:
     def test_lookup_roundtrip_bit_identical(self, store, matrix):
         sample = matrix.imsi[[3, 77, 140, 10]]
@@ -92,28 +143,156 @@ class TestFeatureStore:
         assert pruned == 3
 
     def test_cache_hits_and_eviction(self, matrix, capture_spans):
-        store = FeatureStore(cache_rows=2)
+        # 240 ids in four buckets of 60: 50_000 + 60 * b is in bucket b.
+        first_of = [50_000 + 60 * b for b in range(4)]
+        tight = FeatureStore(cache_rows=59)  # smaller than one bucket
+        tight.materialize(matrix, "m3", buckets=4)
+        scans = count_scans(tight)
+        for i in range(3):
+            tight.lookup(first_of[:2])
+            assert len(scans) == i + 1  # nothing admitted: every lookup misses
+        assert capture_spans.counter("serve.store.hits") == 0
+        assert capture_spans.counter("serve.store.misses") == 6
+
+        store = FeatureStore(cache_rows=120)  # two buckets
+        store.materialize(matrix, "m3b", buckets=4)
+        before = {
+            name: capture_spans.counter(f"serve.store.{name}")
+            for name in ("hits", "misses", "evictions")
+        }
+
+        def delta(name: str) -> float:
+            return capture_spans.counter(f"serve.store.{name}") - before[name]
+
+        store.lookup([first_of[0], first_of[0]])  # miss x2: bucket 0 in
+        store.lookup([first_of[1]])  # miss: bucket 1 in
+        store.lookup([first_of[0]])  # hit: bucket 0 now most recent
+        assert (delta("hits"), delta("misses"), delta("evictions")) == (1, 3, 0)
+        store.lookup([first_of[2]])  # miss: evicts bucket 1 (LRU)
+        assert delta("evictions") == 1
+        store.lookup([first_of[0], first_of[2]])  # both resident
+        assert (delta("hits"), delta("misses")) == (3, 4)
+        store.lookup([first_of[1]])  # evicted, so fetched again
+        assert (delta("misses"), delta("evictions")) == (5, 2)
+
+    def test_resident_lookup_makes_no_scan(self, matrix, capture_spans):
+        store = FeatureStore(cache_rows=N_ROWS)
         store.materialize(matrix, "m3", buckets=4)
-        a, b, c = (int(matrix.imsi[i]) for i in (0, 1, 2))
-        store.lookup([a, b])
-        assert capture_spans.counter("serve.store.misses") == 2
-        store.lookup([a, b])
-        assert capture_spans.counter("serve.store.hits") == 2
-        store.lookup([c])  # evicts the LRU row (a)
-        assert capture_spans.counter("serve.store.evictions") >= 1
-        store.lookup([a])
-        assert capture_spans.counter("serve.store.misses") == 4
+        scans = count_scans(store)
+        sample = matrix.imsi[:40]  # a permutation prefix: every bucket
+        store.lookup(sample)
+        assert len(scans) == 1
+        store.lookup(sample[::-1])
+        store.lookup(sample[:3])
+        assert len(scans) == 1
+        first, *_, last = capture_spans.find("serve.store.lookup")
+        assert first.tags["buckets"] == first.tags["buckets_fetched"] == 4
+        assert last.tags["buckets_fetched"] == 0
+
+    def test_uncached_store_scans_exactly_once_per_lookup(self, matrix):
+        store = FeatureStore(cache_rows=0)
+        store.materialize(matrix, "m3", buckets=4)
+        scans = count_scans(store)
+        for i, sample in enumerate(
+            [matrix.imsi[:50], matrix.imsi[:1], matrix.imsi[:50]]
+        ):
+            store.lookup(sample)
+            assert len(scans) == i + 1
+
+    @pytest.mark.parametrize(
+        "bad", [[49_000], [50_000 + 2 * N_ROWS], [50_001], [50_003, 49_999]]
+    )
+    def test_unknown_ids_are_named(self, bad):
+        # Even ids only: odd ids inside a bucket's range are in no bucket.
+        rng = np.random.default_rng(4)
+        gapped = FeatureMatrix(
+            imsi=50_000 + 2 * np.arange(N_ROWS, dtype=np.int64),
+            names=[f"f{i}" for i in range(N_FEATURES)],
+            values=rng.normal(size=(N_ROWS, N_FEATURES)),
+        )
+        store = FeatureStore()
+        store.materialize(gapped, "gaps", buckets=4)
+        known = [50_000, 50_002 + N_ROWS]
+        with pytest.raises(ServeError, match="unknown customer ids") as err:
+            store.lookup(known + bad)
+        assert str(err.value).endswith(f"{sorted(bad)}")
+        # The resident buckets the failed lookup admitted still answer.
+        assert np.array_equal(store.lookup(known), gapped.values[[0, 121]])
 
     def test_attach_rediscovers_snapshot_from_catalog(self, matrix):
         catalog = Catalog()
         first = FeatureStore(catalog=catalog)
-        first.materialize(matrix, "m3", buckets=4)
+        first_info = first.materialize(matrix, "m3", buckets=4)
         second = FeatureStore(catalog=catalog)
         info = second.attach("m3")
-        assert info.feature_names == tuple(matrix.names)
-        assert info.n_rows == matrix.n_rows
+        assert info == first_info  # bounds included
+        assert info.bounds == (50_000, 50_060, 50_120, 50_180)
         sample = matrix.imsi[:7]
         assert np.array_equal(second.lookup(sample), first.lookup(sample))
+        order = np.argsort(matrix.imsi)
+        assert np.array_equal(
+            second.lookup(matrix.imsi[order]), matrix.values[order]
+        )
+
+    def test_rewrite_by_another_store_is_never_mixed(self):
+        ids = np.arange(70_000, 70_100, dtype=np.int64)
+        names = [f"f{i}" for i in range(N_FEATURES)]
+        catalog = Catalog()
+        a = FeatureStore(catalog=catalog)
+        a.materialize(
+            FeatureMatrix(imsi=ids, names=names, values=np.zeros((100, N_FEATURES))),
+            "s",
+            buckets=4,
+        )
+        assert not a.lookup(ids[:5]).any()  # bucket 0 now resident in A
+        b = FeatureStore(catalog=catalog)
+        b.materialize(
+            FeatureMatrix(imsi=ids, names=names, values=np.ones((100, N_FEATURES))),
+            "s",
+            buckets=4,
+        )
+        rows = a.lookup(np.concatenate([ids[:5], ids[50:55]]))
+        assert (rows == 1.0).all()  # B's rows only, none of A's old zeros
+
+    def test_rewrite_with_new_ids_and_fewer_buckets(self, matrix):
+        catalog = Catalog()
+        a = FeatureStore(catalog=catalog)
+        a.materialize(matrix, "s", buckets=8)
+        a.lookup(matrix.imsi[:20])
+        shifted = FeatureMatrix(
+            imsi=matrix.imsi + 1_000, names=list(matrix.names), values=matrix.values
+        )
+        FeatureStore(catalog=catalog).materialize(shifted, "s", buckets=3)
+        assert len(catalog.partitions("features_s", "serve")) == 3
+        assert np.array_equal(a.lookup(shifted.imsi[:20]), matrix.values[:20])
+        assert a.active_snapshot.bounds == (51_000, 51_080, 51_160)
+        with pytest.raises(ServeError, match="unknown customer ids"):
+            a.lookup(matrix.imsi[:1])  # 50_xxx ids left with the rewrite
+
+    def test_dropped_store_is_not_kept_alive_by_its_catalog(self, matrix):
+        catalog = Catalog()
+        store = FeatureStore(catalog=catalog)
+        store.materialize(matrix, "m3", buckets=4)
+        ref = weakref.ref(store)
+        del store
+        assert ref() is None  # no collector run needed: no cycle
+        FeatureStore(catalog=catalog).materialize(matrix, "m3", buckets=4)
+
+    def test_pickled_copy_keeps_its_own_invalidation(self, matrix):
+        store = FeatureStore()
+        store.materialize(matrix, "m3", buckets=4)
+        store.lookup(matrix.imsi[:20])
+        copy = pickle.loads(pickle.dumps(store))
+        assert np.array_equal(copy.lookup(matrix.imsi[:20]), matrix.values[:20])
+        doubled = FeatureMatrix(
+            imsi=matrix.imsi, names=list(matrix.names), values=2 * matrix.values
+        )
+        FeatureStore(catalog=copy.catalog).materialize(doubled, "m3", buckets=4)
+        assert np.array_equal(
+            copy.lookup(matrix.imsi[:20]), 2 * matrix.values[:20]
+        )
+        # The original's catalog is a different object: untouched.
+        assert np.array_equal(store.lookup(matrix.imsi[:20]), matrix.values[:20])
 
     def test_attach_unknown_snapshot_raises(self, store):
         with pytest.raises(ServeError, match="unknown snapshot"):
