@@ -6,12 +6,12 @@ importance sums Gini improvements over all trees (Eq. 7).  The deployed
 system uses 500 trees with a 100-instance leaf floor; those are the defaults
 of :meth:`RandomForestClassifier.paper_settings`.
 
-Training and prediction fan out per-tree work through an
-:class:`~repro.dataplat.executor.ExecutorBackend`.  Results are
+Training fans out per-tree work through an
+:class:`~repro.dataplat.executor.ExecutorBackend`.  Fits are
 **bit-identical** across backends: every tree's bootstrap indices and
 subspace seed are pre-drawn from the master RNG in tree order before any
-task is submitted, trees are fitted independently, and prediction sums tree
-outputs in tree order regardless of which worker produced them.
+task is submitted, and trees are fitted independently.  A fitted forest
+predicts through its :class:`~repro.ml.tree.NodeTable`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ..config import PAPER
 from ..dataplat.executor import ExecutorBackend, resolve_backend
 from ..dataplat.observability import span
 from ..errors import ModelError, NotFittedError
-from .tree import DecisionTree, RankCodes, check_training_set
+from .tree import DecisionTree, NodeTable, RankCodes, check_training_set
 
 
 class RandomForestClassifier:
@@ -43,7 +43,7 @@ class RandomForestClassifier:
     seed:
         Master seed; each tree derives its own bootstrap and subspace RNG.
     backend:
-        Execution backend for per-tree fit/predict tasks (any spec accepted
+        Execution backend for per-tree fit tasks (any spec accepted
         by :func:`~repro.dataplat.executor.resolve_backend`); ``None`` uses
         the process-wide default.  Not part of the model state: it is
         dropped on pickling, so a fitted forest travels to worker processes
@@ -68,6 +68,7 @@ class RandomForestClassifier:
         self.seed = seed
         self._backend = backend
         self._trees: list[DecisionTree] | None = None
+        self._table: NodeTable | None = None
         self._n_features = 0
 
     def __getstate__(self) -> dict:
@@ -123,35 +124,24 @@ class RandomForestClassifier:
             ]
             results = resolved.map(_fit_tree_chunk, tasks)
             self._trees = [tree for trees, _ in results for tree in trees]
+            self._table = NodeTable(self._trees)
             sp.incr("nodes", sum(tree.node_count for tree in self._trees))
             sp.incr("split_candidates", sum(evaluated for _, evaluated in results))
         self._n_features = x.shape[1]
         return self
 
-    def predict_proba(
-        self,
-        x: np.ndarray,
-        backend: "ExecutorBackend | str | None" = None,
-    ) -> np.ndarray:
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Churner likelihood: the average of tree outputs (Eq. 4).
 
-        The input is cast to float64 once (trees skip their per-call cast
-        via :meth:`DecisionTree.predict`'s ``apply`` on the shared array)
-        and tree outputs are accumulated in tree order whatever backend
-        computed them, keeping the floating-point sum bit-identical across
-        serial and parallel runs.
+        Tree outputs are added one tree at a time in tree order, so the
+        floating-point sum is the one a per-tree loop computes.
         """
-        trees = self._trees_checked()
-        x = np.asarray(x, dtype=np.float64)
-        resolved = resolve_backend(backend if backend is not None else self._backend)
-        chunks = _chunk_indices(len(trees), resolved.parallelism)
-        tasks = [([trees[t] for t in chunk], x) for chunk in chunks]
-        results = resolved.map(_predict_tree_chunk, tasks)
+        table = self._table_checked()
+        x = table.check(x)
         out = np.zeros(len(x))
-        for stacked in results:
-            for row in stacked:
-                out += row
-        return out / len(trees)
+        for row in table.tree_values(x):
+            out += row
+        return out / len(table.roots)
 
     def predict(self, x: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         """Hard 0/1 labels at a likelihood threshold."""
@@ -188,6 +178,11 @@ class RandomForestClassifier:
             raise NotFittedError("forest has not been fitted")
         return self._trees
 
+    def _table_checked(self) -> NodeTable:
+        if self._table is None:
+            raise NotFittedError("forest has not been fitted")
+        return self._table
+
 
 def _chunk_indices(n_items: int, parallelism: int) -> list[list[int]]:
     """Contiguous task chunks: one per worker slot (amortizes shipping x)."""
@@ -211,12 +206,6 @@ def _fit_tree_chunk(args):
         evaluated += tree.grow(x, y, sample_weight, codes, boot)
         trees.append(tree)
     return trees, evaluated
-
-
-def _predict_tree_chunk(args):
-    """Per-tree predictions of a chunk, stacked in tree order."""
-    trees, x = args
-    return np.stack([tree.predict(x) for tree in trees])
 
 
 def _fit_class_forest(args):

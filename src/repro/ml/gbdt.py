@@ -13,7 +13,7 @@ import numpy as np
 
 from ..config import PAPER
 from ..errors import ModelError, NotFittedError
-from .tree import DecisionTree, RankCodes, check_training_set
+from .tree import DecisionTree, NodeTable, RankCodes, check_training_set
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -51,6 +51,7 @@ class GradientBoostedTrees:
         self.min_samples_leaf = min_samples_leaf
         self.seed = seed
         self._trees: list[DecisionTree] | None = None
+        self._table: NodeTable | None = None
         self._base_score = 0.0
 
     def fit(
@@ -86,6 +87,7 @@ class GradientBoostedTrees:
             raw = raw + self.learning_rate * tree.predict(x)
             trees.append(tree)
         self._trees = trees
+        self._table = NodeTable(trees)
         return self
 
     @staticmethod
@@ -115,11 +117,11 @@ class GradientBoostedTrees:
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
         """Raw additive score before the sigmoid."""
-        trees = self._trees_checked()
-        x = np.asarray(x, dtype=np.float64)
+        table = self._table_checked()
+        x = table.check(x)
         raw = np.full(len(x), self._base_score)
-        for tree in trees:
-            raw += self.learning_rate * tree.predict(x)
+        for values in table.tree_values(x):
+            raw += self.learning_rate * values
         return raw
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -133,18 +135,18 @@ class GradientBoostedTrees:
         self, x: np.ndarray, y: np.ndarray
     ) -> np.ndarray:
         """Log-loss after each stage (diagnostic; monotone on train data)."""
-        trees = self._trees_checked()
-        x = np.asarray(x, dtype=np.float64)
+        table = self._table_checked()
+        x = table.check(x)
         y = np.asarray(y, dtype=np.float64)
         raw = np.full(len(x), self._base_score)
         losses = []
-        for tree in trees:
-            raw = raw + self.learning_rate * tree.predict(x)
+        for values in table.tree_values(x):
+            raw = raw + self.learning_rate * values
             p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
             losses.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
         return np.asarray(losses)
 
-    def _trees_checked(self) -> list[DecisionTree]:
-        if self._trees is None:
+    def _table_checked(self) -> NodeTable:
+        if self._table is None:
             raise NotFittedError("GBDT has not been fitted")
-        return self._trees
+        return self._table

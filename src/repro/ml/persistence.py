@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ModelError, NotFittedError
 from .forest import RandomForestClassifier
-from .tree import DecisionTree
+from .tree import DecisionTree, NodeTable
 
 #: Format marker stored with every serialized model.
 _MAGIC = "repro-rf-v1"
@@ -114,6 +114,7 @@ def forest_from_bytes(payload: bytes) -> RandomForestClassifier:
             }
             trees.append(tree_from_arrays(arrays))
         forest._trees = trees
+        forest._table = NodeTable(trees)  # the compile step fit ends with
         forest._n_features = n_features
     return forest
 

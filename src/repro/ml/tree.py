@@ -17,10 +17,14 @@ sum per mass array, one argmax over every boundary between distinct values.
 Ensembles build the codes once and hand each tree its rows
 (:meth:`DecisionTree.grow`).  DESIGN.md §17 says why the trees are the same,
 bit for bit, as a per-feature float sort would grow.
+
+Prediction has one kernel, :class:`NodeTable`: an ensemble's trees are
+compiled once into one flat node table and walked in lockstep.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +39,11 @@ LEAF = -1
 #: temporaries cache-sized (256 KiB each) whatever the training size — an
 #: all-feature GBDT root runs 1.6x faster this way than as one block.
 _BLOCK_CELLS = 1 << 15
+
+#: Most (tree × row) cells one predict walk holds: a larger predict walks
+#: its trees a block at a time, so scoring 200k rows on 500 trees never
+#: allocates gigabytes of node ids.
+_WALK_CELLS = 1 << 16
 
 
 @dataclass
@@ -410,34 +419,9 @@ class DecisionTree:
         return self._value_checked()[self.apply(x)]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Leaf node id each row lands in (vectorized traversal)."""
-        self._value_checked()
-        assert self._feature is not None and self._threshold is not None
-        assert self._left is not None and self._right is not None
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ModelError(f"x must be 2-D, got {x.ndim}-D")
-        if x.shape[1] != self._n_features:
-            raise ModelError(
-                f"x has {x.shape[1]} features, tree fitted with {self._n_features}"
-            )
-        node = np.zeros(len(x), dtype=np.int64)
-        rows = np.arange(len(x))
-        for _ in range(self.max_depth + 1):
-            feat = self._feature[node]
-            active = feat != LEAF
-            if not active.any():
-                break
-            act_rows = rows[active]
-            act_nodes = node[active]
-            go_left = (
-                x[act_rows, self._feature[act_nodes]]
-                <= self._threshold[act_nodes]
-            )
-            node[act_rows] = np.where(
-                go_left, self._left[act_nodes], self._right[act_nodes]
-            )
-        return node
+        """Leaf node id each row lands in (the :class:`NodeTable` walk)."""
+        table = NodeTable([self])
+        return next(table.leaves(table.check(x)))[0]
 
     @property
     def feature_importances_(self) -> np.ndarray:
@@ -474,6 +458,84 @@ class DecisionTree:
         if self._value is None:
             raise NotFittedError("tree has not been fitted")
         return self._value
+
+
+class NodeTable:
+    """Every tree of an ensemble compiled into one flat node table.
+
+    The one predict kernel, shared by forests, GBDT and single trees.  Node
+    ``i`` of tree ``t`` is row ``roots[t] + i``; children are interleaved,
+    right then left, so a pass steps every cell with
+    ``child[2 * node + (x <= threshold)]`` (NaN compares false and goes
+    right, as it always has).  A leaf is a self-loop (feature 0, both
+    children itself): a row that reached one stays put, so each pass runs
+    on the whole ``(trees, rows)`` node matrix with no active-row mask, and
+    ``depth[t]`` passes take every row of tree ``t`` to its leaf.  Derived
+    from the trees at fit or load; never serialized.
+    """
+
+    __slots__ = (
+        "feature", "threshold", "child", "value", "roots", "depth", "n_features"
+    )
+
+    def __init__(self, trees: Sequence[DecisionTree]) -> None:
+        sizes = [tree.node_count for tree in trees]
+        self.roots = np.cumsum([0, *sizes[:-1]])
+        offset = np.repeat(self.roots, sizes)
+        feature = np.concatenate([tree._feature for tree in trees])
+        left = np.concatenate([tree._left for tree in trees]) + offset
+        right = np.concatenate([tree._right for tree in trees]) + offset
+        leaf = feature == LEAF
+        # Depth of every node, one level of every tree per step.
+        level = np.zeros(len(feature), dtype=np.int64)
+        frontier, depth = self.roots[~leaf[self.roots]], 0
+        while len(frontier):
+            depth += 1
+            frontier = np.concatenate([left[frontier], right[frontier]])
+            level[frontier] = depth
+            frontier = frontier[~leaf[frontier]]
+        self.depth = np.maximum.reduceat(level, self.roots)
+        own = np.flatnonzero(leaf)
+        feature[own] = 0
+        left[own] = own
+        right[own] = own
+        self.feature = feature
+        self.threshold = np.concatenate([tree._threshold for tree in trees])
+        self.child = np.column_stack([right, left]).reshape(-1)
+        self.value = np.concatenate([tree._value for tree in trees])
+        self.n_features = trees[0]._n_features
+
+    def check(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as the C-contiguous float64 matrix a walk reads."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ModelError(f"x must be 2-D, got {x.ndim}-D")
+        if x.shape[1] != self.n_features:
+            raise ModelError(
+                f"x has {x.shape[1]} features, model fitted with {self.n_features}"
+            )
+        return np.ascontiguousarray(x)
+
+    def leaves(self, x: np.ndarray) -> Iterator[np.ndarray]:
+        """Leaf node ids of a :meth:`check`-ed ``x``, as ``(trees, rows)``
+        blocks in tree order, each walked for its deepest tree's depth."""
+        flat = x.reshape(-1)
+        row_base = np.arange(len(x)) * x.shape[1]
+        step = max(1, _WALK_CELLS // max(1, len(x)))
+        for start in range(0, len(self.roots), step):
+            roots = self.roots[start : start + step]
+            node = np.repeat(roots[:, None], len(x), axis=1)
+            for _ in range(int(self.depth[start : start + step].max())):
+                go_left = flat.take(self.feature.take(node) + row_base) <= (
+                    self.threshold.take(node)
+                )
+                node = self.child.take(2 * node + go_left)
+            yield node
+
+    def tree_values(self, x: np.ndarray) -> Iterator[np.ndarray]:
+        """Every row's leaf value, one tree at a time in tree order."""
+        for node in self.leaves(x):
+            yield from self.value.take(node)
 
 
 def _is_pure(t: np.ndarray) -> bool:

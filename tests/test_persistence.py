@@ -1,8 +1,12 @@
 """Tests for model persistence (ml.persistence)."""
 
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
+from reference_predict import reference_forest_proba
 from repro.dataplat.catalog import Catalog
 from repro.errors import ModelError, NotFittedError
 from repro.ml.forest import RandomForestClassifier
@@ -14,7 +18,8 @@ from repro.ml.persistence import (
     tree_from_arrays,
     tree_to_arrays,
 )
-from repro.ml.tree import DecisionTree
+from repro.ml.tree import DecisionTree, NodeTable
+from repro.serve.registry import ModelRegistry
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +108,41 @@ class TestCatalogStorage:
         catalog.store.kill_node(0)
         rebuilt = load_forest(catalog, "m")
         assert np.array_equal(forest.predict_proba(x), rebuilt.predict_proba(x))
+
+
+def _payload_digest(payload: bytes) -> str:
+    """Digest of every stored array's name, dtype, shape and bytes."""
+    h = hashlib.sha256()
+    with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
+        for name in npz.files:
+            arr = npz[name]
+            h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+            h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestOnePredictPath:
+    def test_stored_model_serves_the_in_memory_scores(self, fitted):
+        """A loaded forest is compiled like a fitted one, so it never
+        predicts per tree and scores the same bytes."""
+        forest, x = fitted
+        catalog = Catalog()
+        ModelRegistry().publish_durable(catalog, "v1", forest)
+        registry = ModelRegistry()
+        assert registry.activate_from_store(catalog, "v1") is True
+        _, loaded = registry.current()
+        assert loaded is not forest
+        for name in NodeTable.__slots__:
+            assert np.array_equal(
+                getattr(loaded._table, name), getattr(forest._table, name)
+            ), name
+        probe = np.vstack([x[:50], np.full((1, 7), np.nan), np.full((1, 7), -np.inf)])
+        scores = loaded.predict_proba(probe)
+        assert scores.tobytes() == forest.predict_proba(probe).tobytes()
+        assert scores.tobytes() == reference_forest_proba(forest, probe).tobytes()
+
+    def test_payload_content_is_unchanged(self, fitted):
+        """The node table is derived, never stored: a fixed-seed forest
+        serializes to the same ``repro-rf-v1`` arrays as before it existed."""
+        forest, _ = fitted
+        assert _payload_digest(forest_to_bytes(forest)) == "8cf28db7d775a849"
