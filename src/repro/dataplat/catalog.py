@@ -113,6 +113,10 @@ class Catalog:
         #: What the last :meth:`open` recovery did (None for plain
         #: constructor use, where no recovery runs).
         self.last_recovery: RecoveryReport | None = None
+        #: Bumped whenever what a read returns may change (any store byte
+        #: change, temp-view register or drop); process workers holding a
+        #: forked copy of this catalog are stale once it moves.
+        self.generation = 0
         self._store.add_invalidation_listener(self._on_invalidated)
 
     @classmethod
@@ -173,6 +177,7 @@ class Catalog:
         self._store.add_invalidation_listener(self._on_invalidated)
 
     def _on_invalidated(self, path: str) -> None:
+        self.generation += 1
         self._stats.clear()
         self._cache.invalidate(path)
         self._manifests.pop(path, None)
@@ -380,6 +385,7 @@ class Catalog:
         self._schemas[key] = table.schema
         self._temp[path] = table
         self._stats.pop(key, None)
+        self.generation += 1
 
     def load(
         self,
@@ -500,6 +506,7 @@ class Catalog:
             # A temp view has no files and was never journaled.
             parts.pop(partition)
             del self._temp[path]
+            self.generation += 1
             if not parts:
                 del self._tables[key]
                 del self._schemas[key]

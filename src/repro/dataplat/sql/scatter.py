@@ -13,10 +13,14 @@ shard-executable subtrees and a central remainder:
   a replicated side that a LEFT join needs hash-distributed is *realigned*
   — filtered locally to its shard's key range, no data movement at all.
 - Each maximal shard-executable subtree becomes a :class:`Gather` node: the
-  subplan fans out per shard over the existing
-  :class:`~repro.dataplat.executor.ExecutorBackend` (the widetable-prefetch
-  worker pattern: fresh per-worker tracer, spans shipped home tagged with
-  their shard) and the pieces concatenate in shard order.
+  subplan fans out per shard through
+  :meth:`~repro.dataplat.executor.ExecutorBackend.map_resident` with the
+  sharded catalog as the resident, so a task carries only
+  ``(database, subplan, shard_id, traced)`` and process workers read the
+  shard catalogs they inherited at fork (forked again only when a shard's
+  ``Catalog.generation`` moves).  Each task runs under a fresh tracer
+  whose spans travel home tagged with their shard, and the pieces
+  concatenate in shard order.
 - An aggregate sitting on a Gather is decomposed into per-shard partial
   aggregates merged at the gather node, reusing the PR 7 aggregate-pushdown
   algebra: ``COUNT`` → the integer sum of ``__cnt__``
@@ -159,7 +163,7 @@ class _GatherExecutor(Executor):
         return super()._dispatch(node)
 
 
-def _execute_shard_plan(args):
+def _execute_shard_plan(sharded: ShardedCatalog, args):
     """Run one scattered subplan on one shard (top-level for pickling).
 
     Mirrors the widetable prefetch worker: a fresh tracer is installed when
@@ -167,12 +171,17 @@ def _execute_shard_plan(args):
     ``shard.execute`` span tagged with the shard id — travel back for
     :meth:`Tracer.attach`, so scatter skew is visible per shard.
     """
-    catalog, database, plan, shard_id, num_shards, traced = args
+    database, plan, shard_id, traced = args
     worker_tracer = observability.Tracer() if traced else None
     previous = observability.set_tracer(worker_tracer) if traced else None
     try:
         with span("shard.execute", shard=shard_id) as sp:
-            executor = _ShardExecutor(catalog, database, shard_id, num_shards)
+            executor = _ShardExecutor(
+                sharded.shards[shard_id],
+                database,
+                shard_id,
+                sharded.num_shards,
+            )
             table = executor.execute(plan)
             sp.incr("rows", table.num_rows)
     finally:
@@ -558,7 +567,7 @@ class ShardedSQLEngine:
     ) -> None:
         self._sharded = catalog
         self._database = database
-        self._backend = backend
+        self._backend = resolve_backend(backend)
         self._planner = SQLEngine(
             catalog.shards[0], database, profiling=False, feedback=False
         )
@@ -629,33 +638,28 @@ class ShardedSQLEngine:
         return plan
 
     def _execute(self, plan: PlanNode) -> Table:
-        backend = resolve_backend(self._backend)
         metrics = get_metrics()
         traced = observability.enabled()
         tracer = observability.get_tracer()
         for gather in _walk_gathers(plan):
             with span(
                 "shard.scatter",
-                backend=backend.name,
+                backend=self._backend.name,
                 replicated=gather.replicated,
             ) as sp:
-                if gather.replicated:
-                    shards = self._sharded.shards[:1]
-                else:
-                    shards = self._sharded.shards
+                shard_ids = (
+                    range(1) if gather.replicated
+                    else range(self._sharded.num_shards)
+                )
                 tasks = [
-                    (
-                        catalog,
-                        self._database,
-                        gather.subplan,
-                        i,
-                        self._sharded.num_shards,
-                        traced,
-                    )
-                    for i, catalog in enumerate(shards)
+                    (self._database, gather.subplan, i, traced)
+                    for i in shard_ids
                 ]
+                stamp = tuple(s.generation for s in self._sharded.shards)
                 pieces: list[Table] = []
-                for table, spans in backend.map(_execute_shard_plan, tasks):
+                for table, spans in self._backend.map_resident(
+                    _execute_shard_plan, self._sharded, stamp, tasks
+                ):
                     pieces.append(table)
                     if spans and tracer is not None:
                         tracer.attach(spans)

@@ -47,11 +47,10 @@ SHARDED_CATEGORIES = ("F1", "F2", "F3")
 class _ShardSource:
     """Month-table source restricted to one shard's customers.
 
-    Top-level and free of engine handles so it pickles into process-pool
-    workers.  Every simulator table carries an ``imsi`` column; rows whose
-    customer hashes elsewhere are masked out, preserving row order within
-    the shard so downstream aggregates see the same per-customer row
-    sequence as the unsharded build.
+    Every simulator table carries an ``imsi`` column; rows whose customer
+    hashes elsewhere are masked out, preserving row order within the shard
+    so downstream aggregates see the same per-customer row sequence as the
+    unsharded build.
     """
 
     def __init__(self, world: TelcoWorld, shard_id: int, num_shards: int):
@@ -69,15 +68,16 @@ class _ShardSource:
         return out
 
 
-def _build_shard_blocks(args):
+def _build_shard_blocks(world: TelcoWorld, args):
     """Build one shard's slice of the requested families (worker body).
 
-    Top-level for picklability.  The worker gets the world plus builder
-    settings — cheaper than shipping a builder with warm caches — and
-    roots its spans at ``shard.widetable`` tagged with the shard id, so a
-    trace of the fan-out shows per-shard skew directly.
+    Top-level for picklability.  The world is the
+    :meth:`~repro.dataplat.executor.ExecutorBackend.map_resident` resident
+    — process workers inherit it at fork, a task carries only the builder
+    settings — and the spans root at ``shard.widetable`` tagged with the
+    shard id, so a trace of the fan-out shows per-shard skew directly.
     """
-    world, seed, month, categories, shard_id, num_shards, traced = args
+    seed, month, categories, shard_id, num_shards, traced = args
     worker_tracer = observability.Tracer() if traced else None
     previous = observability.set_tracer(worker_tracer) if traced else None
     try:
@@ -144,7 +144,7 @@ class ShardedWideTableBuilder:
         self._world = world
         self._num_shards = int(num_shards)
         self._seed = seed
-        self._backend = backend
+        self._backend = resolve_backend(backend)
         self._central = WideTableBuilder(world, seed=seed)
 
     @property
@@ -213,29 +213,23 @@ class ShardedWideTableBuilder:
         )
         if not missing:
             return
-        resolved = resolve_backend(self._backend)
         traced = observability.enabled()
         tasks = [
-            (
-                self._world,
-                self._seed,
-                month,
-                missing,
-                shard_id,
-                self._num_shards,
-                traced,
-            )
+            (self._seed, month, missing, shard_id, self._num_shards, traced)
             for shard_id in range(self._num_shards)
         ]
         with span(
             "shard.features",
             month=month,
             shards=self._num_shards,
-            backend=resolved.name,
+            backend=self._backend.name,
         ):
             tracer = observability.get_tracer()
             per_shard: list[dict] = []
-            for blocks, spans in resolved.map(_build_shard_blocks, tasks):
+            # The world never changes after simulation: a constant stamp.
+            for blocks, spans in self._backend.map_resident(
+                _build_shard_blocks, self._world, 0, tasks
+            ):
                 per_shard.append(blocks)
                 if spans and tracer is not None:
                     tracer.attach(spans)
