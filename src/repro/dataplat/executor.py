@@ -264,8 +264,9 @@ def _run_resident(task):
 
 
 def make_backend(config: ExecutorConfig) -> ExecutorBackend:
-    """Instantiate the backend an :class:`ExecutorConfig` describes."""
-    if config.backend == "process":
+    """Instantiate the backend an :class:`ExecutorConfig` describes (always
+    serial in a forked worker)."""
+    if config.backend == "process" and not _in_worker:
         return ProcessPoolBackend(max_workers=config.num_workers)
     return SerialBackend()
 
@@ -289,7 +290,7 @@ def resolve_backend(
     if isinstance(backend, ExecutorConfig):
         return make_backend(backend)
     if isinstance(backend, str):
-        if backend == "serial":
+        if backend == "serial" or (backend == "process" and _in_worker):
             return SerialBackend()
         if backend == "process":
             if _shared_pool is None:
@@ -301,6 +302,21 @@ def resolve_backend(
 
 _shared_pool: ProcessPoolBackend | None = None
 _default_backend: ExecutorBackend | None = None
+#: True in a forked child: a pool worker never fans out again.
+_in_worker = False
+
+
+def _reset_in_child() -> None:
+    """A forked child owns none of the parent's pools and forks none of its
+    own (their workers would hang the parent's shutdown)."""
+    global _shared_pool, _default_backend, _in_worker
+    _shared_pool = None
+    _default_backend = None
+    _in_worker = True
+
+
+if hasattr(os, "register_at_fork"):  # absent only where nothing forks
+    os.register_at_fork(after_in_child=_reset_in_child)
 
 
 def get_default_backend() -> ExecutorBackend:

@@ -12,16 +12,16 @@ needs cheap point lookups by customer id.  The store bridges the two:
   :meth:`~repro.dataplat.catalog.Catalog.scan` prune every bucket that
   cannot hold a requested id — the fetch path is the same zone-map
   machinery the analytical scans use, not a parallel keyed index.
-* :meth:`FeatureStore.lookup` keeps recently used buckets **resident** as
-  row-major blocks (sorted ``int64`` ids + a ``(rows, F)`` float64
-  matrix).  A batch resolves to buckets with one ``searchsorted`` over
-  the bounds, fetches every non-resident bucket in one pruned scan, and
-  answers each bucket with one ``searchsorted`` + one gather — a lookup
-  over resident buckets reads no storage and copies only the rows it
-  returns.  Transient block-store faults are absorbed by a
-  :class:`RetryPolicy`; a fetch that still fails raises, and the scoring
-  service turns that into a ``failed`` outcome rather than a crash.
-* Resident blocks are dropped whenever the block store reports a write or
+* :meth:`FeatureStore.lookup` keeps recently used buckets **resident**
+  in one id-sorted index (``int64`` ids + a ``(rows, F)`` float64 matrix,
+  a slice per bucket), rebuilt only when the resident set changes.  A
+  lookup probes it with one ``searchsorted``, a take and an equality
+  check and gathers in one take; only the ids it misses are routed to
+  buckets, fetched in one pruned scan and admitted.  Transient
+  block-store faults are absorbed by a :class:`RetryPolicy`; a fetch
+  that still fails raises, and the scoring service turns that into a
+  ``failed`` outcome rather than a crash.
+* The index is dropped whenever the block store reports a write or
   delete under the snapshot's table directory, so a snapshot rewritten
   through the same catalog (by this store or another) is never served
   half old, half new.
@@ -106,11 +106,12 @@ class FeatureStore:
         self._cache_rows = int(cache_rows)
         self._retry = retry_policy
         self._clock = clock if clock is not None else SimClock()
-        #: Resident buckets of the active snapshot: index -> (ids, rows).
-        self._blocks: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = (
-            OrderedDict()
-        )
-        self._resident_rows = 0
+        #: Resident buckets of the active snapshot as one id-sorted index:
+        #: ``_ids`` and the matching rows of ``_rows``.  ``_slices`` maps
+        #: each resident bucket to its slice of both, in LRU order.
+        self._ids = np.empty(0, dtype=np.int64)
+        self._rows = np.empty((0, 0))
+        self._slices: OrderedDict[int, slice] = OrderedDict()
         self._snapshots: dict[str, SnapshotInfo] = {}
         self._active: SnapshotInfo | None = None
         self._bounds = np.empty(0, dtype=np.int64)
@@ -126,7 +127,7 @@ class FeatureStore:
 
     def _listen(self) -> None:
         # Held weakly by the store, so it never keeps this object (and its
-        # resident blocks) alive.
+        # resident index) alive.
         self._catalog.store.add_invalidation_listener(self._on_store_change)
 
     @property
@@ -151,7 +152,7 @@ class FeatureStore:
         zone maps tile the id space without overlap.  Buckets left over
         from an earlier, wider materialization of the same snapshot are
         dropped.  The new snapshot becomes the active one and no bucket
-        is resident (resident blocks belong to the previous snapshot).
+        is resident (the index belonged to the previous snapshot).
         """
         if not snapshot or any(ch in snapshot for ch in "/= "):
             raise ServeError(f"invalid snapshot name {snapshot!r}")
@@ -230,65 +231,42 @@ class FeatureStore:
         info = self._require_active()
         cids = np.asarray(customer_ids, dtype=np.int64)
         n = len(cids)
-        # Work in id order: each bucket's requests are then one contiguous
-        # run, cut at the bounds by a single searchsorted.
-        order = np.argsort(cids, kind="stable")
-        sorted_ids = cids[order]
-        edges = np.append(np.searchsorted(sorted_ids, self._bounds), n).tolist()
-        runs = [
-            (b, lo, hi) for b, (lo, hi) in enumerate(zip(edges, edges[1:])) if lo < hi
-        ]
-        blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Each id's bucket (-1 below the first bound).  Touched resident
+        # buckets become the most recent, in bucket order; the others are
+        # fetched.
+        owner = self._bounds.searchsorted(cids, side="right") - 1
+        touched = np.flatnonzero(np.bincount(owner + 1)[1:]).tolist()
         fetch: list[int] = []
-        for b, _, _ in runs:
-            block = self._blocks.get(b)
-            if block is None:
-                fetch.append(b)
+        for b in touched:
+            if b in self._slices:
+                self._slices.move_to_end(b)
             else:
-                self._blocks.move_to_end(b)
-                blocks[b] = block
-        hits = sum(hi - lo for b, lo, hi in runs if b in blocks)
+                fetch.append(b)
         with span(
             "serve.store.lookup",
             snapshot=info.name,
             rows=n,
-            buckets=len(runs),
+            buckets=len(touched),
             buckets_fetched=len(fetch),
         ) as sp:
-            if fetch:
-                wanted = np.unique(
-                    np.concatenate(
-                        [sorted_ids[lo:hi] for b, lo, hi in runs if b in fetch]
+            found, out = _gather(self._ids, self._rows, cids)
+            hits = int(np.count_nonzero(found))
+            if hits < n:
+                missing = np.flatnonzero(~found)
+                want = cids[missing]
+                piece = self._ids[:0], self._rows[:0]
+                if fetch:
+                    routed = np.isin(owner[missing], fetch)
+                    piece = self._fetch(info, fetch, np.unique(want[routed]))
+                # Ids in no resident or fetched bucket (or its gaps).
+                known, rows = _gather(*piece, want)
+                if not known.all():
+                    unknown = np.unique(want[~known])
+                    raise ServeError(
+                        f"unknown customer ids in snapshot {info.name!r}: "
+                        f"{unknown[:10].tolist()}"
                     )
-                )
-                blocks.update(self._fetch(info, fetch, wanted))
-            # Each run gathers its block's ids beside its rows; an id whose
-            # searchsorted slot holds another id is unknown.  So are ids
-            # below the first bound and ids of a bucket the scan pruned
-            # (``got`` keeps those equal, so only the lists flag them).
-            got = sorted_ids.copy()
-            rows_sorted = np.empty((n, len(info.feature_names)), dtype=np.float64)
-            absent = [sorted_ids[: edges[0]]]
-            for b, lo, hi in runs:
-                block = blocks.get(b)
-                if block is None:
-                    absent.append(sorted_ids[lo:hi])
-                    continue
-                block_ids, rows = block
-                pos = block_ids.searchsorted(sorted_ids[lo:hi])
-                block_ids.take(pos, out=got[lo:hi], mode="clip")
-                rows.take(pos, axis=0, out=rows_sorted[lo:hi], mode="clip")
-            mismatch = got != sorted_ids
-            if edges[0] or len(absent) > 1 or mismatch.any():
-                unknown = np.unique(
-                    np.concatenate([*absent, sorted_ids[mismatch]])
-                )
-                raise ServeError(
-                    f"unknown customer ids in snapshot {info.name!r}: "
-                    f"{unknown[:10].tolist()}"
-                )
-            out = np.empty_like(rows_sorted)
-            out[order] = rows_sorted
+                out[missing] = rows
             misses = n - hits
             metrics = get_metrics()
             metrics.counter("serve.store.hits").inc(hits)
@@ -299,12 +277,12 @@ class FeatureStore:
 
     def _fetch(
         self, info: SnapshotInfo, fetch: list[int], wanted: np.ndarray
-    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Read the buckets in ``fetch`` through one zone-map-pruned scan.
 
-        Returns a block per bucket the scan returned (a bucket whose zone
-        map excludes every wanted id is pruned and absent) and admits each
-        into the resident set.
+        Returns the scanned ``(ids, rows)``, id-sorted (a bucket whose
+        zone map excludes every wanted id is pruned and absent), and
+        admits each scanned bucket into the resident index.
         """
         predicate = [ScanPredicate("imsi", "in", tuple(wanted.tolist()))]
 
@@ -318,40 +296,61 @@ class FeatureStore:
         else:
             piece = read()
         # Scans return whole partitions in bucket order; cut at the bounds.
-        scan_ids = piece.column("imsi")
-        edges = np.append(np.searchsorted(scan_ids, self._bounds), len(scan_ids))
-        fetched: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for b in fetch:
-            lo, hi = int(edges[b]), int(edges[b + 1])
-            if lo == hi:
-                continue
-            rows = np.empty((hi - lo, len(info.feature_names)), dtype=np.float64)
-            for j, name in enumerate(info.feature_names):
-                rows[:, j] = piece.column(name)[lo:hi]
-            fetched[b] = (scan_ids[lo:hi].copy(), rows)
-            self._admit(b, fetched[b])
+        ids = piece.column("imsi")
+        rows = np.empty((len(ids), len(info.feature_names)), dtype=np.float64)
+        for j, name in enumerate(info.feature_names):
+            rows[:, j] = piece.column(name)
+        edges = np.append(np.searchsorted(ids, self._bounds), len(ids)).tolist()
+        self._admit(
+            {
+                b: (ids[edges[b] : edges[b + 1]], rows[edges[b] : edges[b + 1]])
+                for b in fetch
+                if edges[b] < edges[b + 1]
+            }
+        )
         get_metrics().counter("serve.store.rows_fetched").inc(piece.num_rows)
-        return fetched
+        return ids, rows
 
-    def _admit(self, b: int, block: tuple[np.ndarray, np.ndarray]) -> None:
-        """Make bucket ``b`` resident, evicting least-recently-used buckets
-        to stay within ``cache_rows``; a bucket over budget is skipped."""
-        size = len(block[0])
-        if size > self._cache_rows:
-            return
-        self._blocks[b] = block
-        self._resident_rows += size
+    def _admit(self, blocks: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
+        """Make each bucket in ``blocks`` resident, in bucket order,
+        evicting least-recently-used buckets to stay within ``cache_rows``;
+        a bucket over budget is skipped.  Rebuilds the index once."""
+        resident = {b: (self._ids[s], self._rows[s]) for b, s in self._slices.items()}
+        size = len(self._ids)
         evictions = get_metrics().counter("serve.store.evictions")
-        while self._resident_rows > self._cache_rows:
-            _, (old_ids, _) = self._blocks.popitem(last=False)
-            self._resident_rows -= len(old_ids)
-            evictions.inc()
+        for b, block in blocks.items():
+            if len(block[0]) > self._cache_rows:
+                continue
+            resident[b] = block
+            self._slices[b] = slice(0)  # placed by _reindex
+            size += len(block[0])
+            while size > self._cache_rows:
+                old, _ = self._slices.popitem(last=False)
+                size -= len(resident.pop(old)[0])
+                evictions.inc()
+        if blocks:
+            self._reindex(resident)
+
+    def _reindex(self, resident: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
+        """Concatenate ``resident`` (the buckets in ``_slices``) in bucket
+        order, which is id order, into the index."""
+        order = sorted(self._slices)
+        edges = np.cumsum([0] + [len(resident[b][0]) for b in order]).tolist()
+        for b, lo, hi in zip(order, edges, edges[1:]):
+            self._slices[b] = slice(lo, hi)  # keeps its LRU position
+        width = len(self._active.feature_names)
+        self._ids = np.concatenate(
+            [np.empty(0, dtype=np.int64)] + [resident[b][0] for b in order]
+        )
+        self._rows = np.concatenate(
+            [np.empty((0, width))] + [resident[b][1] for b in order]
+        )
 
     def _activate(self, info: SnapshotInfo) -> None:
         self._active = info
         self._bounds = np.asarray(info.bounds, dtype=np.int64)
-        self._blocks.clear()
-        self._resident_rows = 0
+        self._slices.clear()
+        self._reindex({})
         self._stale = False
 
     def _discover(self, snapshot: str) -> SnapshotInfo:
@@ -393,8 +392,8 @@ class FeatureStore:
             del self._snapshots[name]
         active = self._active
         if active is not None and path.startswith(self._table_dir(active)):
-            self._blocks.clear()
-            self._resident_rows = 0
+            self._slices.clear()
+            self._reindex({})
             self._stale = True
 
     def _table_dir(self, info: SnapshotInfo) -> str:
@@ -410,3 +409,12 @@ class FeatureStore:
             self._snapshots[info.name] = info
             self._activate(info)
         return self._active
+
+
+def _gather(ids: np.ndarray, rows: np.ndarray, want: np.ndarray) -> tuple:
+    """Which of ``want`` the id-sorted ``ids`` holds, and each one's row
+    (arbitrary for absent ids)."""
+    if not len(ids):
+        return np.zeros(len(want), bool), np.empty((len(want), rows.shape[1]))
+    pos = ids.searchsorted(want)
+    return ids.take(pos, mode="clip") == want, rows.take(pos, axis=0, mode="clip")

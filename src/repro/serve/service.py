@@ -23,21 +23,23 @@ default) the benchmark charges real feature-fetch + predict latency.
 The batcher itself is a single-server queue: a batch dispatches when it
 is full (``max_batch``) or its oldest request has waited
 ``batch_window_s``, whichever is earlier, and starts no earlier than the
-previous batch's completion.  Batch size is ``min(depth, max_batch)``,
-so the batcher adapts monotonically to offered load — light traffic gets
-latency-optimal small batches, heavy traffic throughput-optimal full
-ones.
+previous batch's completion.  Batch size is ``min(depth, max_batch)``:
+heavy traffic fills batches to ``max_batch`` before the window closes,
+but light traffic waits the full ``batch_window_s`` for company, so
+below saturation latency follows the window, not the service time
+(ROADMAP.md item 20b removes the window).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataplat.observability import get_metrics, span
+from ..dataplat.observability import MetricsRegistry, get_metrics, span
 from ..errors import ServeError, StorageError, TransientError
 from .feature_store import FeatureStore
 from .registry import ModelRegistry
@@ -49,12 +51,13 @@ SERVE_LATENCY_BUCKETS = (
     0.001, 0.002, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.03, 0.05,
     0.075, 0.1, 0.25, 0.5, 1.0, 5.0,
 )
+BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 #: Terminal request outcomes; a request holds exactly one, exactly once.
 TERMINAL_OUTCOMES = ("scored", "shed", "expired", "failed")
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoreRequest:
     """One request's ticket; mutated in place as it moves through the queue."""
 
@@ -153,6 +156,23 @@ class FixedServiceTime:
         return self.base_s + self.per_row_s * batch_size
 
 
+class _Instruments:
+    """The service's hot-path instruments, resolved in one registry."""
+
+    __slots__ = ("registry", "requests", "shed", "expired", "failures",
+                 "scored", "queue_depth", "batch_size", "latency")
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self.registry = metrics
+        self.requests, self.shed, self.expired, self.failures, self.scored = (
+            metrics.counter(f"serve.{name}")
+            for name in ("requests", "shed", "expired", "failures", "scored")
+        )
+        self.queue_depth = metrics.gauge("serve.queue_depth")
+        self.batch_size = metrics.histogram("serve.batch_size", BATCH_SIZE_BUCKETS)
+        self.latency = metrics.histogram("serve.latency_s", SERVE_LATENCY_BUCKETS)
+
+
 class ScoringService:
     """Admission-controlled micro-batcher over a store and a registry."""
 
@@ -173,6 +193,9 @@ class ScoringService:
         self._completed: list[ScoreRequest] = []
         self._now = 0.0
         self._busy_until = 0.0
+        #: :meth:`_head_start`, updated by every event that can move it.
+        self._next_start = math.inf
+        self._handles: _Instruments | None = None
         self._next_id = 0
         self._next_batch = 0
         #: High-water mark of the queue depth (gauge mirror for tests).
@@ -199,36 +222,35 @@ class ScoringService:
         response, carrying ``retry_after_s``; any other ticket resolves on
         a later :meth:`poll`/:meth:`drain` once its batch completes.
         """
-        self._advance(now)
-        metrics = get_metrics()
-        metrics.counter("serve.requests").inc()
+        metrics = self._advance(now)
+        metrics.requests.inc()
         deadline = (
             self.config.default_deadline_s if deadline_s is None else deadline_s
         )
         if deadline <= 0:
             raise ServeError(f"deadline_s must be > 0, got {deadline}")
-        request = ScoreRequest(
-            request_id=self._next_id,
-            customer_id=int(customer_id),
-            arrival_s=now,
-            deadline_s=now + deadline,
-        )
+        # Positional: keyword construction costs twice as much per ticket.
+        request = ScoreRequest(self._next_id, int(customer_id), now, now + deadline)
         self._next_id += 1
         if len(self._queue) >= self.config.max_queue_depth:
             request.retry_after_s = (
                 max(self._busy_until - now, 0.0) + self.config.batch_window_s
             )
             request._finish("shed", now)
-            metrics.counter("serve.shed").inc()
+            metrics.shed.inc()
             return request
         self._queue.append(request)
         depth = len(self._queue)
-        self.max_queue_seen = max(self.max_queue_seen, depth)
-        metrics.gauge("serve.queue_depth").set(depth)
-        # A batch-full trigger may now be due (idle server, depth hit
-        # max_batch); requests never wait past their trigger when the
-        # server could already take them.
-        self._pump()
+        if depth > self.max_queue_seen:
+            self.max_queue_seen = depth
+        metrics.queue_depth.set(depth)
+        # A new head or a full batch moves the start; a batch-full trigger
+        # may then be due (idle server, depth hit max_batch): requests
+        # never wait past their trigger when the server could take them.
+        if depth == 1 or depth == self.config.max_batch:
+            self._next_start = self._head_start()
+            if self._next_start <= now:
+                self._pump()
         return request
 
     def poll(self, now: float) -> list[ScoreRequest]:
@@ -242,8 +264,7 @@ class ScoringService:
         if now is not None:
             self._advance(now)
         while self._queue:
-            start = max(self._trigger_time(), self._busy_until, self._now)
-            self._dispatch(start)
+            self._dispatch(max(self._next_start, self._now))
         self._now = max(self._now, self._busy_until)
         done, self._completed = self._completed, []
         return done
@@ -353,16 +374,21 @@ class ScoringService:
         self._score_cache.clear()
         self._cache_version = version
 
-    def _advance(self, now: float) -> None:
+    def _advance(self, now: float) -> _Instruments:
+        """Move the clock to ``now``, dispatching what is due; returns the
+        instrument handles."""
         if now < self._now:
             raise ServeError(
                 f"time went backwards: {now} < {self._now}"
             )
         self._now = now
-        self._pump()
-        get_metrics().gauge("serve.queue_depth").set(len(self._queue))
-        if self._telemetry_sink is not None and self._now >= self._telemetry_next:
+        if now >= self._next_start:
+            self._pump()
+        metrics = self._instruments()
+        metrics.queue_depth.set(len(self._queue))
+        if self._telemetry_sink is not None and now >= self._telemetry_next:
             self._flush_telemetry()
+        return metrics
 
     def _pump(self) -> None:
         """Dispatch every batch whose start time has arrived.
@@ -373,19 +399,27 @@ class ScoringService:
         lets the queue deepen under load (adaptive batch growth) and
         admission control actually shed at the bound.
         """
-        while self._queue:
-            start = max(self._trigger_time(), self._busy_until)
-            if start > self._now:
-                break
-            self._dispatch(start)
+        while self._next_start <= self._now:
+            self._dispatch(self._next_start)
 
-    def _trigger_time(self) -> float:
-        """When the head batch is due: window expiry or batch-full time."""
-        window_trigger = self._queue[0].arrival_s + self.config.batch_window_s
-        if len(self._queue) >= self.config.max_batch:
-            full_at = self._queue[self.config.max_batch - 1].arrival_s
-            return min(window_trigger, full_at)
-        return window_trigger
+    def _head_start(self) -> float:
+        """``max(trigger, busy_until)`` for the head batch, the trigger being
+        window expiry or batch-full time; +inf on an empty queue."""
+        queue = self._queue
+        if not queue:
+            return math.inf
+        trigger = queue[0].arrival_s + self.config.batch_window_s
+        if len(queue) >= self.config.max_batch:
+            trigger = min(trigger, queue[self.config.max_batch - 1].arrival_s)
+        return max(trigger, self._busy_until)
+
+    def _instruments(self) -> _Instruments:
+        """Instrument handles, resolved again only in a swapped registry."""
+        metrics = get_metrics()
+        handles = self._handles
+        if handles is None or handles.registry is not metrics:
+            handles = self._handles = _Instruments(metrics)
+        return handles
 
     def _dispatch(self, start_s: float) -> None:
         size = min(len(self._queue), self.config.max_batch)
@@ -393,8 +427,8 @@ class ScoringService:
         batch_id = self._next_batch
         self._next_batch += 1
         self.batch_sizes.append(size)
-        metrics = get_metrics()
-        metrics.histogram("serve.batch_size", (1, 2, 4, 8, 16, 32, 64, 128, 256)).observe(size)
+        metrics = self._instruments()
+        metrics.batch_size.observe(size)
 
         # Capture the active model ONCE per batch: a registry swap landing
         # mid-batch must never split one response across model versions.
@@ -404,11 +438,13 @@ class ScoringService:
         for request in batch:
             if request.deadline_s < start_s:
                 request._finish("expired", start_s)
-                metrics.counter("serve.expired").inc()
+                metrics.expired.inc()
+            elif request.outcome != "queued":
+                request._finish("scored", start_s)  # raises: already terminal
             else:
                 live.append(request)
 
-        scores: np.ndarray | None = None
+        scores: list[float] | None = None
         failure: Exception | None = None
         wall_s = 0.0
         with span(
@@ -432,54 +468,54 @@ class ScoringService:
             if failure is not None:
                 for request in live:
                     request._finish("failed", completion)
-                metrics.counter("serve.failures").inc(len(live))
+                metrics.failures.inc(len(live))
                 sp.set_tag("outcome", f"failed: {failure}")
             elif live:
-                latency_hist = metrics.histogram(
-                    "serve.latency_s", SERVE_LATENCY_BUCKETS
-                )
+                # Every live request was checked ``queued`` above.
+                observe = metrics.latency.observe
                 for request, value in zip(live, scores):
-                    request.score = float(value)
+                    request.outcome = "scored"
+                    request.score = value
                     request.model_version = version
                     request.batch_id = batch_id
-                    request._finish("scored", completion)
-                    latency_hist.observe(completion - request.arrival_s)
-                metrics.counter("serve.scored").inc(len(live))
+                    request.completion_s = completion
+                    observe(completion - request.arrival_s)
+                metrics.scored.inc(len(live))
                 sp.set_tag("outcome", "scored")
             sp.incr("scored", len(live) if failure is None else 0)
             sp.incr("expired", size - len(live))
         self._completed.extend(batch)
-        metrics.gauge("serve.queue_depth").set(len(self._queue))
+        self._next_start = self._head_start()
+        metrics.queue_depth.set(len(self._queue))
 
     def _score_batch(
         self, live: list[ScoreRequest], version: str, model
-    ) -> np.ndarray:
+    ) -> list[float]:
         cids = [request.customer_id for request in live]
-        out = np.empty(len(cids), dtype=np.float64)
-        use_cache = self.config.score_cache_rows > 0
-        if use_cache and self._cache_version != version:
+        cache = self._score_cache
+        if self._cache_version != version:
             # Defensive: the subscribe() hook already clears on swap, but a
             # registry shared by several services only notifies after its
             # own swap; never serve another version's memoized score.
-            self._score_cache.clear()
+            cache.clear()
             self._cache_version = version
+        get, touch = cache.get, cache.move_to_end
+        out: list[float | None] = []
         need_idx: list[int] = []
         for i, cid in enumerate(cids):
-            cached = self._score_cache.get(cid) if use_cache else None
+            cached = get(cid)
             if cached is None:
                 need_idx.append(i)
             else:
-                self._score_cache.move_to_end(cid)
-                out[i] = cached
+                touch(cid)
+            out.append(cached)
         if need_idx:
-            need_ids = [cids[i] for i in need_idx]
-            features = self._store.lookup(need_ids)
+            features = self._store.lookup([cids[i] for i in need_idx])
             fresh = np.asarray(model.predict_proba(features), dtype=np.float64)
             for i, value in zip(need_idx, fresh.tolist()):
                 out[i] = value
-                if use_cache:
-                    self._score_cache[cids[i]] = value
-                    self._score_cache.move_to_end(cids[i])
-                    while len(self._score_cache) > self.config.score_cache_rows:
-                        self._score_cache.popitem(last=False)
+                cache[cids[i]] = value
+                touch(cids[i])
+                while len(cache) > self.config.score_cache_rows:
+                    cache.popitem(last=False)
         return out

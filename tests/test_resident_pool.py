@@ -10,10 +10,12 @@ over unchanged data the pool forks once, not per statement.
 """
 
 import gc
+import os
 
 import numpy as np
 import pytest
 
+from repro.dataplat import executor
 from repro.dataplat.executor import (
     ProcessPoolBackend,
     SerialBackend,
@@ -56,6 +58,17 @@ class _Box:
 
 def _read_box(box, item):
     return box.value + item
+
+
+def _worker_view(box, item):
+    """What a task sees of the executor singletons in its process."""
+    return (
+        os.getpid(),
+        executor.get_default_backend().name,
+        resolve_backend(None).name,
+        resolve_backend("process").name,
+        executor._shared_pool is None,
+    )
 
 
 @pytest.fixture()
@@ -295,3 +308,24 @@ class TestSharedPool:
             assert shared.pool_forks == forks + (shared.parallelism > 1)
         finally:
             shared.close()
+
+
+class TestForkedWorker:
+    def test_worker_never_fans_out(self, pool, monkeypatch):
+        # The parent's default and shared backends are process pools; a
+        # worker inheriting them would fork pools of its own.
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        monkeypatch.setenv("REPRO_NUM_WORKERS", "2")
+        previous = executor.get_default_backend()
+        executor.set_default_backend(None)
+        try:
+            assert executor.get_default_backend().name == "process"
+            assert resolve_backend("process").name == "process"
+            views = pool.map_resident(_worker_view, _Box(0), 0, [1, 2, 3, 4])
+        finally:
+            executor.set_default_backend(previous)
+        assert pool.pool_forks == 1
+        for pid, default, none, process, no_pool in views:
+            assert pid != os.getpid()  # ran in a worker, not inline
+            assert (default, none, process) == ("serial",) * 3
+            assert no_pool
