@@ -1,4 +1,4 @@
-"""Tour of the mini big-data platform: HDFS, ETL, RDDs, SQL.
+"""Tour of the mini big-data platform: HDFS, ETL, SQL, sharding.
 
 A guided walk through the substrate layer the churn system runs on —
 the pieces the paper gets from Hadoop/Hive/Spark:
@@ -6,8 +6,9 @@ the pieces the paper gets from Hadoop/Hive/Spark:
 1. block store with replication + a datanode failure and recovery;
 2. a multi-vendor ETL load (vendor-B dialect → standard schema, with
    reject accounting);
-3. partitioned datasets: shuffle, distributed group-by, lineage;
-4. SQL over the catalog, including LIKE over search logs.
+3. a SQL group-by over daily CDRs, and the plan the optimizer chose;
+4. SQL over the catalog, including LIKE over search logs;
+5. shared-nothing sharding: scatter-gather SQL on 4 shards.
 
 Run:  python examples/platform_tour.py
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from repro import ScaleConfig, TelcoSimulator
 from repro.datagen.records import cs_kpi_etl_job, vendor_b_cs_records
-from repro.dataplat import BlockStore, Catalog, Dataset, SQLEngine
+from repro.dataplat import BlockStore, Catalog, SQLEngine
 
 
 def main() -> None:
@@ -53,23 +54,18 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    print("\n3. Partitioned dataset: shuffle + distributed group-by + lineage")
-    daily = world.month(1).tables["cdr_daily"]
-    dataset = (
-        Dataset.from_table(daily, num_partitions=6)
-        .filter(lambda t: t["call_cnt"] > 0)
-        .group_by_key(
-            "imsi",
-            {"active_days": ("count", "day"), "total_dur": ("sum", "call_dur")},
-            num_partitions=4,
-        )
+    print("\n3. SQL group-by over daily CDRs, and its plan")
+    daily_engine = SQLEngine()
+    daily_engine.register(world.month(1).tables["cdr_daily"], "cdr_daily")
+    daily_sql = (
+        "SELECT imsi, COUNT(day) AS active_days, SUM(call_dur) AS total_dur "
+        "FROM cdr_daily WHERE call_cnt > 0 GROUP BY imsi"
     )
-    summary = dataset.collect()
-    print(
-        f"   {summary.num_rows} customers aggregated across "
-        f"{dataset.num_partitions} partitions"
-    )
-    print(f"   lineage: {' -> '.join(dataset.lineage())}")
+    summary = daily_engine.query(daily_sql)
+    print(f"   {summary.num_rows} customers with at least one calling day")
+    print("   plan:")
+    for line in daily_engine.explain(daily_sql).splitlines():
+        print(f"     {line}")
 
     # ------------------------------------------------------------------
     print("\n4. SQL over the catalog, with LIKE on search logs")

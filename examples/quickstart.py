@@ -13,7 +13,7 @@ Run:  python examples/quickstart.py
 Set ``REPRO_TRACE=trace.json`` to trace the run: raw tables are then served
 through a catalog over the block store (so storage reads are visible), the
 whole window runs under a tracer, and the span tree — blockstore reads,
-dataset tasks, SQL operators, every built feature family — is written as
+SQL operators, every built feature family — is written as
 JSON.  Render it with ``python scripts/trace_report.py trace.json``.
 """
 
@@ -28,8 +28,8 @@ from repro import ChurnPipeline, ModelConfig, ScaleConfig, TelcoSimulator
 from repro.core.window import WindowSpec
 from repro.dataplat import observability
 from repro.dataplat.catalog import Catalog
-from repro.dataplat.dataset import Dataset
 from repro.dataplat.resilience import CatalogTableSource
+from repro.dataplat.sql import SQLEngine
 
 
 def _build_pipeline(world, scale, through_catalog: bool) -> ChurnPipeline:
@@ -54,11 +54,11 @@ def _build_pipeline(world, scale, through_catalog: bool) -> ChurnPipeline:
 
 
 def _monthly_minutes(world, month: int) -> float:
-    """Total call minutes of one month via the partitioned dataset path."""
-    cdr = world.month(month).tables["cdr_daily"]
-    return Dataset.from_table(cdr, num_partitions=4).reduce_column(
-        "call_dur", "sum"
-    )
+    """Total call minutes of one month, as a SQL aggregate."""
+    engine = SQLEngine()
+    engine.register(world.month(month).tables["cdr_daily"], "cdr_daily")
+    out = engine.query("SELECT SUM(call_dur) AS minutes FROM cdr_daily")
+    return float(out["minutes"][0])
 
 
 def main() -> None:

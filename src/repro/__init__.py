@@ -5,7 +5,7 @@ SIGMOD 2015, Huang et al. (Huawei Noah's Ark Lab / Soochow University).
 The package rebuilds the paper's whole stack in Python:
 
 * :mod:`repro.dataplat` — a mini big-data platform (block store, columnar
-  tables, partitioned datasets, SQL engine, Hive-like catalog, ETL);
+  tables, SQL engine, Hive-like catalog, sharding, ETL);
 * :mod:`repro.datagen` — a synthetic telco world whose BSS/OSS tables and
   churn outcomes share calibrated latent drivers;
 * :mod:`repro.ml` — from-scratch learners: random forest, GBDT, logistic

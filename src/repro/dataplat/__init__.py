@@ -7,8 +7,6 @@ Hive / Spark SQL.  This package is a faithful single-process analogue:
   block storage with replication accounting).
 * :mod:`repro.dataplat.schema` / :mod:`repro.dataplat.table` — typed,
   columnar, numpy-backed tables.
-* :mod:`repro.dataplat.dataset` — partitioned datasets with map / filter /
-  join / shuffle and lineage, a mini-RDD.
 * :mod:`repro.dataplat.catalog` — a Hive-like metastore.
 * :mod:`repro.dataplat.sql` — a SQL engine (lexer → parser → logical plan →
   optimizer → executor) covering the joins and aggregations the feature
@@ -16,8 +14,8 @@ Hive / Spark SQL.  This package is a faithful single-process analogue:
 * :mod:`repro.dataplat.etl` — extract-transform-load jobs from raw records
   into catalog tables.
 * :mod:`repro.dataplat.resilience` — the fault-tolerant execution runtime:
-  seeded chaos injection, retry with deterministic backoff, task retry for
-  datasets, and the pipeline health report degraded runs emit.
+  seeded chaos injection, retry with deterministic backoff, and the
+  pipeline health report degraded runs emit.
 * :mod:`repro.dataplat.observability` — tracing spans, the process-wide
   metrics registry, and the ``span``/``profiled`` profiling hooks threaded
   through every hot path above.
@@ -31,7 +29,6 @@ Hive / Spark SQL.  This package is a faithful single-process analogue:
 
 from .blockstore import BlockStore, FileStatus, StorageHealth
 from .catalog import Catalog
-from .dataset import Dataset
 from .journal import Durability, RecoveryReport, fsck_store
 from .observability import (
     MetricsRegistry,
@@ -48,7 +45,6 @@ from .resilience import (
     PipelineHealthReport,
     RetryPolicy,
     SimClock,
-    TaskRuntime,
 )
 from .schema import Column, ColumnType, Schema
 from .sharding import Placement, ShardedCatalog, ShuffleExchange, shard_of
@@ -62,7 +58,6 @@ __all__ = [
     "CatalogTableSource",
     "Column",
     "ColumnType",
-    "Dataset",
     "Durability",
     "RecoveryReport",
     "fsck_store",
@@ -83,7 +78,6 @@ __all__ = [
     "StorageHealth",
     "TELEMETRY_DATABASE",
     "Table",
-    "TaskRuntime",
     "TelemetrySink",
     "TelemetryWarehouse",
     "Tracer",

@@ -1,8 +1,8 @@
 """Columnar block format v2: per-column chunks, zone maps, scan pruning.
 
-The v1 on-store format serializes a whole table as one npz file, so every
-read decodes every column of every partition before projection or selection
-can happen.  v2 stores **one addressable chunk per column per partition**:
+A whole-table file forces every read to decode every column of every
+partition before projection or selection can happen, so v2 stores **one
+addressable chunk per column per partition**:
 
 * string columns are dictionary-encoded (sorted unique values + integer
   codes),
@@ -19,9 +19,9 @@ Pruning may only ever **skip**, never filter: a kept partition is returned
 in full and the residual predicate is re-evaluated above the scan, so a
 zone-map false positive costs time, never correctness.
 
-The catalog negotiates formats by path: ``*.npz`` partitions decode through
-the v1 whole-table codec, ``*.v2m`` manifests through this module — a table
-may even mix both across partitions.
+Every catalog partition is a ``*.v2m`` manifest decoded through this
+module; recovery and fsck report a stray ``*.npz`` (the retired v1
+whole-table codec) as foreign input and leave it in place.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from ..errors import StorageError
 from .schema import Column, ColumnType, Schema
 
-#: Current chunked format version (v1 is the whole-table npz codec).
+#: Current chunked format version (v1 was the retired whole-table npz codec).
 FORMAT_VERSION = 2
 
 #: Path suffix of a v2 partition manifest in the block store.

@@ -2,8 +2,8 @@
 
 The paper's platform gets its throughput from parallel task execution on a
 Spark/Hadoop cluster; this module is the reproduction's equivalent — a small
-backend abstraction that the hot paths (dataset partition materialization,
-per-tree forest fits, per-month wide-table builds) fan work out through:
+backend abstraction that the hot paths (per-tree forest fits, per-month
+wide-table builds, sharded SQL scatter) fan work out through:
 
 * :class:`SerialBackend` — everything in-process, in submission order.  The
   zero-dependency default and the reference for parity testing.
@@ -13,16 +13,14 @@ per-tree forest fits, per-month wide-table builds) fan work out through:
   :meth:`~ExecutorBackend.map_resident` pickles only the callable and a
   small item, while a large *resident* object (a sharded catalog, the
   simulated world) reaches the workers by fork, never by pickle.  A batch
-  containing anything unpicklable (e.g. a user lambda inside a dataset
-  thunk) transparently falls back to serial execution in the parent
-  process, counted in :attr:`ProcessPoolBackend.fallbacks`.
+  containing anything unpicklable (e.g. a user lambda) transparently falls
+  back to serial execution in the parent process, counted in
+  :attr:`ProcessPoolBackend.fallbacks`.
 
 **Determinism contract.**  ``map`` always returns results in submission
 order, and callers pre-draw any randomness (bootstrap indices, tree seeds)
 *before* submitting, so every backend produces bit-identical results for the
-same task list.  Fault injection on parallel paths is keyed by task id (see
-:meth:`repro.dataplat.resilience.FaultInjector.should_keyed`), never by
-wall-clock submission order.
+same task list.
 """
 
 from __future__ import annotations

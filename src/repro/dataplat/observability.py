@@ -12,8 +12,7 @@ reproduction's observability layer, deliberately dependency-free:
   workload; only the timings vary.
 * :class:`MetricsRegistry` — process-wide counters, gauges and
   fixed-boundary histograms.  Histograms merge associatively and conserve
-  observation counts, so per-worker histograms can be folded back exactly
-  like the resilience layer's fault counters.
+  observation counts, so per-worker histograms can be folded back exactly.
 * :func:`span` / :func:`profiled` — the hooks hot paths are threaded with.
   When no tracer is installed they cost one module-global load and return a
   shared no-op context; the cost of tracing *on* is the
@@ -22,9 +21,8 @@ reproduction's observability layer, deliberately dependency-free:
 
 Worker propagation: a process-pool task runs under a *fresh* local tracer,
 exports its finished spans to dicts, and the parent re-attaches them under
-its own current span (:meth:`Tracer.attach`) — the same snapshot/absorb
-pattern :class:`~repro.dataplat.resilience.TaskRuntime` uses for fault
-counters, so traces stay complete whether a task ran in-process or not.
+its own current span (:meth:`Tracer.attach`), so traces stay complete
+whether a task ran in-process or not.
 """
 
 from __future__ import annotations
@@ -246,8 +244,7 @@ class Tracer:
 
         The counterpart of a worker's ``[s.to_dict() for s in roots]``:
         remote subtrees appear in the parent trace exactly where the
-        fan-out happened, like fault counters folding into the parent
-        :class:`~repro.dataplat.resilience.TaskRuntime`.
+        fan-out happened.
         """
         parent = self.current()
         bucket = parent.children if parent is not None else self.roots

@@ -9,11 +9,9 @@ churn list every month.  This module is the reproduction's resilience layer:
 * :class:`RetryPolicy` — capped exponential backoff with *deterministic*
   jitter (seeded), applied to any retryable callable;
 * :class:`FaultPolicy` / :class:`FaultInjector` — a seeded chaos policy
-  drawing per-kind Bernoulli faults (transient reads, failed or slow
-  partition tasks, flaky vendor records) deterministically, so every chaos
-  run is reproducible bit for bit;
-* :class:`TaskRuntime` — retrying executor for dataset partition tasks
-  (re-execution from lineage, Spark-style) with per-task attempt accounting;
+  drawing per-kind Bernoulli faults (transient reads, flaky vendor feeds
+  and records) deterministically, so every chaos run is reproducible bit
+  for bit;
 * :class:`PipelineHealthReport` — the structured record of everything the
   runtime absorbed (retries, repaired replicas, quarantined rows, dropped
   feature families) that monitoring and the predictor consume;
@@ -27,7 +25,6 @@ violations, unknown tables and other deterministic failures fail fast.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -42,7 +39,6 @@ __all__ = [
     "FaultInjector",
     "SimulatedCrash",
     "CrashPoint",
-    "TaskRuntime",
     "ResilienceEvent",
     "PipelineHealthReport",
     "CatalogTableSource",
@@ -210,16 +206,16 @@ class RetryPolicy:
         raise AssertionError("unreachable")  # pragma: no cover
 
 
-#: Fault kinds drawn by :class:`FaultInjector`, with stable stream ids so a
-#: draw for one kind never perturbs another kind's stream.
-FAULT_KINDS = (
-    "read_failure",  # transient block-store read failure
-    "task_failure",  # dataset partition task dies, needs lineage re-run
-    "task_slow",  # straggler task (burns simulated time, still succeeds)
-    "stream_failure",  # vendor feed drops the connection mid-extract
-    "record_drop",  # vendor feed silently loses a record
-    "record_garble",  # vendor feed emits an uncoercible field value
-)
+#: Fault kinds drawn by :class:`FaultInjector`, each mapped to its stream
+#: id so a draw for one kind never perturbs another kind's stream.  The ids
+#: are fixed, not positional: renumbering a kind would reshuffle every
+#: seeded chaos run (ids 1 and 2 belonged to retired task-fault kinds).
+FAULT_KINDS = {
+    "read_failure": 0,  # transient block-store read failure
+    "stream_failure": 3,  # vendor feed drops the connection mid-extract
+    "record_drop": 4,  # vendor feed silently loses a record
+    "record_garble": 5,  # vendor feed emits an uncoercible field value
+}
 
 
 @dataclass(frozen=True)
@@ -227,13 +223,9 @@ class FaultPolicy:
     """Per-kind fault probabilities (all default to 0 = no chaos)."""
 
     read_failure_rate: float = 0.0
-    task_failure_rate: float = 0.0
-    task_slow_rate: float = 0.0
     stream_failure_rate: float = 0.0
     record_drop_rate: float = 0.0
     record_garble_rate: float = 0.0
-    #: Simulated seconds a straggler task wastes before finishing.
-    slow_task_penalty: float = 5.0
 
     def __post_init__(self) -> None:
         for kind in FAULT_KINDS:
@@ -286,29 +278,8 @@ class FaultInjector:
         self._draws[kind] = n + 1
         if rate <= 0.0:
             return False
-        kind_id = FAULT_KINDS.index(kind)
-        fire = np.random.default_rng((self.seed, kind_id, n)).random() < rate
-        if fire:
-            self.injected[kind] += 1
-        return bool(fire)
-
-    def should_keyed(self, kind: str, key: object) -> bool:
-        """Bernoulli decision for ``kind`` keyed by a stable task id.
-
-        Unlike :meth:`should`, the decision depends only on the injector
-        seed, the fault kind and ``key`` — never on how many draws happened
-        before, or in which process the draw runs.  Parallel backends use
-        this so chaos stays deterministic per task id regardless of
-        wall-clock submission order (builtin ``hash`` is avoided: it is
-        salted per interpreter, which would desynchronize worker processes).
-        """
-        rate = self.policy.rate(kind)
-        if rate <= 0.0:
-            return False
-        kind_id = FAULT_KINDS.index(kind)
-        digest = hashlib.sha256(repr((kind_id, key)).encode()).digest()
-        stream = int.from_bytes(digest[:8], "big")
-        fire = np.random.default_rng((self.seed, kind_id, stream)).random() < rate
+        stream = (self.seed, FAULT_KINDS[kind], n)
+        fire = np.random.default_rng(stream).random() < rate
         if fire:
             self.injected[kind] += 1
         return bool(fire)
@@ -316,118 +287,6 @@ class FaultInjector:
     @property
     def total_injected(self) -> int:
         return sum(self.injected.values())
-
-
-class TaskRuntime:
-    """Retrying executor for dataset partition tasks.
-
-    Wraps each task thunk with fault injection (failed and straggler tasks)
-    and retry-with-backoff.  A retry re-invokes the thunk, which recomputes
-    any uncached parent partitions — re-execution from lineage, exactly how
-    Spark recovers a lost task.
-    """
-
-    def __init__(
-        self,
-        retry_policy: RetryPolicy | None = None,
-        injector: FaultInjector | None = None,
-        clock: SimClock | None = None,
-    ) -> None:
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.injector = injector if injector is not None else FaultInjector.disabled()
-        self.clock = clock if clock is not None else SimClock()
-        #: (op, partition index) -> attempts used by the last execution.
-        self.task_attempts: dict[tuple[str, int], int] = {}
-        self.task_retries = 0
-        self.slow_tasks = 0
-
-    def run_task(self, op: str, index: int, thunk: Callable[[], object]):
-        """Execute one partition task under the chaos + retry regime."""
-        key = (op, index)
-        attempts = 0
-
-        def attempt():
-            nonlocal attempts
-            attempts += 1
-            if self.injector.should("task_slow"):
-                self.slow_tasks += 1
-                self.clock.sleep(self.injector.policy.slow_task_penalty)
-            if self.injector.should("task_failure"):
-                raise TransientError(
-                    f"injected task failure: {op} partition {index}"
-                )
-            return thunk()
-
-        def on_retry(retry_index: int, pause: float, exc: BaseException) -> None:
-            self.task_retries += 1
-
-        try:
-            return self.retry_policy.call(
-                attempt, clock=self.clock, on_retry=on_retry
-            )
-        finally:
-            self.task_attempts[key] = attempts
-
-    def run_task_keyed(self, op: str, index: int, thunk: Callable[[], object]):
-        """Like :meth:`run_task`, but fault draws are keyed by task id.
-
-        Used by the parallel fan-out path: the ``n``-th attempt of task
-        ``(op, index)`` draws its faults from a stream seeded by that triple
-        (:meth:`FaultInjector.should_keyed`), so the decision is identical
-        whether the task runs first or last, serially or in a worker
-        process.  Counter-based draws (:meth:`run_task`) stay the behaviour
-        of the lazy single-partition path.
-        """
-        key = (op, index)
-        attempts = 0
-
-        def attempt():
-            nonlocal attempts
-            attempts += 1
-            if self.injector.should_keyed("task_slow", (op, index, attempts)):
-                self.slow_tasks += 1
-                self.clock.sleep(self.injector.policy.slow_task_penalty)
-            if self.injector.should_keyed("task_failure", (op, index, attempts)):
-                raise TransientError(
-                    f"injected task failure: {op} partition {index}"
-                )
-            return thunk()
-
-        def on_retry(retry_index: int, pause: float, exc: BaseException) -> None:
-            self.task_retries += 1
-
-        try:
-            return self.retry_policy.call(
-                attempt, clock=self.clock, on_retry=on_retry
-            )
-        finally:
-            self.task_attempts[key] = attempts
-
-    def snapshot(self) -> dict:
-        """Accounting counters, for merging across process boundaries."""
-        return {
-            "task_attempts": dict(self.task_attempts),
-            "task_retries": self.task_retries,
-            "slow_tasks": self.slow_tasks,
-            "injected": dict(self.injector.injected),
-            "clock": self.clock.now,
-        }
-
-    def absorb_counters(self, counters: dict) -> None:
-        """Fold a worker runtime's accounting back into this runtime.
-
-        ``counters`` is the :meth:`snapshot` of a *fresh* runtime that
-        executed tasks on a worker (in another process, or in-process on
-        the pickling-fallback path); all its counts are deltas, so shipping
-        tasks to N workers never double-counts.
-        """
-        self.task_attempts.update(counters["task_attempts"])
-        self.task_retries += counters["task_retries"]
-        self.slow_tasks += counters["slow_tasks"]
-        for kind, count in counters["injected"].items():
-            self.injector.injected[kind] += count
-        if counters["clock"] > 0:
-            self.clock.sleep(counters["clock"])
 
 
 @dataclass(frozen=True)
@@ -497,10 +356,6 @@ class PipelineHealthReport:
         self.faults_injected += health.transient_read_failures
         self.cache_hits += getattr(health, "cache_hits", 0)
         self.cache_misses += getattr(health, "cache_misses", 0)
-
-    def absorb_runtime(self, runtime: TaskRuntime) -> None:
-        self.task_retries += runtime.task_retries
-        self.faults_injected += runtime.injector.total_injected
 
     def absorb_alerts(self, alerts: Iterable) -> None:
         """Fold fired watchtower alerts into this window's report.

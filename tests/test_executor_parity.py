@@ -1,10 +1,8 @@
 """Bit-identical parity of parallel backends, and table-cache behavior.
 
 The executor's contract is that a :class:`ProcessPoolBackend` changes only
-wall-clock time, never results: fitted forests, dataset collects and
-wide tables must match a :class:`SerialBackend` run bit for bit — including
-under injected faults, whose decisions are keyed by task id rather than by
-submission order.
+wall-clock time, never results: fitted forests and wide tables must match
+a :class:`SerialBackend` run bit for bit.
 """
 
 from __future__ import annotations
@@ -19,18 +17,11 @@ import pytest
 from repro.config import ExecutorConfig
 from repro.dataplat.blockstore import BlockStore, TableCache
 from repro.dataplat.catalog import Catalog
-from repro.dataplat.dataset import Dataset
 from repro.dataplat.executor import (
     ProcessPoolBackend,
     SerialBackend,
     make_backend,
     resolve_backend,
-)
-from repro.dataplat.resilience import (
-    FaultInjector,
-    FaultPolicy,
-    RetryPolicy,
-    TaskRuntime,
 )
 from repro.dataplat.table import Table
 from repro.features import WideTableBuilder
@@ -49,32 +40,6 @@ def _make_xy(n=300, d=8, seed=0):
     x = rng.normal(size=(n, d))
     y = (rng.random(n) < 1 / (1 + np.exp(-2.0 * x[:, 0]))).astype(np.int64)
     return x, y
-
-
-def _calls_table(n=240, seed=1):
-    rng = np.random.default_rng(seed)
-    return Table.from_arrays(
-        imsi=rng.integers(0, 40, size=n),
-        dur=rng.integers(0, 100, size=n),
-    )
-
-
-def _double_dur(table: Table) -> Table:
-    """Top-level map fn: process backends pickle tasks by name."""
-    return table.with_column("dur", np.asarray(table["dur"]) * 2)
-
-
-def _long_calls(table: Table) -> np.ndarray:
-    return np.asarray(table["dur"]) > 20
-
-
-def _grouped(table: Table, runtime=None) -> Table:
-    return (
-        Dataset.from_table(table, num_partitions=3, runtime=runtime)
-        .map_partitions(_double_dur, table.schema, op="double")
-        .filter(_long_calls)
-        .group_by_key("imsi", {"total": ("sum", "dur"), "n": ("count", "dur")})
-    )
 
 
 class TestForestParity:
@@ -119,53 +84,6 @@ class TestForestParity:
         clone = pickle.loads(pickle.dumps(model))
         assert clone._backend is None
         assert np.array_equal(model.predict_proba(x), clone.predict_proba(x))
-
-
-class TestDatasetParity:
-    def test_collect_map_filter_group(self, pool):
-        table = _calls_table()
-        serial = _grouped(table).collect(backend=SerialBackend())
-        parallel = _grouped(table).collect(backend=pool)
-        assert serial == parallel
-
-    def test_join_parity(self, pool):
-        left = _calls_table(seed=2)
-        right = Table.from_arrays(
-            imsi=np.arange(40), plan=np.arange(40) % 3
-        )
-        def joined():
-            return Dataset.from_table(left, 3).join(
-                Dataset.from_table(right, 2), on="imsi", num_partitions=3
-            )
-        assert joined().collect(backend=SerialBackend()) == joined().collect(
-            backend=pool
-        )
-
-    def test_parity_under_injected_faults(self, pool):
-        table = _calls_table(seed=7)
-        policy = FaultPolicy(task_failure_rate=0.3, task_slow_rate=0.2)
-
-        def run(backend):
-            runtime = TaskRuntime(
-                retry_policy=RetryPolicy(max_attempts=6),
-                injector=FaultInjector(policy, seed=13),
-            )
-            return _grouped(table, runtime=runtime).collect(backend=backend)
-
-        assert run(SerialBackend()) == run(pool)
-
-    def test_unpicklable_fn_falls_back_in_process(self):
-        backend = ProcessPoolBackend(max_workers=2)
-        table = _calls_table(seed=9)
-        threshold = 30
-        ds = Dataset.from_table(table, 3).filter(
-            lambda t: np.asarray(t["dur"]) > threshold  # closure: unpicklable task
-        )
-        out = ds.collect(backend=backend)
-        expected = table.mask(np.asarray(table["dur"]) > threshold)
-        assert out == expected
-        assert backend.fallbacks > 0
-        backend.close()
 
 
 class TestWideTableParity:

@@ -1,8 +1,8 @@
 """Observability layer: spans, tracer, metrics, and platform integration.
 
 Structure assertions go through the ``capture_spans`` fixture; the
-integration classes drive real platform components (catalog, dataset,
-SQL engine) and assert the spans/counters they are instrumented with.
+integration classes drive real platform components (catalog, SQL engine,
+wide-table builder, forest) and assert the spans/counters they are instrumented with.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ import pytest
 from repro.dataplat import observability
 from repro.dataplat.blockstore import BlockStore
 from repro.dataplat.catalog import Catalog
-from repro.dataplat.dataset import Dataset
 from repro.dataplat.executor import ProcessPoolBackend, SerialBackend
 from repro.dataplat.observability import (
     DEFAULT_BUCKETS,
@@ -30,16 +29,6 @@ from repro.dataplat.table import Table
 from repro.errors import DataPlatformError
 from repro.features import WideTableBuilder
 from repro.ml.forest import RandomForestClassifier
-
-
-def _double_dur(table: Table) -> Table:
-    """Module-level so ProcessPool workers can pickle it."""
-    return table.with_column("dur", table.column("dur") * 2.0)
-
-
-@pytest.fixture()
-def table() -> Table:
-    return Table.from_arrays(imsi=np.arange(12), dur=np.linspace(0, 11, 12))
 
 
 class TestSpanBasics:
@@ -103,13 +92,13 @@ class TestSpanBasics:
 
     def test_attach_grafts_worker_spans(self, capture_spans):
         worker = Tracer()
-        with worker.span("dataset.task", partition=0):
+        with worker.span("shard.execute", shard=0):
             pass
-        with span("dataset.stage"):
+        with span("shard.query"):
             capture_spans.tracer.attach(worker.export())
-        stage = capture_spans.assert_span("dataset.stage")
-        assert [c.name for c in stage.children] == ["dataset.task"]
-        assert stage.children[0].tags == {"partition": 0}
+        query = capture_spans.assert_span("shard.query")
+        assert [c.name for c in query.children] == ["shard.execute"]
+        assert query.children[0].tags == {"shard": 0}
 
 
 class TestHooks:
@@ -248,45 +237,6 @@ class TestCacheCounters:
         read = capture_spans.assert_span("blockstore.read")
         assert read.counters["bytes"] > 0
         assert capture_spans.counter("blockstore.bytes_read") > 0
-
-
-class TestDatasetSpans:
-    def test_serial_task_spans(self, capture_spans, table):
-        ds = Dataset.from_table(table, num_partitions=3).map_partitions(
-            _double_dur, table.schema, op="double"
-        )
-        ds.collect(SerialBackend())
-        stage = capture_spans.assert_span("dataset.stage", op="double")
-        tasks = capture_spans.find("dataset.task")
-        doubles = [t for t in tasks if t.tags.get("op") == "double"]
-        assert {t.tags["partition"] for t in doubles} == {0, 1, 2}
-        assert all(t.counters.get("rows", 0) > 0 for t in doubles)
-        assert stage.tags["tasks"] == 3
-
-    def test_process_pool_tags_propagate(self, capture_spans, table):
-        """Worker spans come back tagged even across process boundaries."""
-        backend = ProcessPoolBackend(max_workers=2)
-        ds = Dataset.from_table(table, num_partitions=3).map_partitions(
-            _double_dur, table.schema, op="double"
-        )
-        out = ds.collect(backend)
-        assert out.num_rows == table.num_rows
-        capture_spans.assert_span("executor.map", backend=backend.name)
-        doubles = [
-            t
-            for t in capture_spans.find("dataset.task")
-            if t.tags.get("op") == "double"
-        ]
-        assert {t.tags["partition"] for t in doubles} == {0, 1, 2}
-        assert sum(t.counters.get("rows", 0) for t in doubles) == table.num_rows
-
-    def test_untraced_run_leaves_no_spans(self, table):
-        ds = Dataset.from_table(table, num_partitions=2).map_partitions(
-            _double_dur, table.schema, op="double"
-        )
-        out = ds.collect(SerialBackend())
-        assert out.num_rows == table.num_rows
-        assert observability.get_tracer() is None
 
 
 class TestSQLSpans:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.dataplat.catalog import Catalog
-from repro.dataplat.dataset import Dataset
 from repro.dataplat.etl import ETLJob, QUARANTINE_SUFFIX
 from repro.dataplat.observability import Histogram
 from repro.dataplat.resilience import (
@@ -14,8 +13,6 @@ from repro.dataplat.resilience import (
     FaultInjector,
     FaultPolicy,
     RetryPolicy,
-    SimClock,
-    TaskRuntime,
 )
 from repro.dataplat.schema import Schema
 from repro.dataplat.sql import SQLEngine
@@ -302,7 +299,7 @@ class TestRetryProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_injector_decisions_replay_exactly(self, seed, rate, n_draws):
-        policy = FaultPolicy(read_failure_rate=rate, task_failure_rate=rate)
+        policy = FaultPolicy(read_failure_rate=rate, stream_failure_rate=rate)
         a = FaultInjector(policy, seed=seed)
         b = FaultInjector(policy, seed=seed)
         # Interleave a second kind into one injector only: per-kind streams
@@ -311,7 +308,7 @@ class TestRetryProperties:
         for i in range(n_draws):
             decisions_a.append(a.should("read_failure"))
             if i % 3 == 0:
-                a.should("task_failure")
+                a.should("stream_failure")
             decisions_b.append(b.should("read_failure"))
         assert decisions_a == decisions_b
         assert a.injected["read_failure"] == sum(decisions_a)
@@ -361,31 +358,6 @@ class TestQuarantineProperties:
 
 
 class TestZeroFaultIdentity:
-    @given(tables(min_rows=1), st.integers(0, 10_000), st.integers(1, 4))
-    @settings(max_examples=30, deadline=None)
-    def test_dataset_identical_with_and_without_runtime(
-        self, table, seed, num_partitions
-    ):
-        def transform(ds):
-            doubled = ds.map_partitions(
-                lambda t: Table.from_arrays(k=t["k"], v=t["v"] * 2.0),
-                ds.schema,
-            )
-            return doubled.filter(lambda t: t["k"] % 2 == 0).collect()
-
-        plain = transform(Dataset.from_table(table, num_partitions))
-        runtime = TaskRuntime(
-            retry_policy=RetryPolicy(seed=seed),
-            injector=FaultInjector.disabled(),
-            clock=SimClock(),
-        )
-        resilient = transform(
-            Dataset.from_table(table, num_partitions, runtime=runtime)
-        )
-        assert resilient == plain
-        assert runtime.task_retries == 0
-        assert all(n == 1 for n in runtime.task_attempts.values())
-
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_disabled_injector_never_fires(self, seed):

@@ -216,6 +216,9 @@ class TestForkOnce:
             if s.tags.get("forked")
         ]
         assert len(forked) == 1
+        # Worker spans cross the process boundary with their shard tags.
+        shards = {s.tags["shard"] for s in capture_spans.find("shard.execute")}
+        assert shards == set(range(sharded.num_shards))
 
     def test_sharded_widetable_forks_once(self, pool):
         from repro.config import ScaleConfig
@@ -274,9 +277,10 @@ class TestResidentRegistry:
             lambda box, x: box.value * x, _Box(3), 0, [1, 2]
         )
         assert out == [3, 6]
-        assert pool.fallbacks == 1
+        assert pool.map(lambda x: 5 * x, [1, 2]) == [5, 10]
+        assert pool.fallbacks == 2
         assert pool.pool_forks == 0
-        assert capture_spans.counter("executor.fallbacks") == 1
+        assert capture_spans.counter("executor.fallbacks") == 2
 
     def test_serial_backend_runs_inline(self):
         assert SerialBackend().map_resident(

@@ -16,7 +16,6 @@ from repro.core.pipeline import ChurnPipeline
 from repro.core.window import WindowSpec
 from repro.dataplat.blockstore import BlockStore
 from repro.dataplat.catalog import Catalog
-from repro.dataplat.dataset import Dataset
 from repro.dataplat.etl import ETLJob, QUARANTINE_SUFFIX, run_pipeline
 from repro.dataplat.resilience import (
     CatalogTableSource,
@@ -25,10 +24,8 @@ from repro.dataplat.resilience import (
     PipelineHealthReport,
     RetryPolicy,
     SimClock,
-    TaskRuntime,
 )
 from repro.dataplat.schema import Schema
-from repro.dataplat.table import Table
 from repro.datagen.records import flaky_records
 from repro.errors import (
     DataPlatformError,
@@ -126,22 +123,34 @@ class TestRetryPolicy:
 
 class TestFaultInjector:
     def test_same_seed_same_decisions(self):
-        policy = FaultPolicy(read_failure_rate=0.3, task_failure_rate=0.2)
+        policy = FaultPolicy(read_failure_rate=0.3, stream_failure_rate=0.2)
         a = FaultInjector(policy, seed=9)
         b = FaultInjector(policy, seed=9)
         seq_a = [a.should("read_failure") for _ in range(50)]
         seq_b = [b.should("read_failure") for _ in range(50)]
         assert seq_a == seq_b
         assert any(seq_a)  # 50 draws at 0.3 fire with near-certainty
+        # Each kind's stream id is pinned: renumbering or deleting a kind
+        # must fail here, not silently reshuffle every seeded chaos run.
+        recorded = {
+            "read_failure": "0010001110000100",
+            "stream_failure": "0000111010000010",
+            "record_drop": "1001000000000100",
+            "record_garble": "1100101001111111",
+        }
+        for kind, bits in recorded.items():
+            injector = FaultInjector(FaultPolicy(**{f"{kind}_rate": 0.3}), seed=7)
+            drawn = "".join(str(int(injector.should(kind))) for _ in range(16))
+            assert drawn == bits, kind
 
     def test_streams_independent_of_interleaving(self):
-        policy = FaultPolicy(read_failure_rate=0.4, task_failure_rate=0.4)
+        policy = FaultPolicy(read_failure_rate=0.4, stream_failure_rate=0.4)
         pure = FaultInjector(policy, seed=5)
         mixed = FaultInjector(policy, seed=5)
         reads_pure = [pure.should("read_failure") for _ in range(20)]
         reads_mixed = []
         for _ in range(20):
-            mixed.should("task_failure")  # interleaved other-kind draws
+            mixed.should("stream_failure")  # interleaved other-kind draws
             reads_mixed.append(mixed.should("read_failure"))
         assert reads_pure == reads_mixed
 
@@ -245,65 +254,6 @@ class TestSelfHealingStore:
         assert "/lost_b" in str(err.value)
         # The scan completed: the surviving file is untouched and readable.
         assert store.read("/safe") == b"ssss"
-
-
-class TestTaskRetry:
-    @pytest.fixture()
-    def table(self):
-        rng = np.random.default_rng(0)
-        return Table.from_arrays(
-            k=rng.integers(0, 5, size=200),
-            v=rng.normal(size=200),
-        )
-
-    def test_tasks_retry_from_lineage(self, table):
-        injector = FaultInjector(FaultPolicy(task_failure_rate=0.3), seed=7)
-        runtime = TaskRuntime(
-            retry_policy=RetryPolicy(max_attempts=10, jitter=0.0, seed=7),
-            injector=injector,
-        )
-        ds = Dataset.from_table(table, num_partitions=5, runtime=runtime)
-        out = (
-            ds.filter(lambda t: t["v"] > 0)
-            .group_by_key("k", {"s": ("sum", "v")}, num_partitions=3)
-            .collect()
-        )
-        clean = (
-            Dataset.from_table(table, num_partitions=5)
-            .filter(lambda t: t["v"] > 0)
-            .group_by_key("k", {"s": ("sum", "v")}, num_partitions=3)
-            .collect()
-        )
-        assert out.sort_by(["k"]) == clean.sort_by(["k"])
-        assert injector.injected["task_failure"] > 0
-        assert runtime.task_retries > 0
-        assert max(runtime.task_attempts.values()) > 1
-
-    def test_runtime_inherited_by_derived_datasets(self, table):
-        runtime = TaskRuntime()
-        ds = Dataset.from_table(table, num_partitions=3, runtime=runtime)
-        derived = ds.filter(lambda t: t["v"] > 0).select(["v"])
-        assert derived.runtime is runtime
-        joined = ds.join(ds.select(["k"]), on="k", num_partitions=2)
-        assert joined.runtime is runtime
-
-    def test_attempt_accounting_without_faults(self, table):
-        runtime = TaskRuntime()
-        ds = Dataset.from_table(table, num_partitions=4, runtime=runtime)
-        ds.count()
-        assert len(runtime.task_attempts) == 4
-        assert all(a == 1 for a in runtime.task_attempts.values())
-        assert runtime.task_retries == 0
-
-    def test_straggler_tasks_burn_simulated_time(self, table):
-        clock = SimClock()
-        injector = FaultInjector(
-            FaultPolicy(task_slow_rate=0.5, slow_task_penalty=2.0), seed=1
-        )
-        runtime = TaskRuntime(injector=injector, clock=clock)
-        Dataset.from_table(table, num_partitions=8, runtime=runtime).count()
-        assert runtime.slow_tasks > 0
-        assert clock.now == pytest.approx(2.0 * runtime.slow_tasks)
 
 
 class TestQuarantineETL:

@@ -2,7 +2,7 @@
 
 Seeded random queries run through the full production stack (parser →
 planner → optimizer → vectorized executor) and through the naive
-row-at-a-time reference in :mod:`repro.dataplat.sql.fuzz`; results must
+row-at-a-time reference in ``tests/sql_fuzz_reference.py``; results must
 match row-for-row (sorted, float tolerance), and their column names and
 types must match the statement's raw, unrewritten plan (the reference
 yields bare rows, so it cannot hold the schema).  The suite runs under both
@@ -25,7 +25,7 @@ from repro.dataplat.executor import (
 )
 from repro.dataplat.sql import SQLEngine
 from repro.dataplat.sql.executor import Executor
-from repro.dataplat.sql.fuzz import (
+from sql_fuzz_reference import (
     generate_queries,
     make_fuzz_tables,
     normalize_rows,

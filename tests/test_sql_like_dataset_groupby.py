@@ -1,9 +1,9 @@
-"""Tests for the SQL LIKE operator and distributed Dataset.group_by_key."""
+"""Tests for the SQL LIKE operator and UNION ALL."""
 
 import numpy as np
 import pytest
 
-from repro.dataplat import Dataset, SQLEngine, Table
+from repro.dataplat import SQLEngine, Table
 from repro.errors import SQLSyntaxError
 
 
@@ -69,55 +69,6 @@ class TestLike:
             "SELECT imsi FROM logs WHERE doc LIKE '%srch_t0_%'"
         )
         assert out.num_rows > 0
-
-
-class TestDatasetGroupBy:
-    @pytest.fixture()
-    def dataset(self) -> Dataset:
-        rng = np.random.default_rng(0)
-        table = Table.from_arrays(
-            k=rng.integers(0, 20, size=300),
-            v=rng.normal(size=300),
-        )
-        return Dataset.from_table(table, num_partitions=5)
-
-    def test_matches_single_node_group_by(self, dataset):
-        distributed = dataset.group_by_key(
-            "k", {"s": ("sum", "v"), "n": ("count", "v")}, num_partitions=3
-        ).collect()
-        local = dataset.collect().group_by(
-            ["k"], {"s": ("sum", "v"), "n": ("count", "v")}
-        )
-        d = {
-            int(k): (s, n)
-            for k, s, n in zip(distributed["k"], distributed["s"], distributed["n"])
-        }
-        l = {
-            int(k): (s, n)
-            for k, s, n in zip(local["k"], local["s"], local["n"])
-        }
-        assert set(d) == set(l)
-        for key in d:
-            assert d[key][0] == pytest.approx(l[key][0])
-            assert d[key][1] == l[key][1]
-
-    def test_each_key_appears_once(self, dataset):
-        out = dataset.group_by_key("k", {"n": ("count", "v")}).collect()
-        keys = out["k"].tolist()
-        assert len(keys) == len(set(keys))
-
-    def test_lineage_records_shuffle(self, dataset):
-        ds = dataset.group_by_key("k", {"n": ("count", "v")})
-        chain = ds.lineage()
-        assert any(op.startswith("shuffle") for op in chain)
-        assert any(op.startswith("group_by") for op in chain)
-
-    def test_empty_partitions_tolerated(self):
-        table = Table.from_arrays(k=np.array([1, 1]), v=np.array([1.0, 2.0]))
-        ds = Dataset.from_table(table, num_partitions=2)
-        out = ds.group_by_key("k", {"s": ("sum", "v")}, num_partitions=8).collect()
-        assert out.num_rows == 1
-        assert out["s"].tolist() == [3.0]
 
 
 class TestUnionAll:
