@@ -20,7 +20,8 @@ Estimation is deliberately classical (System-R style):
   must never make a plan worse than the heuristic one, only estimates.
 
 All estimates are clamped non-negative and carry no correctness weight:
-they may only influence join order, join strategy, and early projection.
+they may only influence join order, aggregate pushdown and early
+projection.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Cost-based plan rewrites driven by binder row estimates.
 
 Runs after the rule-based optimizer and the binder on every optimized
-plan.  Four rewrites, applied in order with re-annotation between them:
+plan.  Three rewrites, applied in order with re-annotation between them:
 
 1. **Join reordering** — maximal inner-join clusters are rebuilt greedy
    left-deep, starting from the smallest estimated leaf and always adding
@@ -20,12 +20,11 @@ plan.  Four rewrites, applied in order with re-annotation between them:
    this engine's COUNT never skips NaN).
 3. **Early projection (Narrow)** — between chained joins, drop columns no
    operator above references, sized by estimated bytes saved.
-4. **Join strategy** — flip ``hash`` to ``merge`` when both inputs are
-   large and the estimated fan-out is small.
 
-Every rewrite preserves results; estimates only steer shape and strategy.
-``SELECT *`` disables the structural rewrites (1–3) because star expansion
-is sensitive to child column order.
+Every join runs on the hash kernel (:meth:`~repro.dataplat.table.Table.join`).
+Every rewrite preserves results; estimates only steer shape.  ``SELECT *``
+disables all three because star expansion is sensitive to child column
+order.
 """
 
 from __future__ import annotations
@@ -66,10 +65,6 @@ from .planner import (
 
 __all__ = ["optimize_cost_based"]
 
-#: Minimum rows on the *smaller* join side before merge join is considered.
-MERGE_MIN_ROWS = 50_000.0
-#: Maximum estimated output/input fan-out for merge join.
-MERGE_MAX_FANOUT = 1.5
 #: Minimum estimated bytes saved before a Narrow node is inserted.
 NARROW_MIN_BYTES = 32_768.0
 #: Rough bytes per cell for the Narrow sizing heuristic.
@@ -81,14 +76,14 @@ AGG_PUSH_RATIO = 0.8
 def optimize_cost_based(plan: PlanNode, binder: Binder) -> PlanNode:
     """Rewrite an already-bound plan using the binder's estimates."""
     if _contains_star(plan):
-        return _choose_strategies(plan)
+        return plan
     plan = _reorder_joins(plan, binder)
     binder.annotate(plan)
     plan = _push_aggregates(plan, binder)
     binder.annotate(plan)
     plan = _insert_narrows(plan, set())
     binder.annotate(plan)
-    return _choose_strategies(plan)
+    return plan
 
 
 def _contains_star(node: PlanNode) -> bool:
@@ -103,10 +98,7 @@ def _rebuild(node: PlanNode, fn) -> PlanNode:
     if isinstance(node, Filter):
         return Filter(fn(node.child), node.predicate)
     if isinstance(node, Join):
-        return Join(
-            fn(node.left), fn(node.right), node.kind, node.condition,
-            node.strategy,
-        )
+        return Join(fn(node.left), fn(node.right), node.kind, node.condition)
     if isinstance(node, Project):
         return Project(fn(node.child), node.items)
     if isinstance(node, Aggregate):
@@ -375,9 +367,9 @@ def _push_into_side(
     pre_items.append(SelectItem(FunctionCall("COUNT", (Star(),)), "__cnt__"))
     pre = Aggregate(s_node, tuple(keys), tuple(pre_items), None)
     if side == "right":
-        new_join = Join(join.left, pre, "inner", join.condition, join.strategy)
+        new_join = Join(join.left, pre, "inner", join.condition)
     else:
-        new_join = Join(pre, join.right, "inner", join.condition, join.strategy)
+        new_join = Join(pre, join.right, "inner", join.condition)
     return Aggregate(new_join, agg.group_by, new_items, new_having)
 
 
@@ -394,7 +386,7 @@ def _insert_narrows(node: PlanNode, required: set[str] | None) -> PlanNode:
     if isinstance(node, Join):
         left = _maybe_narrow(_insert_narrows(node.left, needed), needed)
         right = _maybe_narrow(_insert_narrows(node.right, needed), needed)
-        out = Join(left, right, node.kind, node.condition, node.strategy)
+        out = Join(left, right, node.kind, node.condition)
         out.est_rows = node.est_rows
         return out
     if isinstance(node, (Limit, Distinct)):
@@ -457,26 +449,3 @@ def _subtree_columns(node: PlanNode) -> set[str] | None:
                 return None  # positional default names; stay conservative
         return out
     return None
-
-
-# ----------------------------------------------------------------------
-# 4. Join strategy selection
-# ----------------------------------------------------------------------
-
-
-def _choose_strategies(node: PlanNode) -> PlanNode:
-    for child in node.children():
-        _choose_strategies(child)
-    if isinstance(node, Join) and node.strategy == "hash":
-        left = node.left.est_rows
-        right = node.right.est_rows
-        if (
-            left is not None
-            and right is not None
-            and min(left, right) >= MERGE_MIN_ROWS
-            and node.est_rows is not None
-            and node.est_rows <= MERGE_MAX_FANOUT * max(left, right, 1.0)
-        ):
-            node.strategy = "merge"
-            get_metrics().counter("planner.merge_joins").inc()
-    return node

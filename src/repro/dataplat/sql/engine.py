@@ -7,8 +7,8 @@ tables (like Spark's ``createOrReplaceTempView``).
 
 Planning pipeline per query: parse → logical plan → rule-based optimize →
 **bind** (attach catalog statistics and ``est_rows``) → the **cost-based
-optimizer** (join reorder, aggregate pushdown, early projection, join
-strategy).  ``EXPLAIN <select>`` returns the final plan as a one-column
+optimizer** (join reorder, aggregate pushdown, early projection).
+``EXPLAIN <select>`` returns the final plan as a one-column
 table instead of executing it; ``EXPLAIN ANALYZE <select>`` executes it
 and annotates every operator with actual rows, wall/CPU time and storage
 counters.

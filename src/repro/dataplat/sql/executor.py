@@ -238,12 +238,7 @@ class Executor:
             rt = rt.with_column(
                 "__matched__", np.ones(rt.num_rows, dtype=bool)
             )
-        joined = lt.join(
-            rt,
-            on=tmp_names,
-            how=node.kind,
-            strategy=getattr(node, "strategy", "hash"),
-        )
+        joined = lt.join(rt, on=tmp_names, how=node.kind)
         joined = joined.drop(tmp_names)
         if residual is not None:
             mask = _as_bool(evaluate(residual, joined), residual)

@@ -93,25 +93,18 @@ class Filter(PlanNode):
 
 @dataclass
 class Join(PlanNode):
-    """Equi-join; ``strategy`` is chosen by the cost-based optimizer.
-
-    ``"hash"`` is the default bucket-count join; ``"merge"`` probes a
-    sorted copy of the right side with binary search — same output,
-    bit-for-bit, chosen when both inputs are large and keys are
-    high-cardinality (few matches per key).
-    """
+    """Equi-join, run by :meth:`~repro.dataplat.table.Table.join`."""
 
     left: PlanNode
     right: PlanNode
     kind: str  # "inner" | "left"
     condition: Expr
-    strategy: str = "hash"  # "hash" | "merge"
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
 
     def _label(self) -> str:
-        return f"Join({self.kind}, {self.strategy}, on={self.condition!r})"
+        return f"Join({self.kind}, on={self.condition!r})"
 
 
 @dataclass

@@ -272,18 +272,16 @@ class _Scatterer:
             return node, None
         pairs = _equi_pairs(node, left, right)
         if ld is _REPLICATED and rd is _REPLICATED:
-            joined = Join(left, right, node.kind, node.condition, node.strategy)
+            joined = Join(left, right, node.kind, node.condition)
             return joined, _REPLICATED
         if rd is _REPLICATED:
             # Replicated right: both inner and LEFT run shard-local — every
             # left row sees the full right side on its own shard.
-            joined = Join(left, right, node.kind, node.condition, node.strategy)
+            joined = Join(left, right, node.kind, node.condition)
             return joined, _closure(ld, pairs)
         if ld is _REPLICATED:
             if node.kind == "inner":
-                joined = Join(
-                    left, right, node.kind, node.condition, node.strategy
-                )
+                joined = Join(left, right, node.kind, node.condition)
                 return joined, _closure(rd, pairs)
             # LEFT join from a replicated side would emit each shard's
             # unmatched copy: realign the left locally on a column the
@@ -292,9 +290,7 @@ class _Scatterer:
                 if rc in rd:
                     left = Realign(left, lc)
                     ld = frozenset((lc,))
-                    joined = Join(
-                        left, right, node.kind, node.condition, node.strategy
-                    )
+                    joined = Join(left, right, node.kind, node.condition)
                     return joined, _closure(ld | rd, pairs)
             return node, None
         aligned = any(lc in ld and rc in rd for lc, rc in pairs)
@@ -304,7 +300,7 @@ class _Scatterer:
             )
         if not aligned:
             return node, None
-        joined = Join(left, right, node.kind, node.condition, node.strategy)
+        joined = Join(left, right, node.kind, node.condition)
         return joined, _closure(ld | rd, pairs)
 
     def _try_shuffle(self, left, ld, right, rd, pairs):

@@ -255,7 +255,6 @@ class Table:
         on: Sequence[str],
         how: str = "inner",
         suffix: str = "_r",
-        strategy: str = "hash",
     ) -> "Table":
         """Equi-join on the columns ``on``.
 
@@ -263,19 +262,11 @@ class Table:
         with left-side names (other than the keys) get ``suffix`` appended.
         For left joins, unmatched numeric right columns are filled with 0 /
         0.0 / False and string columns with ``""``.
-
-        ``strategy`` picks the matching kernel: ``"hash"`` (bincount
-        buckets) or ``"merge"`` (sorted right side probed by binary
-        search).  Both produce bit-identical output; merge avoids the
-        O(code-space) bucket allocation when keys are high-cardinality.
         """
         if how not in ("inner", "left"):
             raise SchemaError(f"unsupported join type: {how!r}")
-        if strategy not in ("hash", "merge"):
-            raise SchemaError(f"unsupported join strategy: {strategy!r}")
         on = list(on)
-        indices = _join_indices if strategy == "hash" else _join_indices_merge
-        li, ri, ui = indices(self, other, on, how)
+        li, ri, ui = _join_indices(self, other, on, how)
 
         right_cols = [c for c in other.schema if c.name not in set(on)]
         out_cols = list(self._schema.columns)
@@ -475,40 +466,6 @@ def _join_indices(
     ri = order[np.repeat(starts[left_codes], reps) + within].astype(
         np.intp, copy=False
     )
-    if how == "left":
-        ui = np.flatnonzero(reps == 0).astype(np.intp, copy=False)
-    else:
-        ui = np.empty(0, dtype=np.intp)
-    return li, ri, ui
-
-
-def _join_indices_merge(
-    left: Table, right: Table, on: Sequence[str], how: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort-merge variant of :func:`_join_indices`, bit-identical output.
-
-    Sorts the right side's key codes once (stable, so right ties keep row
-    order) and finds each left row's match run with two binary searches.
-    Unlike the hash path it never allocates count/start arrays over the
-    whole code space, which pays off when keys are near-unique.
-    """
-    if not on:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty, empty
-    try:
-        left_codes, right_codes = _join_codes(left, right, on)
-    except TypeError:
-        return _join_indices_hashed(left, right, on, how)
-    order = np.argsort(right_codes, kind="stable")
-    sorted_codes = right_codes[order]
-    starts = np.searchsorted(sorted_codes, left_codes, side="left")
-    ends = np.searchsorted(sorted_codes, left_codes, side="right")
-    reps = ends - starts
-    cum = np.cumsum(reps)
-    total = int(cum[-1]) if len(cum) else 0
-    li = np.repeat(np.arange(left.num_rows, dtype=np.intp), reps)
-    within = np.arange(total, dtype=np.int64) - np.repeat(cum - reps, reps)
-    ri = order[np.repeat(starts, reps) + within].astype(np.intp, copy=False)
     if how == "left":
         ui = np.flatnonzero(reps == 0).astype(np.intp, copy=False)
     else:

@@ -11,7 +11,8 @@ Training fans out per-tree work through an
 **bit-identical** across backends: every tree's bootstrap indices and
 subspace seed are pre-drawn from the master RNG in tree order before any
 task is submitted, and trees are fitted independently.  A fitted forest
-predicts through its :class:`~repro.ml.tree.NodeTable`.
+is its :class:`~repro.ml.tree.NodeTable` plus the Eq. 7 importances summed
+at fit; the trees themselves are not kept.
 """
 
 from __future__ import annotations
@@ -67,9 +68,8 @@ class RandomForestClassifier:
         self.max_features = max_features
         self.seed = seed
         self._backend = backend
-        self._trees: list[DecisionTree] | None = None
         self._table: NodeTable | None = None
-        self._n_features = 0
+        self._importances: np.ndarray | None = None
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -123,11 +123,14 @@ class RandomForestClassifier:
                 for chunk in chunks
             ]
             results = resolved.map(_fit_tree_chunk, tasks)
-            self._trees = [tree for trees, _ in results for tree in trees]
-            self._table = NodeTable(self._trees)
-            sp.incr("nodes", sum(tree.node_count for tree in self._trees))
+            trees = [tree for trees, _ in results for tree in trees]
+            self._table = NodeTable.compile(trees)
+            importances = np.zeros(x.shape[1])
+            for tree in trees:
+                importances += tree.feature_importances_
+            self._importances = importances
+            sp.incr("nodes", len(self._table.value))
             sp.incr("split_candidates", sum(evaluated for _, evaluated in results))
-        self._n_features = x.shape[1]
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -166,17 +169,11 @@ class RandomForestClassifier:
     @property
     def feature_importances_(self) -> np.ndarray:
         """Eq. 7 summed over trees, normalized to sum to 1."""
-        trees = self._trees_checked()
-        total = np.zeros(self._n_features)
-        for tree in trees:
-            total += tree.feature_importances_
-        s = total.sum()
-        return total / s if s > 0 else total
-
-    def _trees_checked(self) -> list[DecisionTree]:
-        if self._trees is None:
+        total = self._importances
+        if total is None:
             raise NotFittedError("forest has not been fitted")
-        return self._trees
+        s = total.sum()
+        return total / s if s > 0 else total.copy()
 
     def _table_checked(self) -> NodeTable:
         if self._table is None:

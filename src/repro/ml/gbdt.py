@@ -50,7 +50,6 @@ class GradientBoostedTrees:
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.seed = seed
-        self._trees: list[DecisionTree] | None = None
         self._table: NodeTable | None = None
         self._base_score = 0.0
 
@@ -86,8 +85,7 @@ class GradientBoostedTrees:
             self._newton_refit(tree, x, residual, p, sample_weight)
             raw = raw + self.learning_rate * tree.predict(x)
             trees.append(tree)
-        self._trees = trees
-        self._table = NodeTable(trees)
+        self._table = NodeTable.compile(trees)
         return self
 
     @staticmethod

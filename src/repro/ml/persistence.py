@@ -1,121 +1,101 @@
 """Model persistence for the monthly retrain cycle.
 
 The deployed system retrains every month and serves the previous model
-until the new one is validated; that requires storing models.  Random
-forests serialize to npz bytes (the same codec family the platform's tables
+until the new one is validated; that requires storing models.  A random
+forest is stored as what it is in memory: its
+:class:`~repro.ml.tree.NodeTable` arrays, its summed Eq. 7 importances and
+its config, as npz bytes (the same codec family the platform's tables
 use), so a fitted model can live in the block store next to the feature
-tables that produced it.
+tables that produced it.  The member count does not depend on the tree
+count, and loading checks the table's layout instead of trusting it.
 """
 
 from __future__ import annotations
 
 import io
+import zipfile
 
 import numpy as np
 
 from ..errors import ModelError, NotFittedError
 from .forest import RandomForestClassifier
-from .tree import DecisionTree, NodeTable
+from .tree import NodeTable
 
 #: Format marker stored with every serialized model.
-_MAGIC = "repro-rf-v1"
+_MAGIC = "repro-rf-v2"
 
-
-def tree_to_arrays(tree: DecisionTree) -> dict[str, np.ndarray]:
-    """Flat-array snapshot of a fitted tree."""
-    if tree._value is None:
-        raise NotFittedError("cannot serialize an unfitted tree")
-    assert tree._feature is not None and tree._threshold is not None
-    assert tree._left is not None and tree._right is not None
-    assert tree._importances is not None
-    return {
-        "feature": tree._feature,
-        "threshold": tree._threshold,
-        "left": tree._left,
-        "right": tree._right,
-        "value": tree._value,
-        "importances": tree._importances,
-        "meta": np.asarray(
-            [tree.max_depth, tree.min_samples_leaf, tree._n_features],
-            dtype=np.int64,
-        ),
-    }
-
-
-def tree_from_arrays(arrays: dict[str, np.ndarray]) -> DecisionTree:
-    """Rebuild a predict-ready tree from :func:`tree_to_arrays` output."""
-    max_depth, min_samples_leaf, n_features = (
-        int(v) for v in arrays["meta"]
-    )
-    tree = DecisionTree(
-        criterion="gini",
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-    )
-    tree._feature = np.asarray(arrays["feature"], dtype=np.int64)
-    tree._threshold = np.asarray(arrays["threshold"], dtype=np.float64)
-    tree._left = np.asarray(arrays["left"], dtype=np.int64)
-    tree._right = np.asarray(arrays["right"], dtype=np.int64)
-    tree._value = np.asarray(arrays["value"], dtype=np.float64)
-    tree._importances = np.asarray(arrays["importances"], dtype=np.float64)
-    tree._n_features = n_features
-    return tree
+#: The stored node-table arrays, in :class:`NodeTable` constructor order.
+_TABLE = ("feature", "threshold", "child", "value", "roots")
 
 
 def forest_to_bytes(forest: RandomForestClassifier) -> bytes:
     """Serialize a fitted forest to npz bytes."""
-    trees = forest._trees
-    if trees is None:
+    table, importances = forest._table, forest._importances
+    if table is None or importances is None:
         raise NotFittedError("cannot serialize an unfitted forest")
-    arrays: dict[str, np.ndarray] = {
-        "__magic__": np.asarray([_MAGIC], dtype=str),
-        "__config__": np.asarray(
+    buf = io.BytesIO()
+    np.savez(
+        buf,
+        __magic__=np.asarray([_MAGIC], dtype=str),
+        __config__=np.asarray(
             [
                 forest.n_trees,
                 forest.min_samples_leaf,
                 forest.max_depth,
                 forest.seed,
-                forest._n_features,
+                table.n_features,
             ],
             dtype=np.int64,
         ),
-    }
-    for i, tree in enumerate(trees):
-        for name, arr in tree_to_arrays(tree).items():
-            arrays[f"t{i}_{name}"] = arr
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
+        importances=importances,
+        **{name: getattr(table, name) for name in _TABLE},
+    )
     return buf.getvalue()
 
 
 def forest_from_bytes(payload: bytes) -> RandomForestClassifier:
-    """Inverse of :func:`forest_to_bytes` — a predict-ready forest."""
-    with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
-        magic = str(npz["__magic__"][0])
-        if magic != _MAGIC:
-            raise ModelError(f"not a serialized forest (marker {magic!r})")
-        n_trees, min_leaf, max_depth, seed, n_features = (
-            int(v) for v in npz["__config__"]
+    """Inverse of :func:`forest_to_bytes` — a predict-ready forest.
+
+    Raises ``ModelError`` for bytes that are not a well-formed
+    ``repro-rf-v2`` forest, whatever is wrong with them.
+    """
+    try:
+        loaded = np.load(io.BytesIO(payload), allow_pickle=False)
+        if not isinstance(loaded, np.lib.npyio.NpzFile):
+            raise ModelError("model payload is a bare array, not an npz archive")
+        with loaded as npz:
+            arrays = {name: npz[name] for name in npz.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ModelError(f"unreadable model payload: {exc}") from exc
+    marker = arrays.get("__magic__", np.asarray([]))
+    if marker.tolist() != [_MAGIC]:
+        raise ModelError(f"not a {_MAGIC} forest (marker {marker.tolist()!r})")
+    missing = {"__config__", "importances", *_TABLE} - arrays.keys()
+    if missing:
+        raise ModelError(f"model payload lacks {sorted(missing)}")
+    config = arrays["__config__"]
+    if config.dtype != np.int64 or config.shape != (5,):
+        raise ModelError(f"bad model config {config!r}")
+    n_trees, min_leaf, max_depth, seed, n_features = (int(v) for v in config)
+    table = NodeTable(*(arrays[name] for name in _TABLE), n_features)
+    if len(table.roots) != n_trees:
+        raise ModelError(
+            f"config says {n_trees} trees, node table holds {len(table.roots)}"
         )
-        forest = RandomForestClassifier(
-            n_trees=n_trees,
-            min_samples_leaf=min_leaf,
-            max_depth=max_depth,
-            seed=seed,
+    importances = arrays["importances"]
+    if importances.dtype != np.float64 or importances.shape != (n_features,):
+        raise ModelError(
+            f"importances must be {n_features} float64 values, "
+            f"got {importances.shape} {importances.dtype}"
         )
-        trees = []
-        for i in range(n_trees):
-            arrays = {
-                name: npz[f"t{i}_{name}"]
-                for name in (
-                    "feature", "threshold", "left", "right", "value",
-                    "importances", "meta",
-                )
-            }
-            trees.append(tree_from_arrays(arrays))
-        forest._trees = trees
-        forest._table = NodeTable(trees)  # the compile step fit ends with
-        forest._n_features = n_features
+    forest = RandomForestClassifier(
+        n_trees=n_trees,
+        min_samples_leaf=min_leaf,
+        max_depth=max_depth,
+        seed=seed,
+    )
+    forest._table = table
+    forest._importances = importances
     return forest
 
 

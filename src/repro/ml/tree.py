@@ -19,7 +19,8 @@ Ensembles build the codes once and hand each tree its rows
 bit for bit, as a per-feature float sort would grow.
 
 Prediction has one kernel, :class:`NodeTable`: an ensemble's trees are
-compiled once into one flat node table and walked in lockstep.
+compiled once into one flat node table and walked in lockstep.  That table
+is the fitted ensemble; the trees are only the fit's building blocks.
 """
 
 from __future__ import annotations
@@ -420,7 +421,7 @@ class DecisionTree:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Leaf node id each row lands in (the :class:`NodeTable` walk)."""
-        table = NodeTable([self])
+        table = NodeTable.compile([self])
         return next(table.leaves(table.check(x)))[0]
 
     @property
@@ -461,49 +462,77 @@ class DecisionTree:
 
 
 class NodeTable:
-    """Every tree of an ensemble compiled into one flat node table.
+    """Every tree of an ensemble in one flat node table: the fitted model.
 
-    The one predict kernel, shared by forests, GBDT and single trees.  Node
-    ``i`` of tree ``t`` is row ``roots[t] + i``; children are interleaved,
-    right then left, so a pass steps every cell with
-    ``child[2 * node + (x <= threshold)]`` (NaN compares false and goes
-    right, as it always has).  A leaf is a self-loop (feature 0, both
-    children itself): a row that reached one stays put, so each pass runs
-    on the whole ``(trees, rows)`` node matrix with no active-row mask, and
-    ``depth[t]`` passes take every row of tree ``t`` to its leaf.  Derived
-    from the trees at fit or load; never serialized.
+    The one predict kernel, shared by forests, GBDT and single trees, and
+    the arrays a stored forest holds.  Node ``i`` of tree ``t`` is row
+    ``roots[t] + i``; children are interleaved, right then left, so a pass
+    steps every cell with ``child[2 * node + (x <= threshold)]`` (NaN
+    compares false and goes right, as it always has).  A leaf is a
+    self-loop (feature 0, both children itself): a row that reached one
+    stays put, so each pass runs on the whole ``(trees, rows)`` node
+    matrix with no active-row mask, and ``depth[t]`` passes take every row
+    of tree ``t`` to its leaf.
+
+    The constructor is the only way in, for a fit (:meth:`compile`) and a
+    load alike: it checks the layout, since a stored payload comes from
+    outside the program, and derives ``depth``.
     """
 
     __slots__ = (
         "feature", "threshold", "child", "value", "roots", "depth", "n_features"
     )
 
-    def __init__(self, trees: Sequence[DecisionTree]) -> None:
+    def __init__(
+        self,
+        feature: np.ndarray,
+        threshold: np.ndarray,
+        child: np.ndarray,
+        value: np.ndarray,
+        roots: np.ndarray,
+        n_features: int,
+    ) -> None:
+        leaf = _check_layout(feature, threshold, child, value, roots, n_features)
+        self.feature = feature
+        self.threshold = threshold
+        self.child = child
+        self.value = value
+        self.roots = roots
+        self.n_features = n_features
+        # Depth of every node, one level of every tree per step.  The
+        # layout check makes every path strictly increasing inside its own
+        # tree and gives every node at most one parent, so this visits each
+        # node once at most and stops.
+        level = np.zeros(len(feature), dtype=np.int64)
+        frontier, depth = roots[~leaf[roots]], 0
+        while len(frontier):
+            depth += 1
+            frontier = np.concatenate([child[2 * frontier], child[2 * frontier + 1]])
+            level[frontier] = depth
+            frontier = frontier[~leaf[frontier]]
+        self.depth = np.maximum.reduceat(level, roots)
+
+    @classmethod
+    def compile(cls, trees: Sequence[DecisionTree]) -> "NodeTable":
+        """Lay fitted trees out as one table, in tree order."""
         sizes = [tree.node_count for tree in trees]
-        self.roots = np.cumsum([0, *sizes[:-1]])
-        offset = np.repeat(self.roots, sizes)
+        roots = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
+        offset = np.repeat(roots, sizes)
         feature = np.concatenate([tree._feature for tree in trees])
         left = np.concatenate([tree._left for tree in trees]) + offset
         right = np.concatenate([tree._right for tree in trees]) + offset
-        leaf = feature == LEAF
-        # Depth of every node, one level of every tree per step.
-        level = np.zeros(len(feature), dtype=np.int64)
-        frontier, depth = self.roots[~leaf[self.roots]], 0
-        while len(frontier):
-            depth += 1
-            frontier = np.concatenate([left[frontier], right[frontier]])
-            level[frontier] = depth
-            frontier = frontier[~leaf[frontier]]
-        self.depth = np.maximum.reduceat(level, self.roots)
-        own = np.flatnonzero(leaf)
+        own = np.flatnonzero(feature == LEAF)
         feature[own] = 0
         left[own] = own
         right[own] = own
-        self.feature = feature
-        self.threshold = np.concatenate([tree._threshold for tree in trees])
-        self.child = np.column_stack([right, left]).reshape(-1)
-        self.value = np.concatenate([tree._value for tree in trees])
-        self.n_features = trees[0]._n_features
+        return cls(
+            feature,
+            np.concatenate([tree._threshold for tree in trees]),
+            np.column_stack([right, left]).reshape(-1),
+            np.concatenate([tree._value for tree in trees]),
+            roots,
+            trees[0]._n_features,
+        )
 
     def check(self, x: np.ndarray) -> np.ndarray:
         """``x`` as the C-contiguous float64 matrix a walk reads."""
@@ -536,6 +565,58 @@ class NodeTable:
         """Every row's leaf value, one tree at a time in tree order."""
         for node in self.leaves(x):
             yield from self.value.take(node)
+
+
+def _check_layout(
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    child: np.ndarray,
+    value: np.ndarray,
+    roots: np.ndarray,
+    n_features: int,
+) -> np.ndarray:
+    """Raise ``ModelError`` unless the arrays form a table a walk can run
+    on; returns the leaf mask.
+
+    Every node is a self-loop leaf or has both children strictly after it
+    inside its own tree, no node has two parents, every feature id indexes
+    a column, and ``roots`` starts at 0 and increases.
+    """
+    for name, arr, dtype in (
+        ("feature", feature, np.int64),
+        ("threshold", threshold, np.float64),
+        ("child", child, np.int64),
+        ("value", value, np.float64),
+        ("roots", roots, np.int64),
+    ):
+        if arr.ndim != 1 or arr.dtype != dtype:
+            raise ModelError(
+                f"node table {name} must be 1-D {np.dtype(dtype)}, "
+                f"got {arr.ndim}-D {arr.dtype}"
+            )
+    n = len(feature)
+    if not len(threshold) == len(value) == n or len(child) != 2 * n:
+        raise ModelError(
+            f"node table lengths disagree: {n} features, {len(threshold)} "
+            f"thresholds, {len(value)} values, {len(child)} child slots"
+        )
+    if not len(roots) or roots[0] != 0 or np.any(np.diff(roots) <= 0) or roots[-1] >= n:
+        raise ModelError("node table roots must start at 0 and increase inside it")
+    if np.any(feature < 0) or np.any(feature >= n_features):
+        raise ModelError(f"node table feature ids must lie in [0, {n_features})")
+    node = np.arange(n)
+    right, left = child[0::2], child[1::2]
+    leaf = (right == node) & (left == node)
+    end = np.repeat(np.append(roots[1:], n), np.diff(np.append(roots, n)))
+    inner = (node < right) & (right < end) & (node < left) & (left < end)
+    if not np.all(leaf | inner):
+        raise ModelError(
+            "node table child points backward or out of its tree "
+            f"at node {int(np.flatnonzero(~(leaf | inner))[0])}"
+        )
+    if np.bincount(np.concatenate([right[inner], left[inner]]), minlength=n).max() > 1:
+        raise ModelError("node table has a node with two parents")
+    return leaf
 
 
 def _is_pure(t: np.ndarray) -> bool:

@@ -120,7 +120,11 @@ class ModelRegistry:
         return True
 
     def activate_from_store(self, catalog, version: str) -> bool:
-        """Activate ``version`` by loading its persisted bytes."""
+        """Activate ``version`` by loading its persisted bytes.
+
+        Bytes that are not a well-formed forest raise ``ModelError`` and
+        leave the active model serving.
+        """
         return self.activate(
             version,
             loader=lambda: load_forest(catalog, version, database=MODEL_DATABASE),

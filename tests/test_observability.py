@@ -291,9 +291,10 @@ class TestTrainingSpans:
         forest = RandomForestClassifier(n_trees=4, min_samples_leaf=5, seed=1)
         forest.fit(x, y)
         fit = capture_spans.assert_span("forest.fit", trees=4, rows=300, features=9)
-        assert fit.counters["nodes"] == sum(t.node_count for t in forest._trees)
+        table = forest._table
+        assert fit.counters["nodes"] == len(table.value)
         # √9 = 3 candidates per searched node; every internal node was searched.
-        internal = sum(t.node_count - t.n_leaves for t in forest._trees)
+        internal = int((table.child[0::2] != np.arange(len(table.value))).sum())
         assert fit.counters["split_candidates"] % 3 == 0
         assert fit.counters["split_candidates"] >= 3 * internal
         assert 0 <= fit.counters["presort_s"] <= fit.wall_s

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from reference_predict import (
+    fit_grown,
     reference_apply,
     reference_decision_function,
     reference_forest_proba,
@@ -90,23 +91,33 @@ def problems(draw):
 @settings(max_examples=100, deadline=None)
 def test_forest_proba_matches_reference(problem, n_trees, max_depth, leaf, seed):
     x, y, probe = problem
-    forest = RandomForestClassifier(
-        n_trees=n_trees, max_depth=max_depth, min_samples_leaf=leaf, seed=seed
-    ).fit(x, y)
+    forest, trees = fit_grown(
+        RandomForestClassifier(
+            n_trees=n_trees, max_depth=max_depth, min_samples_leaf=leaf, seed=seed
+        ),
+        x, y,
+    )
     for rows in (probe, x):
-        assert_same_bits(forest.predict_proba(rows), reference_forest_proba(forest, rows))
+        assert_same_bits(forest.predict_proba(rows), reference_forest_proba(trees, rows))
 
 
 @given(problems(), st.integers(1, 5), st.integers(1, 4), st.integers(0, 50))
 @settings(max_examples=60, deadline=None)
 def test_gbdt_scores_and_losses_match_reference(problem, n_trees, max_depth, seed):
     x, y, probe = problem
-    gbdt = GradientBoostedTrees(
-        n_trees=n_trees, max_depth=max_depth, min_samples_leaf=1, seed=seed
-    ).fit(x, y)
+    gbdt, trees = fit_grown(
+        GradientBoostedTrees(
+            n_trees=n_trees, max_depth=max_depth, min_samples_leaf=1, seed=seed
+        ),
+        x, y,
+    )
     for rows in (probe, x):
-        assert_same_bits(gbdt.decision_function(rows), reference_decision_function(gbdt, rows))
-    assert_same_bits(gbdt.staged_train_loss(x, y), reference_staged_train_loss(gbdt, x, y))
+        assert_same_bits(
+            gbdt.decision_function(rows), reference_decision_function(gbdt, trees, rows)
+        )
+    assert_same_bits(
+        gbdt.staged_train_loss(x, y), reference_staged_train_loss(gbdt, trees, x, y)
+    )
 
 
 @given(problems(), st.integers(1, 6), st.integers(0, 50))
@@ -136,36 +147,39 @@ def _hostile_probe(rng, n, d):
 def test_constant_labels_give_single_leaf_trees():
     x, _ = _separable()
     for y in (np.zeros(len(x)), np.ones(len(x))):
-        forest = RandomForestClassifier(n_trees=4, seed=1).fit(x, y)
-        assert all(tree.node_count == 1 for tree in forest._trees)
+        forest, trees = fit_grown(RandomForestClassifier(n_trees=4, seed=1), x, y)
+        assert all(tree.node_count == 1 for tree in trees)
         assert forest._table.depth.tolist() == [0, 0, 0, 0]
         probe = _hostile_probe(np.random.default_rng(2), 9, x.shape[1])
-        assert_same_bits(forest.predict_proba(probe), reference_forest_proba(forest, probe))
+        assert_same_bits(forest.predict_proba(probe), reference_forest_proba(trees, probe))
         assert forest.predict_proba(probe).tolist() == [y[0]] * 9
 
 
 @pytest.mark.parametrize("max_depth", [1, 3, 6])
 def test_trees_reaching_the_depth_cap(max_depth):
     x, y = _separable()
-    forest = RandomForestClassifier(
-        n_trees=5, max_depth=max_depth, min_samples_leaf=1, seed=4
-    ).fit(x, y)
-    depths = [tree_depth(tree) for tree in forest._trees]
+    forest, trees = fit_grown(
+        RandomForestClassifier(n_trees=5, max_depth=max_depth, min_samples_leaf=1, seed=4),
+        x, y,
+    )
+    depths = [tree_depth(tree) for tree in trees]
     assert max(depths) == max_depth
     assert forest._table.depth.tolist() == depths  # walked exactly that deep
     probe = _hostile_probe(np.random.default_rng(3), 50, x.shape[1])
-    assert_same_bits(forest.predict_proba(probe), reference_forest_proba(forest, probe))
+    assert_same_bits(forest.predict_proba(probe), reference_forest_proba(trees, probe))
 
 
 @pytest.mark.parametrize("rows", [0, 1])
 def test_empty_and_single_row_batches(rows):
     x, y = _separable()
-    forest = RandomForestClassifier(n_trees=3, max_depth=5, seed=0).fit(x, y)
-    gbdt = GradientBoostedTrees(n_trees=3, seed=0).fit(x, y)
+    forest, trees = fit_grown(RandomForestClassifier(n_trees=3, max_depth=5, seed=0), x, y)
+    gbdt, stages = fit_grown(GradientBoostedTrees(n_trees=3, seed=0), x, y)
     probe = _hostile_probe(np.random.default_rng(rows), rows, x.shape[1])
     assert forest.predict_proba(probe).shape == (rows,)
-    assert_same_bits(forest.predict_proba(probe), reference_forest_proba(forest, probe))
-    assert_same_bits(gbdt.decision_function(probe), reference_decision_function(gbdt, probe))
+    assert_same_bits(forest.predict_proba(probe), reference_forest_proba(trees, probe))
+    assert_same_bits(
+        gbdt.decision_function(probe), reference_decision_function(gbdt, stages, probe)
+    )
 
 
 @pytest.mark.parametrize("cells", [1, 64, 1 << 30])
@@ -173,21 +187,25 @@ def test_walk_block_size_never_changes_the_scores(monkeypatch, cells):
     """One tree per walk block, a few, or all at once: same bytes."""
     monkeypatch.setattr(tree_module, "_WALK_CELLS", cells)
     x, y = _separable(n=300)
-    forest = RandomForestClassifier(n_trees=7, max_depth=6, seed=5).fit(x, y)
-    gbdt = GradientBoostedTrees(n_trees=6, seed=5).fit(x, y)
+    forest, trees = fit_grown(RandomForestClassifier(n_trees=7, max_depth=6, seed=5), x, y)
+    gbdt, stages = fit_grown(GradientBoostedTrees(n_trees=6, seed=5), x, y)
     probe = _hostile_probe(np.random.default_rng(6), 40, x.shape[1])
-    assert_same_bits(forest.predict_proba(probe), reference_forest_proba(forest, probe))
-    assert_same_bits(gbdt.decision_function(probe), reference_decision_function(gbdt, probe))
-    assert_same_bits(gbdt.staged_train_loss(x, y), reference_staged_train_loss(gbdt, x, y))
+    assert_same_bits(forest.predict_proba(probe), reference_forest_proba(trees, probe))
+    assert_same_bits(
+        gbdt.decision_function(probe), reference_decision_function(gbdt, stages, probe)
+    )
+    assert_same_bits(
+        gbdt.staged_train_loss(x, y), reference_staged_train_loss(gbdt, stages, x, y)
+    )
 
 
 def test_non_contiguous_input_reads_the_right_cells():
     x, y = _separable()
-    forest = RandomForestClassifier(n_trees=3, max_depth=5, seed=0).fit(x, y)
+    forest, trees = fit_grown(RandomForestClassifier(n_trees=3, max_depth=5, seed=0), x, y)
     wide = np.asfortranarray(np.column_stack([x, x]))
     probe = wide[::3, ::2]  # strided view: neither C- nor F-contiguous
     assert not probe.flags.c_contiguous
-    assert_same_bits(forest.predict_proba(probe), reference_forest_proba(forest, probe))
+    assert_same_bits(forest.predict_proba(probe), reference_forest_proba(trees, probe))
 
 
 class TestInputChecks:

@@ -7,12 +7,10 @@ from repro.dataplat import observability
 from repro.dataplat.catalog import Catalog
 from repro.dataplat.observability import MetricsRegistry
 from repro.dataplat.sql import SQLEngine
-from repro.dataplat.sql.cbo import MERGE_MIN_ROWS, _choose_strategies
 from repro.dataplat.sql.executor import Executor
 from repro.dataplat.sql.plan import Aggregate, Join, Narrow, Scan
 from repro.dataplat.schema import ColumnType
 from repro.dataplat.table import Table
-from repro.errors import SchemaError
 
 
 @pytest.fixture
@@ -310,100 +308,4 @@ class TestEarlyProjection:
         for narrow in narrows:
             names = {col.rsplit(".", 1)[-1] for col in narrow.columns}
             assert "k2" not in names
-        assert _rows(_raw(engine, sql)) == _rows(engine.query(sql))
-
-
-class TestJoinStrategy:
-    def _tables(self, n=1000, with_nan=False):
-        rng = np.random.default_rng(2)
-        key = rng.integers(0, 50, size=n).astype(np.float64)
-        if with_nan:
-            key[:: 17] = np.nan
-        left = Table.from_arrays(k=key, v=rng.normal(size=n))
-        right = Table.from_arrays(
-            k=np.arange(50, dtype=np.float64),
-            w=rng.normal(size=50),
-        )
-        return left, right
-
-    @pytest.mark.parametrize("how", ["inner", "left"])
-    @pytest.mark.parametrize("with_nan", [False, True])
-    def test_merge_join_bit_identical_to_hash(self, how, with_nan):
-        left, right = self._tables(with_nan=with_nan)
-        hashed = left.join(right, on=["k"], how=how, strategy="hash")
-        merged = left.join(right, on=["k"], how=how, strategy="merge")
-        assert hashed.schema == merged.schema
-        for name in hashed.schema.names:
-            np.testing.assert_array_equal(
-                np.asarray(hashed[name]), np.asarray(merged[name])
-            )
-
-    def test_merge_join_mixed_type_keys_fall_back(self):
-        left = Table.from_arrays(
-            k=np.asarray([1, "x", 2.5, "x"], dtype=object),
-            v=np.arange(4, dtype=np.float64),
-        )
-        right = Table.from_arrays(
-            k=np.asarray(["x", 1], dtype=object),
-            w=np.asarray([10.0, 20.0]),
-        )
-        hashed = left.join(right, on=["k"], strategy="hash")
-        merged = left.join(right, on=["k"], strategy="merge")
-        assert _rows(hashed) == _rows(merged)
-
-    def test_unknown_strategy_rejected(self):
-        left, right = self._tables()
-        with pytest.raises(SchemaError):
-            left.join(right, on=["k"], strategy="nested-loop")
-
-    def test_strategy_flips_to_merge_above_threshold(self, metrics):
-        big = float(MERGE_MIN_ROWS)
-        left = Scan("t", "t", None, ())
-        right = Scan("u", "u", None, ())
-        join = Join(left, right, "inner", None)
-        left.est_rows = big
-        right.est_rows = big * 2
-        join.est_rows = big * 2  # fan-out 1.0
-        _choose_strategies(join)
-        assert join.strategy == "merge"
-        assert metrics.counter("planner.merge_joins").value == 1
-
-    def test_small_or_exploding_joins_stay_hash(self, metrics):
-        big = float(MERGE_MIN_ROWS)
-        for l, r, out in [
-            (big / 2, big * 2, big),        # small build side
-            (big, big, big * 10),           # fan-out too large
-            (None, big, big),               # missing estimate
-        ]:
-            left = Scan("t", "t", None, ())
-            right = Scan("u", "u", None, ())
-            join = Join(left, right, "inner", None)
-            left.est_rows = l
-            right.est_rows = r
-            join.est_rows = out
-            _choose_strategies(join)
-            assert join.strategy == "hash"
-        assert metrics.counter("planner.merge_joins").value == 0
-
-    def test_merge_strategy_survives_execution(self):
-        # End-to-end: force a plan whose join qualifies for merge and make
-        # sure it still answers correctly through the executor.
-        rng = np.random.default_rng(9)
-        n = 60_000
-        engine = SQLEngine(Catalog())
-        left = Table.from_arrays(
-            k=np.arange(n, dtype=np.int64), v=rng.normal(size=n)
-        )
-        right = Table.from_arrays(
-            k=np.arange(n, dtype=np.int64), w=rng.normal(size=n)
-        )
-        engine.register(left, "big_l")
-        engine.register(right, "big_r")
-        sql = (
-            "SELECT SUM(l.v + r.w) AS s "
-            "FROM big_l l JOIN big_r r ON l.k = r.k"
-        )
-        plan = engine.plan(sql)
-        joins = [n for n in _walk(plan) if isinstance(n, Join)]
-        assert joins and joins[0].strategy == "merge"
         assert _rows(_raw(engine, sql)) == _rows(engine.query(sql))

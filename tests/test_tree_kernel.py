@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from reference_predict import fit_grown
 from reference_tree import assert_same_tree, reference_fit, tree_arrays
 from repro.errors import ModelError
 from repro.ml import tree as tree_module
@@ -170,10 +171,12 @@ def test_forest_trees_equal_reference_bootstrap_fits():
     x = _columns(rng, n)
     y = _targets(rng, n, "gini")
     w = rng.random(n) + 0.1
-    forest = RandomForestClassifier(n_trees=5, min_samples_leaf=3, max_depth=6, seed=2)
-    forest.fit(x, y, sample_weight=w)
+    _, trees = fit_grown(
+        RandomForestClassifier(n_trees=5, min_samples_leaf=3, max_depth=6, seed=2),
+        x, y, sample_weight=w,
+    )
     draw = np.random.default_rng(2)
-    for tree in forest._trees:
+    for tree in trees:
         boot = draw.integers(0, n, size=n)
         seed = int(draw.integers(0, 2**31 - 1))
         want = reference_fit(
