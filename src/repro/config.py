@@ -13,7 +13,6 @@ rest of the code never hard-codes them.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -146,69 +145,12 @@ class ModelConfig:
         return cls(n_trees=PAPER.rf_trees, min_samples_leaf=PAPER.rf_min_leaf)
 
 
-#: Environment variable selecting the worker count of the default backend.
-NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
-
-#: Environment variable forcing a backend kind (``serial`` or ``process``).
-BACKEND_ENV = "REPRO_BACKEND"
-
-
-@dataclass(frozen=True)
-class ExecutorConfig:
-    """Execution-backend selection for the compute hot paths.
-
-    ``backend`` is ``"serial"`` (everything in-process, the default) or
-    ``"process"`` (a ``concurrent.futures`` process pool).  ``num_workers``
-    of 0 means "one per CPU".  :func:`ExecutorConfig.from_env` reads the
-    ``REPRO_NUM_WORKERS`` / ``REPRO_BACKEND`` environment variables so runs
-    can be parallelized without touching code.
-    """
-
-    backend: str = "serial"
-    num_workers: int = 0
-
-    def __post_init__(self) -> None:
-        if self.backend not in ("serial", "process"):
-            raise ConfigError(
-                f"backend must be 'serial' or 'process', got {self.backend!r}"
-            )
-        if self.num_workers < 0:
-            raise ConfigError(
-                f"num_workers must be >= 0, got {self.num_workers}"
-            )
-
-    @classmethod
-    def from_env(cls) -> "ExecutorConfig":
-        """Backend selection from the environment.
-
-        ``REPRO_NUM_WORKERS`` > 1 implies the process backend unless
-        ``REPRO_BACKEND`` overrides it; unset/invalid values mean serial.
-        """
-        raw = os.environ.get(NUM_WORKERS_ENV, "").strip()
-        try:
-            workers = int(raw) if raw else 1
-        except ValueError:
-            workers = 1
-        backend = os.environ.get(BACKEND_ENV, "").strip().lower()
-        if backend not in ("serial", "process"):
-            backend = "process" if workers > 1 else "serial"
-        return cls(backend=backend, num_workers=max(workers, 0))
-
-    @property
-    def effective_workers(self) -> int:
-        """Workers the backend will actually use."""
-        if self.backend == "serial":
-            return 1
-        return self.num_workers if self.num_workers > 0 else (os.cpu_count() or 1)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Bundle of everything an experiment runner needs."""
 
     scale: ScaleConfig = field(default_factory=ScaleConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    executor: ExecutorConfig = field(default_factory=ExecutorConfig)
 
     @classmethod
     def small(cls, seed: int = 7) -> "RunConfig":

@@ -112,8 +112,9 @@ class ChurnPipeline:
         #: ``allow_degraded`` turns on graceful degradation — windows drop
         #: unbuildable F2..F9 families instead of failing, and each
         #: :class:`WindowResult` carries a :class:`PipelineHealthReport`.
-        #: ``backend`` fans out per-month feature builds and per-tree RF
-        #: work; results are bit-identical to serial runs.
+        #: ``backend`` fans out the extractor fits, per-month feature
+        #: builds and per-tree RF work; results are bit-identical to serial
+        #: runs.
         #: ``telemetry`` sinks every window's spans, metric deltas and
         #: health report into the warehouse, keyed by the sink's run id.
         self.allow_degraded = allow_degraded
@@ -211,6 +212,7 @@ class ChurnPipeline:
                 self.builder.fit_extractors(
                     list(spec.train_months),
                     {m: self.labels(m + spec.lead - 1) for m in spec.train_months},
+                    self._backend,
                 )
             except (FeatureError, DataPlatformError) as exc:
                 if health is None:

@@ -2,53 +2,77 @@
 
 The paper's platform gets its throughput from parallel task execution on a
 Spark/Hadoop cluster; this module is the reproduction's equivalent — a small
-backend abstraction that the hot paths (per-tree forest fits, per-month
-wide-table builds, sharded SQL scatter) fan work out through:
+backend abstraction that every hot-path fan-out (forest fits, the extractor
+fits and per-month builds of the wide table, sharded SQL scatter) goes
+through:
 
 * :class:`SerialBackend` — everything in-process, in submission order.  The
-  zero-dependency default and the reference for parity testing.
+  default on a one-CPU host and the reference for parity testing.
 * :class:`ProcessPoolBackend` — a ``concurrent.futures`` process pool
-  whose workers are forked from the parent.  :meth:`~ExecutorBackend.map`
-  pickles each task (top-level callable plus plain-data arguments);
-  :meth:`~ExecutorBackend.map_resident` pickles only the callable and a
-  small item, while a large *resident* object (a sharded catalog, the
-  simulated world) reaches the workers by fork, never by pickle.  A batch
-  containing anything unpicklable (e.g. a user lambda) transparently falls
-  back to serial execution in the parent process, counted in
-  :attr:`ProcessPoolBackend.fallbacks`.
+  whose workers are forked from the parent.  Its one primitive,
+  :meth:`~ExecutorBackend.map_resident`, pickles only the callable and a
+  small item, while a large *resident* object (a forest's training set, a
+  wide-table builder, a sharded catalog) reaches the workers by fork, never
+  by pickle.  A batch containing anything unpicklable (e.g. a user lambda)
+  falls back to serial execution in the parent process, counted in
+  :attr:`ProcessPoolBackend.fallbacks` and the ``executor.fallbacks``
+  metric.
 
-**Determinism contract.**  ``map`` always returns results in submission
-order, and callers pre-draw any randomness (bootstrap indices, tree seeds)
-*before* submitting, so every backend produces bit-identical results for the
-same task list.
+The process-wide default (:func:`get_default_backend`) is the shared pool
+when more than one CPU is usable, else serial; a forest fit too small to pay
+for a fork runs inline (:func:`resolve_fit_backend`).
+
+**Determinism contract.**  ``map_resident`` always returns results in
+submission order, and callers pre-draw any randomness (bootstrap indices,
+tree seeds) *before* submitting, so every backend produces bit-identical
+results for the same task list.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import pickle
+import types
 import weakref
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 
-from ..config import ExecutorConfig
 from ..errors import ExecutionError
+from . import observability
 from .observability import get_metrics, span
 
 __all__ = [
     "ExecutorBackend",
     "SerialBackend",
     "ProcessPoolBackend",
+    "Resident",
+    "INLINE_FIT_CELLS",
+    "usable_cpus",
+    "map_traced",
     "resolve_backend",
+    "resolve_fit_backend",
     "get_default_backend",
     "set_default_backend",
 ]
 
+#: A forest fit on the default backend whose ``rows × trees`` is below this
+#: runs inline.  Every fit is a new resident, so the pool re-forks for it:
+#: on a 2-vCPU host a tree grows at 3.3–5.6 µs per (row, tree) cell and a
+#: 2-worker pool breaks even near 20 000 cells (16 000: 74 ms inline, 108
+#: ms pooled; 32 000: 130 and 98 ms; 48 000: 159 and 105 ms).
+INLINE_FIT_CELLS = 1 << 15
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (affinity and cpuset pinning honoured)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # pragma: no cover - no affinity API
+
 
 class ExecutorBackend:
-    """Maps a picklable function over task arguments, preserving order."""
+    """Maps a picklable function over task items, preserving order."""
 
     #: Short backend kind, e.g. ``"serial"`` or ``"process"``.
     name = "abstract"
@@ -57,10 +81,6 @@ class ExecutorBackend:
     def parallelism(self) -> int:
         """Number of tasks that can run at once."""
         return 1
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        """Apply ``fn`` to every item, returning results in item order."""
-        raise NotImplementedError
 
     def map_resident(
         self, fn: Callable, resident, stamp, items: Sequence
@@ -72,7 +92,12 @@ class ExecutorBackend:
         A backend whose workers live elsewhere must hand them the resident
         as of ``stamp``, never an older copy.
         """
-        return self.map(functools.partial(fn, resident), items)
+        raise NotImplementedError
+
+    def map(self, fn: Callable, items: Sequence) -> list:
+        """``[fn(item) for item in items]``: :meth:`map_resident` with an
+        empty resident, so ``fn`` travels pickled with every task."""
+        return self.map_resident(_call, _NO_RESIDENT, 0, [(fn, i) for i in items])
 
     def close(self) -> None:
         """Release any worker resources (idempotent)."""
@@ -84,14 +109,32 @@ class ExecutorBackend:
         self.close()
 
 
+class Resident(types.SimpleNamespace):
+    """A fan-out's read-only inputs, bundled: unlike a tuple or a plain
+    namespace it can be weakly referenced, as the resident registry needs."""
+
+
+_NO_RESIDENT = Resident()
+
+
+def _call(_resident, task):
+    fn, item = task
+    return fn(item)
+
+
 class SerialBackend(ExecutorBackend):
-    """Run every task inline, in submission order."""
+    """Run every task inline, in submission order.
+
+    A plain loop, so it opens no span of its own: a task's spans nest
+    directly under the caller's, as if the caller had not fanned out.
+    """
 
     name = "serial"
 
-    def map(self, fn: Callable, items: Sequence) -> list:
-        with span("executor.map", backend=self.name, tasks=len(items)):
-            return [fn(item) for item in items]
+    def map_resident(
+        self, fn: Callable, resident, stamp, items: Sequence
+    ) -> list:
+        return [fn(resident, item) for item in items]
 
     def __repr__(self) -> str:
         return "SerialBackend()"
@@ -103,11 +146,11 @@ class ProcessPoolBackend(ExecutorBackend):
     Parameters
     ----------
     max_workers:
-        Worker processes; 0 means one per CPU.
+        Worker processes; 0 means one per usable CPU (:func:`usable_cpus`).
 
-    The pool is created lazily on first :meth:`map` and survives across
-    calls (so repeated fan-outs amortize worker start-up).  Batches whose
-    function or arguments cannot be pickled run serially in the parent
+    The pool is created lazily on first use and survives across calls (so
+    repeated fan-outs over one resident amortize worker start-up).  Batches
+    whose function or items cannot be pickled run serially in the parent
     instead — the result is identical because tasks are self-contained; the
     ``fallbacks`` counter records how often that happened.
 
@@ -126,7 +169,7 @@ class ProcessPoolBackend(ExecutorBackend):
     def __init__(self, max_workers: int = 0) -> None:
         if max_workers < 0:
             raise ExecutionError(f"max_workers must be >= 0, got {max_workers}")
-        self._max_workers = max_workers if max_workers > 0 else (os.cpu_count() or 1)
+        self._max_workers = max_workers if max_workers > 0 else usable_cpus()
         self._pool: ProcessPoolExecutor | None = None
         #: Registry snapshot the live pool's workers inherited.
         self._forked_with: dict | None = None
@@ -141,15 +184,10 @@ class ProcessPoolBackend(ExecutorBackend):
     def parallelism(self) -> int:
         return self._max_workers
 
-    def map(self, fn: Callable, items: Sequence) -> list:
-        return self._fan_out(fn, list(items), None)
-
     def map_resident(
         self, fn: Callable, resident, stamp, items: Sequence
     ) -> list:
-        return self._fan_out(fn, list(items), (resident, stamp))
-
-    def _fan_out(self, fn: Callable, items: list, resident) -> list:
+        items = list(items)
         if not items:
             return []
         with span(
@@ -163,21 +201,18 @@ class ProcessPoolBackend(ExecutorBackend):
                     self.fallbacks += 1
                     sp.set_tag("fallback", True)
                     get_metrics().counter("executor.fallbacks").inc()
-                if resident is not None:
-                    fn = functools.partial(fn, resident[0])
-                return [fn(item) for item in items]
-            if resident is not None:
-                token = _register_resident(*resident)
-                if self._forked_with != _resident_snapshot():
-                    self.close()
-                fn, items = _run_resident, [(fn, token, item) for item in items]
+                return [fn(resident, item) for item in items]
+            token = _register_resident(resident, stamp)
+            if self._forked_with != _resident_snapshot():
+                self.close()
             if self._pool is None:
                 self._fork()
                 sp.set_tag("forked", True)
-            chunksize = max(1, len(items) // (self._max_workers * 4))
-            self.tasks_dispatched += len(items)
-            get_metrics().counter("executor.tasks_dispatched").inc(len(items))
-            return list(self._pool.map(fn, items, chunksize=chunksize))
+            tasks = [(fn, token, item) for item in items]
+            chunksize = max(1, len(tasks) // (self._max_workers * 4))
+            self.tasks_dispatched += len(tasks)
+            get_metrics().counter("executor.tasks_dispatched").inc(len(tasks))
+            return list(self._pool.map(_run_resident, tasks, chunksize=chunksize))
 
     def close(self) -> None:
         if self._pool is not None:
@@ -261,32 +296,57 @@ def _run_resident(task):
     return fn(_residents[token][0](), item)
 
 
-def make_backend(config: ExecutorConfig) -> ExecutorBackend:
-    """Instantiate the backend an :class:`ExecutorConfig` describes (always
-    serial in a forked worker)."""
-    if config.backend == "process" and not _in_worker:
-        return ProcessPoolBackend(max_workers=config.num_workers)
-    return SerialBackend()
+def map_traced(
+    backend: ExecutorBackend, fn: Callable, resident, stamp, items: Sequence
+) -> list:
+    """``backend.map_resident(fn, resident, stamp, items)`` whose tasks'
+    spans appear in the caller's trace.
+
+    Under an active tracer every task runs under a fresh one and returns
+    its exported spans with its result; they are grafted under the current
+    span (:meth:`~repro.dataplat.observability.Tracer.attach`), so a trace
+    holds the same spans whether a task ran in a worker or in process.
+    """
+    traced = observability.enabled()
+    tracer = observability.get_tracer()
+    out = []
+    for result, spans in backend.map_resident(
+        _traced_call, resident, stamp, [(fn, item, traced) for item in items]
+    ):
+        out.append(result)
+        if spans:
+            tracer.attach(spans)
+    return out
 
 
-def resolve_backend(
-    backend: "ExecutorBackend | ExecutorConfig | str | None",
-) -> ExecutorBackend:
+def _traced_call(resident, task):
+    """``fn(resident, item)`` and, when ``traced``, the spans it opened."""
+    fn, item, traced = task
+    if not traced:
+        return fn(resident, item), None
+    tracer = observability.Tracer()
+    previous = observability.set_tracer(tracer)
+    try:
+        result = fn(resident, item)
+    finally:
+        observability.set_tracer(previous)
+    return result, tracer.export()
+
+
+def resolve_backend(backend: "ExecutorBackend | str | None") -> ExecutorBackend:
     """Normalize any backend spec to an :class:`ExecutorBackend` instance.
 
-    Accepts an instance (returned as-is), an :class:`ExecutorConfig`, a kind
-    string (``"serial"`` / ``"process"``), or ``None`` for the process-wide
-    default (see :func:`get_default_backend`).  ``"process"`` is one shared
-    pool per process, created on first use; closing it only makes its next
-    ``map`` fork again.
+    Accepts an instance (returned as-is), a kind string (``"serial"`` /
+    ``"process"``), or ``None`` for the process-wide default (see
+    :func:`get_default_backend`).  ``"process"`` is one shared pool per
+    process, created on first use; closing it only makes its next fan-out
+    fork again.
     """
     global _shared_pool
     if backend is None:
         return get_default_backend()
     if isinstance(backend, ExecutorBackend):
         return backend
-    if isinstance(backend, ExecutorConfig):
-        return make_backend(backend)
     if isinstance(backend, str):
         if backend == "serial" or (backend == "process" and _in_worker):
             return SerialBackend()
@@ -296,6 +356,19 @@ def resolve_backend(
             return _shared_pool
         raise ExecutionError(f"unknown backend kind {backend!r}")
     raise ExecutionError(f"cannot interpret backend spec {backend!r}")
+
+
+def resolve_fit_backend(
+    backend: "ExecutorBackend | str | None", cells: int
+) -> ExecutorBackend:
+    """:func:`resolve_backend` for a forest fit of ``cells`` = rows × trees.
+
+    An explicit ``backend`` is always honoured; on the default, a fit below
+    :data:`INLINE_FIT_CELLS` runs inline, where it is faster than a fork.
+    """
+    if backend is None and cells < INLINE_FIT_CELLS:
+        return SerialBackend()
+    return resolve_backend(backend)
 
 
 _shared_pool: ProcessPoolBackend | None = None
@@ -320,16 +393,18 @@ if hasattr(os, "register_at_fork"):  # absent only where nothing forks
 def get_default_backend() -> ExecutorBackend:
     """The process-wide default backend.
 
-    Created on first use from ``REPRO_NUM_WORKERS`` / ``REPRO_BACKEND``
-    (see :meth:`repro.config.ExecutorConfig.from_env`); serial when unset.
+    The shared pool (``resolve_backend("process")``) when more than one CPU
+    is usable, else serial — and always serial in a forked worker.
     """
     global _default_backend
     if _default_backend is None:
-        _default_backend = make_backend(ExecutorConfig.from_env())
+        _default_backend = (
+            resolve_backend("process") if usable_cpus() > 1 else SerialBackend()
+        )
     return _default_backend
 
 
 def set_default_backend(backend: ExecutorBackend | None) -> None:
-    """Override the process-wide default (``None`` re-reads the env)."""
+    """Override the process-wide default (``None`` restores the rule)."""
     global _default_backend
     _default_backend = backend

@@ -14,9 +14,9 @@ shard-executable subtrees and a central remainder:
   — filtered locally to its shard's key range, no data movement at all.
 - Each maximal shard-executable subtree becomes a :class:`Gather` node: the
   subplan fans out per shard through
-  :meth:`~repro.dataplat.executor.ExecutorBackend.map_resident` with the
-  sharded catalog as the resident, so a task carries only
-  ``(database, subplan, shard_id, traced)`` and process workers read the
+  :func:`~repro.dataplat.executor.map_traced` with the sharded catalog as
+  the resident, so a task carries only ``(database, subplan, shard_id)``
+  and process workers read the
   shard catalogs they inherited at fork (forked again only when a shard's
   ``Catalog.generation`` moves).  Each task runs under a fresh tracer
   whose spans travel home tagged with their shard, and the pieces
@@ -43,7 +43,7 @@ import numpy as np
 
 from .. import observability
 from ...errors import SQLAnalysisError
-from ..executor import ExecutorBackend, resolve_backend
+from ..executor import ExecutorBackend, map_traced, resolve_backend
 from ..observability import get_metrics, span
 from ..sharding import (
     _AUTO,
@@ -166,29 +166,22 @@ class _GatherExecutor(Executor):
 def _execute_shard_plan(sharded: ShardedCatalog, args):
     """Run one scattered subplan on one shard (top-level for pickling).
 
-    Mirrors the widetable prefetch worker: a fresh tracer is installed when
-    the submitter had tracing on, and the exported spans — rooted at a
-    ``shard.execute`` span tagged with the shard id — travel back for
-    :meth:`Tracer.attach`, so scatter skew is visible per shard.
+    Its spans — rooted at a ``shard.execute`` span tagged with the shard
+    id — reach the caller's trace through
+    :func:`~repro.dataplat.executor.map_traced`, so scatter skew is visible
+    per shard.
     """
-    database, plan, shard_id, traced = args
-    worker_tracer = observability.Tracer() if traced else None
-    previous = observability.set_tracer(worker_tracer) if traced else None
-    try:
-        with span("shard.execute", shard=shard_id) as sp:
-            executor = _ShardExecutor(
-                sharded.shards[shard_id],
-                database,
-                shard_id,
-                sharded.num_shards,
-            )
-            table = executor.execute(plan)
-            sp.incr("rows", table.num_rows)
-    finally:
-        if traced:
-            observability.set_tracer(previous)
-    spans = worker_tracer.export() if worker_tracer is not None else None
-    return table, spans
+    database, plan, shard_id = args
+    with span("shard.execute", shard=shard_id) as sp:
+        executor = _ShardExecutor(
+            sharded.shards[shard_id],
+            database,
+            shard_id,
+            sharded.num_shards,
+        )
+        table = executor.execute(plan)
+        sp.incr("rows", table.num_rows)
+    return table
 
 
 class _Abort(Exception):
@@ -635,8 +628,6 @@ class ShardedSQLEngine:
 
     def _execute(self, plan: PlanNode) -> Table:
         metrics = get_metrics()
-        traced = observability.enabled()
-        tracer = observability.get_tracer()
         for gather in _walk_gathers(plan):
             with span(
                 "shard.scatter",
@@ -647,18 +638,11 @@ class ShardedSQLEngine:
                     range(1) if gather.replicated
                     else range(self._sharded.num_shards)
                 )
-                tasks = [
-                    (self._database, gather.subplan, i, traced)
-                    for i in shard_ids
-                ]
+                tasks = [(self._database, gather.subplan, i) for i in shard_ids]
                 stamp = tuple(s.generation for s in self._sharded.shards)
-                pieces: list[Table] = []
-                for table, spans in self._backend.map_resident(
-                    _execute_shard_plan, self._sharded, stamp, tasks
-                ):
-                    pieces.append(table)
-                    if spans and tracer is not None:
-                        tracer.attach(spans)
+                pieces = map_traced(
+                    self._backend, _execute_shard_plan, self._sharded, stamp, tasks
+                )
                 out = Table.concat(pieces)
                 gather.result = out
                 metrics.counter("shard.scatter_tasks").inc(len(tasks))

@@ -31,8 +31,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..datagen.simulator import TelcoWorld
-from ..dataplat import observability
-from ..dataplat.executor import ExecutorBackend, resolve_backend
+from ..dataplat.executor import ExecutorBackend, map_traced, resolve_backend
 from ..dataplat.observability import get_metrics, span
 from ..dataplat.sharding import shard_of
 from ..errors import FeatureError
@@ -77,23 +76,16 @@ def _build_shard_blocks(world: TelcoWorld, args):
     settings — and the spans root at ``shard.widetable`` tagged with the
     shard id, so a trace of the fan-out shows per-shard skew directly.
     """
-    seed, month, categories, shard_id, num_shards, traced = args
-    worker_tracer = observability.Tracer() if traced else None
-    previous = observability.set_tracer(worker_tracer) if traced else None
-    try:
-        builder = WideTableBuilder(
-            world,
-            seed=seed,
-            table_source=_ShardSource(world, shard_id, num_shards),
-        )
-        with span("shard.widetable", shard=shard_id, month=month) as sp:
-            blocks = {c: builder.category(c, month) for c in categories}
-            sp.incr("rows", sum(len(b.imsi) for b in blocks.values()))
-    finally:
-        if traced:
-            observability.set_tracer(previous)
-    spans = worker_tracer.export() if worker_tracer is not None else None
-    return blocks, spans
+    seed, month, categories, shard_id, num_shards = args
+    builder = WideTableBuilder(
+        world,
+        seed=seed,
+        table_source=_ShardSource(world, shard_id, num_shards),
+    )
+    with span("shard.widetable", shard=shard_id, month=month) as sp:
+        blocks = {c: builder.category(c, month) for c in categories}
+        sp.incr("rows", sum(len(b.imsi) for b in blocks.values()))
+    return blocks
 
 
 def _gather_block(parts: list[FeatureMatrix]) -> FeatureMatrix:
@@ -213,9 +205,8 @@ class ShardedWideTableBuilder:
         )
         if not missing:
             return
-        traced = observability.enabled()
         tasks = [
-            (self._seed, month, missing, shard_id, self._num_shards, traced)
+            (self._seed, month, missing, shard_id, self._num_shards)
             for shard_id in range(self._num_shards)
         ]
         with span(
@@ -224,15 +215,10 @@ class ShardedWideTableBuilder:
             shards=self._num_shards,
             backend=self._backend.name,
         ):
-            tracer = observability.get_tracer()
-            per_shard: list[dict] = []
             # The world never changes after simulation: a constant stamp.
-            for blocks, spans in self._backend.map_resident(
-                _build_shard_blocks, self._world, 0, tasks
-            ):
-                per_shard.append(blocks)
-                if spans and tracer is not None:
-                    tracer.attach(spans)
+            per_shard = map_traced(
+                self._backend, _build_shard_blocks, self._world, 0, tasks
+            )
             metrics = get_metrics()
             metrics.counter("shard.widetable_tasks").inc(len(tasks))
             for category in missing:

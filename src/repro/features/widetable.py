@@ -19,8 +19,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from ..datagen.simulator import TelcoWorld
-from ..dataplat import observability
-from ..dataplat.executor import ExecutorBackend, resolve_backend
+from ..dataplat.executor import ExecutorBackend, map_traced, resolve_backend
 from ..dataplat.observability import profiled, span
 from ..dataplat.resilience import PipelineHealthReport
 from ..dataplat.sql import SQLEngine
@@ -68,7 +67,8 @@ class WideTableBuilder:
         self._graphs = GraphFeatureBuilder(world)
         self._topics: dict[str, TopicFeatureExtractor] = {}
         self._second_order: SecondOrderSelector | None = None
-        self._fit_months: tuple[int, ...] = ()
+        #: Completed :meth:`fit_extractors` calls (part of the fan-out stamp).
+        self._fits = 0
 
     @property
     def world(self) -> TelcoWorld:
@@ -88,36 +88,34 @@ class WideTableBuilder:
         self,
         train_months: list[int],
         train_labels: dict[int, np.ndarray],
+        backend: "ExecutorBackend | str | None" = None,
     ) -> "WideTableBuilder":
         """Fit LDA vocabularies/topics and the FM pair selector.
 
         ``train_labels[month]`` must label *every slot* of that month
         (the builder applies eligibility filtering later, at assembly).
+        The three fits — F7's LDA, F8's LDA, and the F1 blocks plus the FM
+        selector — are independent, so they fan out as three tasks with
+        this builder as the resident.
         """
         if not train_months:
             raise FeatureError("fit_extractors requires at least one month")
-        self._fit_months = tuple(train_months)
-        for category in ("F7", "F8"):
-            extractor = TopicFeatureExtractor(category, seed=self._seed)
-            extractor.fit(self._world, train_months)
-            self._topics[category] = extractor
-        # FM selector: stack the baseline blocks of all training months.
-        blocks = [self.category("F1", m) for m in train_months]
-        base = FeatureMatrix(
-            np.concatenate([b.imsi for b in blocks]),
-            list(blocks[0].names),
-            np.vstack([b.values for b in blocks]),
-        )
+        months = list(train_months)
+        for month in months:
+            self._register_month(month)
         labels = np.concatenate(
-            [np.asarray(train_labels[m], dtype=np.int64) for m in train_months]
+            [np.asarray(train_labels[m], dtype=np.int64) for m in months]
         )
-        selector = SecondOrderSelector(seed=self._seed)
-        selector.fit(base, labels)
-        self._second_order = selector
+        jobs = [("F7", months, None), ("F8", months, None), ("FM", months, labels)]
+        fitted = self._fan_out(_fit_extractor, jobs, backend)
+        self._topics = {"F7": fitted[0], "F8": fitted[1]}
+        f1_blocks, self._second_order = fitted[2]
         # Topic/pair fits changed: invalidate cached supervised blocks.
         self._cache = {
             k: v for k, v in self._cache.items() if k[0] not in ("F7", "F8", "F9")
         }
+        self._cache.update(f1_blocks)
+        self._fits += 1
         return self
 
     # ------------------------------------------------------------------
@@ -192,9 +190,10 @@ class WideTableBuilder:
 
         Per-month family builds are independent once the month's raw tables
         are registered, so they fan out across an
-        :class:`~repro.dataplat.executor.ExecutorBackend`: each task builds
-        every still-missing block of one month and ships the finished
-        :class:`FeatureMatrix` objects back to this builder's cache.  Blocks
+        :class:`~repro.dataplat.executor.ExecutorBackend` with this builder
+        as the resident: each task builds every still-missing block of one
+        month and ships the finished :class:`FeatureMatrix` objects back to
+        this builder's cache.  Blocks
         are identical to what :meth:`category` would build in-process — the
         build path is shared — so prefetching is purely a wall-clock
         optimization.
@@ -227,21 +226,16 @@ class WideTableBuilder:
         ]
         if not pending:
             return self
-        # Register months in the parent first: workers receive a complete
+        # Register months in the parent first: workers inherit a complete
         # engine, and the serial path needs the views anyway.
         for month, _ in pending:
             self._register_month(month)
         resolved = resolve_backend(backend)
-        traced = observability.enabled()
-        tasks = [(self, month, missing, traced) for month, missing in pending]
         with span(
             "widetable.prefetch", months=len(pending), backend=resolved.name
         ):
-            tracer = observability.get_tracer()
-            for blocks, spans in resolved.map(_build_month_blocks, tasks):
+            for blocks in self._fan_out(_build_month_blocks, pending, resolved):
                 self._cache.update(blocks)
-                if spans and tracer is not None:
-                    tracer.attach(spans)
         return self
 
     # ------------------------------------------------------------------
@@ -303,23 +297,50 @@ class WideTableBuilder:
             self._engine.register(table, f"{name}_m{month}")
         self._registered.add(month)
 
+    def _fan_out(
+        self,
+        fn: Callable,
+        items: list,
+        backend: "ExecutorBackend | str | None",
+    ) -> list:
+        """``[fn(self, item) for item in items]`` through a backend.
 
-def _build_month_blocks(args):
-    """Build one month's missing blocks on a (possibly remote) builder copy.
+        This builder is the resident: process workers inherit it by fork
+        as of its stamp — the registered months and the completed extractor
+        fits, the state a task's result depends on (a block missing from a
+        worker's inherited cache is rebuilt, identically).  In a worker,
+        mutating the builder's caches is invisible to the parent.
+        """
+        stamp = (len(self._registered), self._fits)
+        return map_traced(resolve_backend(backend), fn, self, stamp, items)
 
-    Top-level for picklability.  The worker's builder is a deep copy, so
-    mutating its caches is invisible; only the requested blocks travel back,
-    keyed for a plain ``dict.update`` into the parent's cache — plus the
-    worker tracer's exported spans when the submitter had tracing on, so
-    per-family spans survive the process boundary.
+
+def _build_month_blocks(builder: WideTableBuilder, task):
+    """One month's missing blocks, keyed for ``dict.update`` into a cache."""
+    month, categories = task
+    return {(c, month): builder.category(c, month) for c in categories}
+
+
+def _fit_extractor(builder: WideTableBuilder, job):
+    """One independent :meth:`WideTableBuilder.fit_extractors` fit.
+
+    ``("F7" | "F8", months, None)`` fits that family's LDA topics;
+    ``("FM", months, labels)`` builds the months' F1 blocks, stacks them
+    and fits the FM pair selector, returning the blocks too so the parent
+    caches them.
     """
-    builder, month, categories, traced = args
-    worker_tracer = observability.Tracer() if traced else None
-    previous = observability.set_tracer(worker_tracer) if traced else None
-    try:
-        blocks = {(c, month): builder.category(c, month) for c in categories}
-    finally:
-        if traced:
-            observability.set_tracer(previous)
-    spans = worker_tracer.export() if worker_tracer is not None else None
-    return blocks, spans
+    kind, months, labels = job
+    if kind != "FM":
+        return TopicFeatureExtractor(kind, seed=builder._seed).fit(
+            builder._world, months
+        )
+    blocks = {("F1", m): builder.category("F1", m) for m in months}
+    stacked = list(blocks.values())
+    base = FeatureMatrix(
+        np.concatenate([b.imsi for b in stacked]),
+        list(stacked[0].names),
+        np.vstack([b.values for b in stacked]),
+    )
+    selector = SecondOrderSelector(seed=builder._seed)
+    selector.fit(base, labels)
+    return blocks, selector

@@ -6,11 +6,13 @@ importance sums Gini improvements over all trees (Eq. 7).  The deployed
 system uses 500 trees with a 100-instance leaf floor; those are the defaults
 of :meth:`RandomForestClassifier.paper_settings`.
 
-Training fans out per-tree work through an
-:class:`~repro.dataplat.executor.ExecutorBackend`.  Fits are
-**bit-identical** across backends: every tree's bootstrap indices and
-subspace seed are pre-drawn from the master RNG in tree order before any
-task is submitted, and trees are fitted independently.  A fitted forest
+Training fans out chunks of trees through an
+:class:`~repro.dataplat.executor.ExecutorBackend`; the training set is the
+fan-out's resident, so process workers inherit it by fork and a task is
+only a list of tree indices.  Fits are **bit-identical** across backends:
+every tree's bootstrap indices and subspace seed are pre-drawn from the
+master RNG in tree order before any task is submitted, and trees are
+fitted independently.  A fitted forest
 is its :class:`~repro.ml.tree.NodeTable` plus the Eq. 7 importances summed
 at fit; the trees themselves are not kept.
 """
@@ -22,7 +24,12 @@ import time
 import numpy as np
 
 from ..config import PAPER
-from ..dataplat.executor import ExecutorBackend, resolve_backend
+from ..dataplat.executor import (
+    ExecutorBackend,
+    Resident,
+    SerialBackend,
+    resolve_fit_backend,
+)
 from ..dataplat.observability import span
 from ..errors import ModelError, NotFittedError
 from .tree import DecisionTree, NodeTable, RankCodes, check_training_set
@@ -46,7 +53,9 @@ class RandomForestClassifier:
     backend:
         Execution backend for per-tree fit tasks (any spec accepted
         by :func:`~repro.dataplat.executor.resolve_backend`); ``None`` uses
-        the process-wide default.  Not part of the model state: it is
+        the process-wide default, except that a fit too small to pay for a
+        fork runs inline (:func:`~repro.dataplat.executor.resolve_fit_backend`).
+        Not part of the model state: it is
         dropped on pickling, so a fitted forest travels to worker processes
         without dragging a pool along.
     """
@@ -109,7 +118,9 @@ class RandomForestClassifier:
             "min_samples_leaf": self.min_samples_leaf,
             "max_features": self.max_features,
         }
-        resolved = resolve_backend(backend if backend is not None else self._backend)
+        resolved = resolve_fit_backend(
+            backend if backend is not None else self._backend, n * self.n_trees
+        )
         chunks = _chunk_indices(self.n_trees, resolved.parallelism)
         with span(
             "forest.fit", trees=self.n_trees, rows=n, features=x.shape[1]
@@ -118,11 +129,11 @@ class RandomForestClassifier:
             # One presort per forest: every tree sorts rank codes, not floats.
             codes = RankCodes(x)
             sp.incr("presort_s", time.perf_counter() - start)
-            tasks = [
-                (params, x, y, sample_weight, codes, [draws[t] for t in chunk])
-                for chunk in chunks
-            ]
-            results = resolved.map(_fit_tree_chunk, tasks)
+            # A fresh, read-only resident per fit: a constant stamp.
+            data = Resident(
+                params=params, x=x, y=y, w=sample_weight, codes=codes, draws=draws
+            )
+            results = resolved.map_resident(_fit_tree_chunk, data, 0, chunks)
             trees = [tree for trees, _ in results for tree in trees]
             self._table = NodeTable.compile(trees)
             importances = np.zeros(x.shape[1])
@@ -182,33 +193,36 @@ class RandomForestClassifier:
 
 
 def _chunk_indices(n_items: int, parallelism: int) -> list[list[int]]:
-    """Contiguous task chunks: one per worker slot (amortizes shipping x)."""
+    """Contiguous task chunks: one per worker slot."""
     n_chunks = max(1, min(n_items, parallelism))
     return [list(chunk) for chunk in np.array_split(np.arange(n_items), n_chunks)]
 
 
-def _fit_tree_chunk(args):
-    """Fit a chunk of trees from pre-drawn (bootstrap, seed) pairs.
+def _fit_tree_chunk(data: Resident, chunk: list[int]):
+    """Fit the trees of ``chunk`` from their pre-drawn (bootstrap, seed).
 
-    Top-level by design: process backends pickle tasks by name.  Each tree
-    is fully determined by its draw, so chunking is free to follow the
-    backend's parallelism without affecting results.  Returns the trees and
-    their summed split evaluations (a ``forest.fit`` span counter).
+    Top-level by design: process backends pickle the callable by name.
+    Each tree is fully determined by its draw, so chunking is free to
+    follow the backend's parallelism without affecting results.  Returns
+    the trees and their summed split evaluations (a ``forest.fit`` span
+    counter).
     """
-    params, x, y, sample_weight, codes, draws = args
     trees, evaluated = [], 0
-    for boot, seed in draws:
-        tree = DecisionTree(criterion="gini", seed=seed, **params)
+    for t in chunk:
+        boot, seed = data.draws[t]
+        tree = DecisionTree(criterion="gini", seed=seed, **data.params)
         # The bootstrap is the tree's root row index, never an x[boot] copy.
-        evaluated += tree.grow(x, y, sample_weight, codes, boot)
+        evaluated += tree.grow(data.x, data.y, data.w, data.codes, boot)
         trees.append(tree)
     return trees, evaluated
 
 
-def _fit_class_forest(args):
-    """Fit one one-vs-rest member forest (top-level for picklability)."""
-    forest, x, target = args
-    return forest.fit(x, target)
+def _fit_class_forest(data: Resident, index: int):
+    """Fit one one-vs-rest member forest, ``data.members[index]`` =
+    ``(unfitted forest, 0/1 target)``, on the shared ``x``."""
+    forest, target = data.members[index]
+    # The class fan-out is the parallel one: each member fits inline.
+    return forest.fit(data.x, target, backend=SerialBackend())
 
 
 class OneVsRestForest:
@@ -251,10 +265,10 @@ class OneVsRestForest:
                 f"labels must be in 0..{self.n_classes - 1}, "
                 f"got range [{y.min()}, {y.max()}]"
             )
-        resolved = resolve_backend(backend)
         # Per-class fits are independent (seeds fixed per class), so they
-        # fan out whole; degenerate classes short-circuit in the parent.
-        tasks = []
+        # fan out whole over the shared x; degenerate classes short-circuit
+        # in the parent.
+        members = []
         slots: list[tuple[int, "_ConstantScorer | None"]] = []
         for c in range(self.n_classes):
             target = (y == c).astype(np.float64)
@@ -269,8 +283,18 @@ class OneVsRestForest:
                 seed=self.seed + 1000 * c,
             )
             slots.append((c, None))
-            tasks.append((forest, x, target))
-        fitted = iter(resolved.map(_fit_class_forest, tasks))
+            members.append((forest, target))
+        resolved = resolve_fit_backend(
+            backend, len(x) * self.n_trees * len(members)
+        )
+        fitted = iter(
+            resolved.map_resident(
+                _fit_class_forest,
+                Resident(x=x, members=members),
+                0,
+                range(len(members)),
+            )
+        )
         self._forests = [
             scorer if scorer is not None else next(fitted) for _, scorer in slots
         ]

@@ -69,3 +69,32 @@ def test_backticked_repro_names_import(doc):
         if (name := NAME.match(span)) and not _imports(name.group())
     ]
     assert not stale, "\n".join(stale)
+
+
+ENV_NAME = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
+#: Where a documented switch may be read: the library, and the example
+#: scripts the docs tell readers to run.
+ENV_READERS = ("src", "examples")
+
+
+def _read_env_names() -> set[str]:
+    """``REPRO_*`` names some code quotes as a string literal (a docstring
+    mention is not a read)."""
+    names = set()
+    for base in ENV_READERS:
+        for path in (ROOT / base).rglob("*.py"):
+            text = path.read_text()
+            names.update(re.findall(r"[\"'](REPRO_[A-Z0-9_]+)[\"']", text))
+    return names
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_documented_switches_are_read(doc):
+    read = _read_env_names()
+    stale = [
+        f"{doc}:{number} {name}"
+        for number, line in enumerate((ROOT / doc).read_text().splitlines(), 1)
+        for name in ENV_NAME.findall(line)
+        if name not in read
+    ]
+    assert not stale, "\n".join(stale)

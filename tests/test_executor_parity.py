@@ -8,24 +8,33 @@ a :class:`SerialBackend` run bit for bit.
 from __future__ import annotations
 
 import gc
+import hashlib
+import os
 import pickle
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.config import ExecutorConfig
+from repro import ChurnPipeline
+from repro.core.window import WindowSpec
+from repro.dataplat import executor
 from repro.dataplat.blockstore import BlockStore, TableCache
 from repro.dataplat.catalog import Catalog
 from repro.dataplat.executor import (
     ProcessPoolBackend,
     SerialBackend,
-    make_backend,
     resolve_backend,
 )
 from repro.dataplat.table import Table
-from repro.features import WideTableBuilder
+from repro.features import ALL_CATEGORIES, WideTableBuilder
 from repro.ml.forest import OneVsRestForest, RandomForestClassifier
+from repro.ml.persistence import forest_to_bytes
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -109,22 +118,109 @@ class TestWideTableParity:
         assert ("F9", 2) not in builder._cache
 
 
-class TestBackendConfig:
-    def test_env_selects_process_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUM_WORKERS", "3")
-        cfg = ExecutorConfig.from_env()
-        assert cfg.backend == "process"
-        assert cfg.effective_workers == 3
-        backend = make_backend(cfg)
-        assert backend.parallelism == 3
-        backend.close()
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
 
-    def test_env_backend_override_to_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUM_WORKERS", "4")
-        monkeypatch.setenv("REPRO_BACKEND", "serial")
-        cfg = ExecutorConfig.from_env()
-        assert cfg.backend == "serial"
-        assert make_backend(cfg).parallelism == 1
+
+class TestGoldenParity:
+    """One window, serial against an explicit 2-worker pool: same bytes."""
+
+    SPEC = WindowSpec((4, 5, 6), 7)
+
+    def _window(self, world, scale, model, backend):
+        pipeline = ChurnPipeline(world, scale, model=model, backend=backend)
+        result = pipeline.run_window(self.SPEC)
+        table = _digest(
+            *(
+                pipeline.builder.features(m, ALL_CATEGORIES).values
+                for m in (*self.SPEC.train_months, self.SPEC.test_month)
+            )
+        )
+        forest = forest_to_bytes(result.predictor._model)
+        return table, forest, _digest(result.scores)
+
+    def test_pipeline_window_is_bit_identical(
+        self, tiny_world, tiny_scale, small_model
+    ):
+        serial = self._window(tiny_world, tiny_scale, small_model, "serial")
+        with ProcessPoolBackend(max_workers=2) as pool:
+            pooled = self._window(tiny_world, tiny_scale, small_model, pool)
+            # One fork per stage that fanned out: the extractor fits, the
+            # per-month prefetch and the forest fit.  A fork per task or
+            # per month would show here.
+            assert pool.pool_forks == 3
+            assert pool.fallbacks == 0
+        assert pooled == serial
+
+    def test_one_vs_rest_is_bit_identical(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(240, 6))
+        y = rng.integers(0, 4, size=240)
+        y[y == 3] = 0  # one absent class takes the constant-score path
+        fits = {}
+        with ProcessPoolBackend(max_workers=2) as pool:
+            for name, backend in (("serial", "serial"), ("pool", pool)):
+                model = OneVsRestForest(n_classes=4, n_trees=5, seed=4)
+                fits[name] = model.fit(x, y, backend=backend)
+            assert pool.pool_forks == 1
+        assert _digest(fits["serial"].predict_proba(x)) == _digest(
+            fits["pool"].predict_proba(x)
+        )
+
+
+class TestBackendConfig:
+    def test_default_is_the_shared_pool_when_cpus_allow(self, monkeypatch):
+        previous = executor.get_default_backend()
+        try:
+            for cpus, want in ((2, resolve_backend("process")), (1, None)):
+                monkeypatch.setattr(executor, "usable_cpus", lambda: cpus)
+                executor.set_default_backend(None)
+                default = executor.get_default_backend()
+                if want is None:
+                    assert isinstance(default, SerialBackend)
+                else:
+                    assert default is want
+        finally:
+            executor.set_default_backend(previous)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity"
+    )
+    def test_pinned_process_defaults_to_serial_and_forks_nothing(self):
+        """Installed CPUs are not usable CPUs: a process pinned to one CPU
+        gets the serial default, and a fit far above the inline threshold
+        still forks no worker."""
+        script = (
+            "import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import multiprocessing, numpy as np\n"
+            "from repro.dataplat import executor\n"
+            "from repro.dataplat.observability import get_metrics\n"
+            "from repro.ml.forest import RandomForestClassifier\n"
+            "assert executor.usable_cpus() == 1\n"
+            "assert executor.get_default_backend().name == 'serial'\n"
+            "x = np.random.default_rng(0).normal(size=(3000, 4))\n"
+            "y = (x[:, 0] > 0).astype(float)\n"
+            "assert 3000 * 30 > executor.INLINE_FIT_CELLS\n"
+            "RandomForestClassifier(n_trees=30, max_depth=3).fit(x, y)\n"
+            "forks = get_metrics().snapshot()['counters'].get("
+            "'executor.pool_forks', 0)\n"
+            "assert forks == 0, forks\n"
+            "assert not multiprocessing.active_children()\n"
+            "assert executor._shared_pool is None\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_resolve_accepts_strings_and_instances(self):
         assert resolve_backend("serial").parallelism == 1

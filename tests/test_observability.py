@@ -266,23 +266,47 @@ class TestSQLSpans:
 class TestTrainingSpans:
     """The two training stages a Figure-6 window spends its time in."""
 
-    def test_fit_extractors_span_tree(self, capture_spans, tiny_world):
+    @staticmethod
+    def _fit_extractors(world, backend):
         months = [4, 5]
         labels = {
-            m: np.zeros(tiny_world.month(m).imsi.size, dtype=np.int64)
+            m: np.zeros(world.month(m).imsi.size, dtype=np.int64)
             for m in months
         }
         for m in months:
             labels[m][::7] = 1
-        WideTableBuilder(tiny_world).fit_extractors(months, labels)
+        WideTableBuilder(world).fit_extractors(months, labels, backend=backend)
+
+    @staticmethod
+    def _assert_fit_children(capture_spans, fan_out=()):
         fit = capture_spans.assert_span("feature.fit_extractors")
         children = [c.name for c in fit.children]
+        # A pool's own span comes first; the grafted worker spans follow.
+        assert children[: len(fan_out)] == list(fan_out)
+        children = children[len(fan_out):]
         assert children[:2] == ["topic.fit", "topic.fit"]
         assert children[-1] == "second_order.fit"
         for category in ("F7", "F8"):
             topic = capture_spans.assert_span("topic.fit", category=category)
             assert topic.tags["docs"] > 0 and topic.tags["vocab"] > 0
+        return fit
+
+    def test_fit_extractors_span_tree(self, capture_spans, tiny_world):
+        self._fit_extractors(tiny_world, "serial")
+        fit = self._assert_fit_children(capture_spans)
+        # Serial children run one after another inside the parent span.
         assert fit.wall_s >= sum(c.wall_s for c in fit.children) * 0.99
+
+    def test_fit_extractors_span_tree_from_workers(
+        self, capture_spans, tiny_world
+    ):
+        with ProcessPoolBackend(max_workers=2) as pool:
+            self._fit_extractors(tiny_world, pool)
+            assert pool.tasks_dispatched == 3 and pool.fallbacks == 0
+        # The three fits ran in workers and overlap in time, so only the
+        # tree and its tags are asserted, not the wall-clock sum.
+        self._assert_fit_children(capture_spans, fan_out=["executor.map"])
+        assert capture_spans.assert_span("executor.map").tags["tasks"] == 3
 
     def test_forest_fit_span(self, capture_spans):
         rng = np.random.default_rng(0)

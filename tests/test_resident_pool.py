@@ -315,13 +315,11 @@ class TestSharedPool:
 
 
 class TestForkedWorker:
-    def test_worker_never_fans_out(self, pool, monkeypatch):
+    def test_worker_never_fans_out(self, pool):
         # The parent's default and shared backends are process pools; a
         # worker inheriting them would fork pools of its own.
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        monkeypatch.setenv("REPRO_NUM_WORKERS", "2")
         previous = executor.get_default_backend()
-        executor.set_default_backend(None)
+        executor.set_default_backend(resolve_backend("process"))
         try:
             assert executor.get_default_backend().name == "process"
             assert resolve_backend("process").name == "process"

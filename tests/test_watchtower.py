@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import ChurnPipeline, ModelMonitor
-from repro.core.watchtower import Alert, AlertRule, Watchtower
+from repro.core.watchtower import Alert, AlertRule, Watchtower, executor_rules
 from repro.datagen.scenarios import DriftScenario, inject_drift
+from repro.dataplat.executor import ProcessPoolBackend
 from repro.dataplat.telemetry import TelemetrySink, TelemetryWarehouse
 from repro.errors import ExperimentError, SimulationError
 from repro.features import WideTableBuilder
@@ -308,3 +309,24 @@ class TestDriftScenarioEndToEnd:
         ]
         parallel = _run_scenario(tiny_world, tiny_scale, backend="process")
         assert parallel == serial
+
+
+class _Resident:
+    value = 10
+
+
+class TestExecutorRules:
+    def test_recorded_fallback_warns(self, capture_spans):
+        wh = TelemetryWarehouse(git_sha="sha")
+        sink = TelemetrySink(wh, "r1", metrics=capture_spans.metrics)
+        tower = Watchtower(wh, executor_rules())
+        with ProcessPoolBackend(max_workers=2) as pool:
+            # A lambda cannot be pickled: the batch runs in the parent.
+            out = pool.map_resident(lambda r, x: r.value + x, _Resident(), 0, [1])
+            assert out == [11] and pool.fallbacks == 1
+        sink.record_window(1)
+        fired = tower.evaluate("r1", 1)
+        assert [a.rule for a in fired] == ["executor-fallback"]
+        assert fired[0].severity == "warn"
+        sink.record_window(2)  # no new fallback: the counter's delta is 0
+        assert tower.evaluate("r1", 2) == []
