@@ -11,12 +11,11 @@ wall minus direct children), which answers both the stage budget question
 ("how much time went under feature.F5?") and the hot-spot question
 ("where is that time actually spent?") directly.
 
-With ``--analyze`` the input is a telemetry warehouse dump
-(:meth:`repro.dataplat.telemetry.TelemetryWarehouse.dump`) instead of a
-trace: every stored query profile is rendered as an operator tree with
-estimated vs. actual rows plus a critical-path/self-time report::
-
-    python scripts/trace_report.py telemetry.json --analyze
+A SQL statement shows up as one ``sql.*`` span per plan operator, tagged
+with ``est_rows`` and counting actual ``rows``; the storage counters of
+its reads (``bytes_decoded``, ``cache_hits``, ``chunks_skipped``, ...)
+sit on the ``catalog.scan`` spans below.  ``EXPLAIN ANALYZE`` renders the
+same record per plan line.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.dataplat.observability import Span
-from repro.dataplat.telemetry import TELEMETRY_DATABASE, TelemetryWarehouse
 
 
 def _format_tags(span: Span) -> str:
@@ -153,101 +151,6 @@ def render_shards(roots: list[Span]) -> list[str]:
     return lines
 
 
-def _profile_groups(warehouse: TelemetryWarehouse) -> list[tuple]:
-    """Stored profiles as ``((run, window, fingerprint), sql, ops)`` groups.
-
-    Grouping is by ``profile_id`` (one value per execution), not by
-    fingerprint — re-running a statement in the same window must yield
-    two separate operator trees, not one interleaved mess.
-    """
-    if "query_profiles" not in warehouse.tables():
-        return []
-    table = warehouse.catalog.load(
-        "query_profiles", database=TELEMETRY_DATABASE
-    )
-    names = list(table.schema.names)
-    groups: dict[tuple, dict] = {}
-    for values in table.rows():
-        row = dict(zip(names, values))
-        key = (str(row["run_id"]), int(row["window"]), int(row["profile_id"]))
-        group = groups.setdefault(
-            key,
-            {"sql": str(row["sql"]), "fp": str(row["fingerprint"]), "ops": []},
-        )
-        group["ops"].append(row)
-    out = []
-    for key in sorted(groups):
-        group = groups[key]
-        group["ops"].sort(key=lambda r: int(r["op_id"]))
-        run_id, window, _ = key
-        out.append(((run_id, window, group["fp"]), group["sql"], group["ops"]))
-    return out
-
-
-def render_analyze(warehouse: TelemetryWarehouse, top: int) -> list[str]:
-    """Per-profile operator trees plus critical-path/self-time reports.
-
-    Self time is an operator's inclusive wall time minus its direct
-    children's; the critical path repeatedly descends into the slowest
-    child, which is where a latency regression actually lives.
-    """
-    lines: list[str] = []
-    for (run_id, window, fp), sql, ops in _profile_groups(warehouse):
-        children: dict[int, list[dict]] = {}
-        for op in ops:
-            children.setdefault(int(op["parent_id"]), []).append(op)
-
-        def self_s(op: dict) -> float:
-            kids = children.get(int(op["op_id"]), [])
-            return max(float(op["wall_s"]) - sum(float(k["wall_s"]) for k in kids), 0.0)
-
-        root = ops[0]
-        total = float(root["wall_s"])
-        lines.append(
-            f"-- run {run_id} window {window} fp {fp} "
-            f"({total * 1e3:.3f} ms total)"
-        )
-        lines.append(f"   {sql}")
-        for op in ops:
-            pad = "  " * int(op["depth"])
-            est = float(op["est_rows"])
-            est_text = f"{est:.0f}" if est >= 0 else "?"
-            q = float(op["q_error"])
-            q_text = f" q={q:.2f}" if q > 0 else ""
-            lines.append(
-                f"  {pad}{op['label']}  est={est_text} "
-                f"actual={int(op['actual_rows'])}{q_text} "
-                f"wall={float(op['wall_s']) * 1e3:.3f}ms "
-                f"self={self_s(op) * 1e3:.3f}ms "
-                f"decoded={int(op['bytes_decoded'])}B "
-                f"hits={int(op['cache_hits'])} "
-                f"skipped={int(op['chunks_skipped'])}"
-            )
-        path = []
-        op = root
-        while True:
-            path.append(op)
-            kids = children.get(int(op["op_id"]), [])
-            if not kids:
-                break
-            op = max(kids, key=lambda k: (float(k["wall_s"]), -int(k["op_id"])))
-        lines.append("  critical path:")
-        for op in path:
-            share = self_s(op) / total if total > 0 else 0.0
-            lines.append(
-                f"    {op['operator']:<10} self={self_s(op) * 1e3:.3f}ms "
-                f"({share:.0%} of total)  {op['label']}"
-            )
-        ranked = sorted(ops, key=lambda o: (-self_s(o), int(o["op_id"])))
-        lines.append("  self-time leaders:")
-        for op in ranked[:top]:
-            lines.append(
-                f"    {self_s(op) * 1e3:>9.3f}ms  {op['label']}"
-            )
-        lines.append("")
-    return lines
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trace", type=pathlib.Path, help="trace JSON file")
@@ -257,26 +160,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--top", type=int, default=15, help="summary rows to print"
     )
-    parser.add_argument(
-        "--analyze",
-        action="store_true",
-        help=(
-            "treat the input as a telemetry warehouse dump and render the "
-            "stored query profiles (critical path, est vs actual rows)"
-        ),
-    )
     args = parser.parse_args(argv)
-
-    if args.analyze:
-        warehouse = TelemetryWarehouse.load_dump(args.trace)
-        lines = render_analyze(warehouse, args.top)
-        if not lines:
-            print("dump contains no query profiles")
-            return 1
-        print("== query profiles (EXPLAIN ANALYZE warehouse) ==")
-        for line in lines:
-            print(line)
-        return 0
 
     data = json.loads(args.trace.read_text())
     roots = [Span.from_dict(d) for d in data.get("spans", [])]

@@ -43,7 +43,6 @@ __all__ = [
     "SEVERITIES",
     "recovery_rules",
     "executor_rules",
-    "query_profile_rules",
 ]
 
 #: Alert tiers, least to most urgent.
@@ -196,52 +195,6 @@ def executor_rules() -> tuple[AlertRule, ...]:
             comparison=">",
             severity="warn",
             description="a process-pool batch ran serially (not picklable)",
-        ),
-    )
-
-
-def query_profile_rules(
-    max_q_error: float = 100.0, wall_regression: float = 2.0
-) -> tuple[AlertRule, ...]:
-    """Stock rules over ``__telemetry.query_profiles``.
-
-    * ``query-estimate-misfire``: some operator's q-error in the window
-      exceeded ``max_q_error`` — the binder's cardinality model is badly
-      wrong for a query shape (candidate for cardinality feedback).
-    * ``query-wall-regression``: a query fingerprint's total wall time
-      (its root operator, ``op_id = 0``) is more than ``wall_regression``
-      times the same fingerprint's wall time in an *earlier* run stored in
-      the warehouse.  Division by a zero baseline yields 0 in the SQL
-      dialect, so instantaneous baselines never fire it.
-    """
-    return (
-        AlertRule(
-            name="query-estimate-misfire",
-            sql=(
-                "SELECT window, MAX(q_error) AS value "
-                "FROM __telemetry.query_profiles "
-                "WHERE run_id = '{run_id}' GROUP BY window"
-            ),
-            threshold=max_q_error,
-            comparison=">",
-            severity="warn",
-            description="cardinality estimate off by more than the q-error budget",
-        ),
-        AlertRule(
-            name="query-wall-regression",
-            sql=(
-                "SELECT a.window AS window, MAX(a.wall_s / b.wall_s) AS value "
-                "FROM __telemetry.query_profiles a "
-                "JOIN __telemetry.query_profiles b "
-                "ON a.fingerprint = b.fingerprint "
-                "WHERE a.run_id = '{run_id}' AND b.run_id < '{run_id}' "
-                "AND a.op_id = 0 AND b.op_id = 0 "
-                "GROUP BY a.window"
-            ),
-            threshold=wall_regression,
-            comparison=">",
-            severity="warn",
-            description="query wall time regressed vs an earlier run",
         ),
     )
 

@@ -44,7 +44,7 @@ from .journal import (
     staging_dir,
     txn_floor,
 )
-from .observability import get_metrics, span
+from .observability import current_span, get_metrics, span
 from .schema import Schema
 from .table import Table
 
@@ -703,8 +703,10 @@ class Catalog:
             arr = self._cache.get(meta.path)
             if arr is None:
                 arr = decode_column(self._store.read(meta.path))
-                self._store.health.bytes_decoded += array_nbytes(arr)
-                self._cache.put(meta.path, arr, array_nbytes(arr))
+                nbytes = array_nbytes(arr)
+                self._store.health.bytes_decoded += nbytes
+                current_span().incr("bytes_decoded", nbytes)
+                self._cache.put(meta.path, arr, nbytes)
             data[meta.name] = arr
             cols.append(meta.column)
         return Table(Schema(cols), data)

@@ -9,22 +9,15 @@ Spark SQL over Hive tables.  This package is a small but real SQL engine:
   rule-based optimizations (predicate pushdown, projection pruning),
 * :mod:`.executor` evaluates plans over :class:`~repro.dataplat.catalog.Catalog`
   tables with vectorized numpy kernels,
-* :mod:`.functions` is the scalar/aggregate function registry,
-* :mod:`.profile` records per-operator runtime profiles (EXPLAIN ANALYZE),
-* :mod:`.feedback` learns cardinality corrections from those profiles.
+* :mod:`.functions` is the scalar/aggregate function registry.
+
+``EXPLAIN ANALYZE`` reads per-operator rows, time and storage counters
+off the ``sql.*`` spans the executor records for every plan node.
 
 The public entry point is :class:`SQLEngine`.
 """
 
 from .engine import SQLEngine
-from .feedback import CardinalityFeedback
-from .profile import QueryProfile, fingerprint
 from .scatter import ShardedSQLEngine
 
-__all__ = [
-    "SQLEngine",
-    "ShardedSQLEngine",
-    "CardinalityFeedback",
-    "QueryProfile",
-    "fingerprint",
-]
+__all__ = ["SQLEngine", "ShardedSQLEngine"]

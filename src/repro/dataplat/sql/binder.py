@@ -251,24 +251,11 @@ class Binder:
     (``binding.column`` → :class:`ColumnStats`) across every plan it
     binds, so the cost-based optimizer can re-bind rewritten trees with
     the same statistics view.
-
-    ``feedback`` (a :class:`~.feedback.CardinalityFeedback`) supplies
-    learned corrections from earlier query profiles: every node's
-    ``est_rows`` becomes ``raw * correction`` while the uncorrected value
-    is kept in ``est_rows_raw``.  Parents always build on the *raw* child
-    estimates, so a correction applies exactly once at its own node and
-    corrections never compound up the tree.
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        database: str = "default",
-        feedback=None,
-    ) -> None:
+    def __init__(self, catalog: Catalog, database: str = "default") -> None:
         self._catalog = catalog
         self._database = database
-        self._feedback = feedback
         self._columns: dict[str, ColumnStats] = {}
         self._scan_stats: dict[str, TableStats | None] = {}
 
@@ -322,13 +309,8 @@ class Binder:
     # ------------------------------------------------------------------
 
     def _annotate(self, node: PlanNode) -> float:
-        raw = max(0.0, self._estimate(node))
-        node.est_rows_raw = raw
-        if self._feedback is None:
-            node.est_rows = raw
-        else:
-            node.est_rows = max(0.0, raw * self._feedback.correction(node))
-        return raw
+        node.est_rows = max(0.0, self._estimate(node))
+        return node.est_rows
 
     def _estimate(self, node: PlanNode) -> float:
         if isinstance(node, Scan):

@@ -11,40 +11,36 @@ optimizer** (join reorder, aggregate pushdown, early projection).
 ``EXPLAIN <select>`` returns the final plan as a one-column
 table instead of executing it; ``EXPLAIN ANALYZE <select>`` executes it
 and annotates every operator with actual rows, wall/CPU time and storage
-counters.
-
-Profiling (``profiling=True`` or ``REPRO_SQL_PROFILE=1``) records a
-:class:`~.profile.QueryProfile` for every executed query — readable via
-:attr:`SQLEngine.last_profile`, forwarded to ``profile_sink`` when set,
-and feeding the optional :class:`~.feedback.CardinalityFeedback` store
-(``feedback=True`` or ``REPRO_CBO_FEEDBACK=1``) that lets the binder
-correct its cardinality estimates from observed run history.
+counters, read off the ``sql.*`` spans the executor records for each
+plan node.
 """
 
 from __future__ import annotations
 
-import os
+from contextlib import nullcontext
 
 import numpy as np
 
 from ..catalog import Catalog
-from ..observability import get_metrics, span
+from ..observability import Span, enabled, span, trace
 from ..table import Table
 from .ast_nodes import ExplainStatement, SelectStatement, UnionAllStatement
 from .binder import Binder
 from .cbo import optimize_cost_based
-from .executor import Executor
-from .feedback import CardinalityFeedback
+from .executor import Executor, q_error
 from .parser import parse
-from .plan import PlanNode
+from .plan import PlanNode, format_rows
 from .planner import build_plan, optimize
-from .profile import ProfileCollector, QueryProfile, annotate_plan
 
-_ENV_TRUTHY = ("1", "true", "yes", "on")
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in _ENV_TRUTHY
+#: Span counters ``EXPLAIN ANALYZE`` reports per operator, exclusive of
+#: the operator's children.
+_STORAGE_COUNTERS = (
+    "bytes_decoded",
+    "cache_hits",
+    "cache_misses",
+    "chunks_skipped",
+    "partitions_pruned",
+)
 
 
 class SQLEngine:
@@ -55,53 +51,17 @@ class SQLEngine:
     >>> engine.register(Table.from_arrays(x=np.array([1, 2, 3])), "t")
     >>> float(engine.query("SELECT SUM(x) AS total FROM t")["total"][0])
     6.0
-
-    ``profiling`` defaults (``None``) to the ``REPRO_SQL_PROFILE``
-    environment variable so whole test suites can flip it without touching
-    call sites, and ``feedback`` likewise to ``REPRO_CBO_FEEDBACK`` (pass
-    an existing :class:`~.feedback.CardinalityFeedback` to share one store
-    across engines).  ``profile_sink`` is called with each finished
-    :class:`~.profile.QueryProfile` (the telemetry sink's
-    ``record_query_profile`` slots in directly).
     """
 
     def __init__(
-        self,
-        catalog: Catalog | None = None,
-        database: str = "default",
-        profiling: bool | None = None,
-        profile_sink=None,
-        feedback: "CardinalityFeedback | bool | None" = None,
+        self, catalog: Catalog | None = None, database: str = "default"
     ) -> None:
         self._catalog = catalog if catalog is not None else Catalog()
         self._database = database
-        self._profiling = (
-            _env_flag("REPRO_SQL_PROFILE") if profiling is None else bool(profiling)
-        )
-        self._profile_sink = profile_sink
-        if feedback is None:
-            feedback = _env_flag("REPRO_CBO_FEEDBACK")
-        if feedback is True:
-            self._feedback: CardinalityFeedback | None = CardinalityFeedback()
-        elif feedback is False:
-            self._feedback = None
-        else:
-            self._feedback = feedback
-        self._last_profile: QueryProfile | None = None
 
     @property
     def catalog(self) -> Catalog:
         return self._catalog
-
-    @property
-    def feedback(self) -> CardinalityFeedback | None:
-        """The cardinality-feedback store, when enabled."""
-        return self._feedback
-
-    @property
-    def last_profile(self) -> QueryProfile | None:
-        """The profile of the most recent profiled query, if any."""
-        return self._last_profile
 
     def register(self, table: Table, name: str) -> None:
         """Register an in-memory table under ``name`` (temp view).
@@ -134,7 +94,7 @@ class SQLEngine:
             plan = build_plan(stmt)
             if optimized:
                 plan = optimize(plan)
-        binder = Binder(self._catalog, self._database, feedback=self._feedback)
+        binder = Binder(self._catalog, self._database)
         with span("sql.bind"):
             binder.bind(plan)
         if optimized:
@@ -146,31 +106,18 @@ class SQLEngine:
         """Readable bound, cost-optimized plan."""
         return self.plan(sql).describe()
 
-    def _collecting(self) -> bool:
-        return (
-            self._profiling
-            or self._feedback is not None
-            or self._profile_sink is not None
-        )
+    def _explain_analyze(self, plan: PlanNode) -> list[str]:
+        """Execute ``plan`` and annotate it from its own ``sql.*`` spans.
 
-    def _execute_profiled(
-        self, plan: PlanNode, sql: str
-    ) -> tuple[Table, QueryProfile]:
-        collector = ProfileCollector(health=self._catalog.store.health)
-        executor = Executor(self._catalog, self._database, profiler=collector)
-        with span("sql.execute"):
-            out = executor.execute(plan)
-        profile = collector.finish(sql)
-        self._absorb_profile(profile)
-        return out, profile
-
-    def _absorb_profile(self, profile: QueryProfile) -> None:
-        self._last_profile = profile
-        get_metrics().counter("sql.queries_profiled").inc()
-        if self._feedback is not None:
-            self._feedback.ingest(profile)
-        if self._profile_sink is not None:
-            self._profile_sink(profile)
+        The statement runs under the active tracer, so its spans stay in
+        the caller's trace, or under a private one when none is installed.
+        """
+        with nullcontext() if enabled() else trace():
+            with span("sql.execute") as root:
+                Executor(self._catalog, self._database).execute(plan)
+        lines: list[str] = []
+        _annotate(plan, next(_operator_spans(root)), 0, lines)
+        return lines
 
     def query(self, sql: str) -> Table:
         """Execute a SELECT statement and return the result table.
@@ -187,8 +134,7 @@ class SQLEngine:
             if isinstance(stmt, ExplainStatement):
                 plan = self._plan_statement(stmt.statement)
                 if stmt.analyze:
-                    _, profile = self._execute_profiled(plan, sql)
-                    lines = annotate_plan(plan, profile)
+                    lines = self._explain_analyze(plan)
                 else:
                     lines = plan.describe().split("\n")
                 out = Table.from_arrays(
@@ -197,12 +143,9 @@ class SQLEngine:
                 sp.incr("rows", out.num_rows)
                 return out
             plan = self._plan_statement(stmt)
-            if self._collecting():
-                out, _ = self._execute_profiled(plan, sql)
-            else:
-                executor = Executor(self._catalog, self._database)
-                with span("sql.execute"):
-                    out = executor.execute(plan)
+            executor = Executor(self._catalog, self._database)
+            with span("sql.execute"):
+                out = executor.execute(plan)
             sp.incr("rows", out.num_rows)
         return out
 
@@ -215,3 +158,56 @@ class SQLEngine:
         result = self.query(sql)
         self._catalog.save(result, name, database=self._database, partition=partition)
         return result
+
+
+def _operator_spans(parent: Span):
+    """The ``sql.*`` spans nearest below ``parent``: its plan children."""
+    for child in parent.children:
+        if child.name.startswith("sql."):
+            yield child
+        else:
+            yield from _operator_spans(child)
+
+
+def _storage_counters(op: Span) -> list[int]:
+    """``_STORAGE_COUNTERS`` summed over ``op`` and every descendant span
+    that belongs to no child operator, so a scan's decoded bytes count at
+    the scan, not at every join above it."""
+    totals = [0] * len(_STORAGE_COUNTERS)
+    stack = [op]
+    while stack:
+        current = stack.pop()
+        for i, name in enumerate(_STORAGE_COUNTERS):
+            totals[i] += int(current.counters.get(name, 0))
+        stack.extend(
+            c for c in current.children if not c.name.startswith("sql.")
+        )
+    return totals
+
+
+def _annotate(node: PlanNode, op: Span, depth: int, lines: list[str]) -> None:
+    """One ``EXPLAIN ANALYZE`` line per plan node, in ``describe()`` order.
+
+    The plan tree and its span tree are walked in lockstep: the executor
+    runs every child once, in ``children()`` order, inside its parent's
+    span.
+    """
+    actual = int(op.counters.get("rows", 0))
+    est = node.est_rows
+    parts = [
+        f"est_rows={format_rows(est) if est is not None else '?'}",
+        f"actual_rows={actual}",
+    ]
+    q = q_error(node, actual)
+    if q is not None:
+        parts.append(f"q={q:.2f}")
+    parts.append(f"wall_ms={op.wall_s * 1e3:.3f}")
+    parts.append(f"cpu_ms={op.cpu_s * 1e3:.3f}")
+    parts.extend(
+        f"{name}={value}"
+        for name, value in zip(_STORAGE_COUNTERS, _storage_counters(op))
+    )
+    lines.append(f"{'  ' * depth}{node._label()} [{' '.join(parts)}]")
+    children = zip(node.children(), _operator_spans(op), strict=True)
+    for child, child_op in children:
+        _annotate(child, child_op, depth + 1, lines)

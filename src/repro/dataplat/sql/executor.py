@@ -55,13 +55,21 @@ from .plan import (
 ESTIMATE_ERROR_BUCKETS = (1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0, 1000.0)
 
 
+def q_error(node: PlanNode, actual: int) -> float | None:
+    """Smoothed q-factor ``(max+1)/(min+1)`` of a node's estimate against
+    its actual row count; None for unbound nodes and for operators that
+    pass their child's estimate through (they would only repeat it)."""
+    est = node.est_rows
+    if est is None or not isinstance(node, (Scan, Filter, Join, Aggregate)):
+        return None
+    return (max(est, actual) + 1.0) / (min(est, actual) + 1.0)
+
+
 def _record_estimate(node: PlanNode, actual: int) -> None:
     """Feed the planner's estimate-quality histogram for bound nodes."""
-    if node.est_rows is None:
+    q = q_error(node, actual)
+    if q is None:
         return
-    if not isinstance(node, (Scan, Filter, Join, Aggregate)):
-        return
-    q = (max(node.est_rows, actual) + 1.0) / (min(node.est_rows, actual) + 1.0)
     observability.get_metrics().histogram(
         "planner.estimate_error_q", boundaries=ESTIMATE_ERROR_BUCKETS
     ).observe(q)
@@ -75,15 +83,9 @@ class Executor:
     changes results, only how many chunks get decoded.
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        database: str = "default",
-        profiler=None,
-    ) -> None:
+    def __init__(self, catalog: Catalog, database: str = "default") -> None:
         self._catalog = catalog
         self._database = database
-        self._profiler = profiler
 
     def execute(self, plan: PlanNode) -> Table:
         return self._run(plan)
@@ -93,30 +95,12 @@ class Executor:
     # ------------------------------------------------------------------
 
     def _run(self, node: PlanNode) -> Table:
-        """Execute one operator, profiling it when a collector is attached.
-
-        The profiler (a :class:`~.profile.ProfileCollector`) brackets the
-        whole operator including its children, mirroring the span tree;
-        results are unchanged either way.
-        """
-        profiler = self._profiler
-        if profiler is None:
-            return self._run_traced(node)
-        frame = profiler.enter(node)
-        try:
-            out = self._run_traced(node)
-        except BaseException:
-            profiler.exit(frame, -1)
-            raise
-        profiler.exit(frame, out.num_rows)
-        return out
-
-    def _run_traced(self, node: PlanNode) -> Table:
         """Execute one operator, tracing a span per plan node.
 
         Children are executed by the operator handlers (inside the parent's
         span), so the trace tree mirrors the plan tree, each span carrying
-        the operator's output row count.
+        the operator's output row count — the record ``EXPLAIN ANALYZE``
+        renders.
         """
         if not observability.enabled():
             out = self._dispatch(node)

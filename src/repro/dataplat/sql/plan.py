@@ -21,11 +21,6 @@ class PlanNode:
     #: (which plan-shape tests rely on) ignores the annotation.
     est_rows: float | None = None
 
-    #: The uncorrected System-R estimate, kept alongside ``est_rows`` when
-    #: cardinality feedback is active (equal otherwise).  Feedback learns
-    #: ratios against this value so corrections never compound run-over-run.
-    est_rows_raw: float | None = None
-
     def children(self) -> tuple["PlanNode", ...]:
         return ()
 

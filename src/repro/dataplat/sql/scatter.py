@@ -557,9 +557,7 @@ class ShardedSQLEngine:
         self._sharded = catalog
         self._database = database
         self._backend = resolve_backend(backend)
-        self._planner = SQLEngine(
-            catalog.shards[0], database, profiling=False, feedback=False
-        )
+        self._planner = SQLEngine(catalog.shards[0], database)
         self._exchange = ShuffleExchange(catalog, spill_bytes=spill_bytes)
 
     @property

@@ -123,32 +123,6 @@ TELEMETRY_SCHEMAS: dict[str, Schema] = {
         threshold="float",
         message="string",
     ),
-    "query_profiles": Schema.of(
-        run_id="string",
-        window="int",
-        git_sha="string",
-        fingerprint="string",
-        profile_id="int",
-        sql="string",
-        op_id="int",
-        parent_id="int",
-        depth="int",
-        operator="string",
-        label="string",
-        rel="string",
-        shape="string",
-        est_rows="float",
-        est_rows_raw="float",
-        actual_rows="int",
-        q_error="float",
-        wall_s="float",
-        cpu_s="float",
-        bytes_decoded="int",
-        cache_hits="int",
-        cache_misses="int",
-        chunks_skipped="int",
-        partitions_pruned="int",
-    ),
 }
 
 
@@ -206,9 +180,6 @@ class TelemetryWarehouse:
         self._engine = SQLEngine(self._catalog, database=TELEMETRY_DATABASE)
         self.git_sha = git_sha if git_sha is not None else current_git_sha()
         self.retention_runs = retention_runs
-        # Monotone discriminator for query profiles: two executions of
-        # the same statement in one (run, window) must not interleave.
-        self._profile_seq = 0
 
     @property
     def catalog(self) -> Catalog:
@@ -297,53 +268,6 @@ class TelemetryWarehouse:
             add("hist_count", name, "", hist["total"])
             add("hist_sum", name, "", hist["sum"])
         self._append("metrics", run_id, window, rows)
-        return len(rows)
-
-    def record_query_profile(
-        self, run_id: str, window: int, profile
-    ) -> int:
-        """Sink one :class:`~.sql.profile.QueryProfile`.
-
-        One row per executed operator, keyed by
-        ``(run_id, profile_id, op_id)`` within the window — the
-        ``EXPLAIN ANALYZE`` record the feedback store and
-        ``scripts/trace_report.py --analyze`` read back.  ``profile_id``
-        is a warehouse-monotone execution counter: repeated runs of the
-        same statement (same fingerprint) in one window stay separate
-        profiles instead of interleaving their operator rows.
-        """
-        profile_id = self._profile_seq
-        self._profile_seq += 1
-        rows = [
-            (
-                run_id,
-                window,
-                self.git_sha,
-                profile.fingerprint,
-                profile_id,
-                profile.sql,
-                op.op_id,
-                op.parent_id,
-                op.depth,
-                op.operator,
-                op.label,
-                op.rel,
-                op.shape,
-                float(op.est_rows),
-                float(op.est_rows_raw),
-                op.actual_rows,
-                float(op.q_error),
-                float(op.wall_s),
-                float(op.cpu_s),
-                op.bytes_decoded,
-                op.cache_hits,
-                op.cache_misses,
-                op.chunks_skipped,
-                op.partitions_pruned,
-            )
-            for op in profile.operators
-        ]
-        self._append("query_profiles", run_id, window, rows)
         return len(rows)
 
     def record_recovery(self, run_id: str, window: int, report) -> int:
@@ -550,11 +474,6 @@ class TelemetryWarehouse:
                 ).append(row)
             for (run_id, window), group in sorted(by_key.items()):
                 warehouse._append(name, run_id, window, group)
-            if name == "query_profiles" and rows:
-                seq_col = data["columns"].index("profile_id")
-                warehouse._profile_seq = (
-                    max(int(row[seq_col]) for row in rows) + 1
-                )
         return warehouse
 
     # ------------------------------------------------------------------
@@ -664,19 +583,6 @@ class TelemetrySink:
                 self.warehouse.record_drift(self.run_id, window, monitoring)
             if health is not None:
                 self.warehouse.record_health(self.run_id, window, health)
-        finally:
-            observability.set_tracer(previous_tracer)
-
-    def record_query_profile(self, profile, window: int = 0) -> None:
-        """Sink one query profile (usable as an engine ``profile_sink``).
-
-        The default window 0 suits ad-hoc profiling; pipelines recording
-        per window can pass their window index explicitly via
-        ``functools.partial`` or a small lambda.
-        """
-        previous_tracer = observability.set_tracer(None)
-        try:
-            self.warehouse.record_query_profile(self.run_id, window, profile)
         finally:
             observability.set_tracer(previous_tracer)
 

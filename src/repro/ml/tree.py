@@ -15,7 +15,7 @@ points of *all* its candidate features in one ``(candidates, rows)`` block —
 one gather, one stable radix argsort of 16-bit code digits, one cumulative
 sum per mass array, one argmax over every boundary between distinct values.
 Ensembles build the codes once and hand each tree its rows
-(:meth:`DecisionTree.grow`).  DESIGN.md §17 says why the trees are the same,
+(:meth:`DecisionTree.grow`).  DESIGN.md §16 says why the trees are the same,
 bit for bit, as a per-feature float sort would grow.
 
 Prediction has one kernel, :class:`NodeTable`: an ensemble's trees are

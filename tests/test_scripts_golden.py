@@ -3,8 +3,8 @@
 ``trace_report.py`` and ``obs_dashboard.py`` are the interfaces a human
 actually reads, so their rendering is pinned byte-for-byte against
 committed golden files in ``tests/golden/``.  The canned inputs are built
-here from fully deterministic values (hand-written span timings, a
-fabricated query profile) — regenerate a golden after an intentional
+here from fully deterministic values (hand-written span timings and
+metrics) — regenerate a golden after an intentional
 format change with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
@@ -22,7 +22,6 @@ import sys
 import pytest
 
 from repro.dataplat.resilience import PipelineHealthReport
-from repro.dataplat.sql.profile import OperatorProfile, QueryProfile
 from repro.dataplat.telemetry import TelemetryWarehouse
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -114,55 +113,8 @@ def canned_sharded_trace() -> dict:
     }
 
 
-def canned_profile() -> QueryProfile:
-    """One fabricated query profile: scan -> filter -> aggregate."""
-    ops = [
-        OperatorProfile(
-            op_id=0, parent_id=-1, depth=0, operator="Aggregate",
-            label="Aggregate[name] n=COUNT(*)", rel="t+u",
-            shape="aggregate|a:name;f:v<?;j[inner]:grp=grp",
-            est_rows=7.0, est_rows_raw=21.0, actual_rows=7,
-            wall_s=0.0040, cpu_s=0.0038,
-        ),
-        OperatorProfile(
-            op_id=1, parent_id=0, depth=1, operator="Join",
-            label="Join[inner,hash] t.grp = u.grp", rel="t+u",
-            shape="join|f:v<?;j[inner]:grp=grp",
-            est_rows=133.0, est_rows_raw=133.0, actual_rows=138,
-            wall_s=0.0031, cpu_s=0.0030,
-        ),
-        OperatorProfile(
-            op_id=2, parent_id=1, depth=2, operator="Filter",
-            label="Filter v < 5", rel="t", shape="filter|f:v<?",
-            est_rows=133.0, est_rows_raw=133.0, actual_rows=138,
-            wall_s=0.0019, cpu_s=0.0018,
-        ),
-        OperatorProfile(
-            op_id=3, parent_id=2, depth=3, operator="Scan",
-            label="Scan t", rel="t", shape="scan|",
-            est_rows=400.0, est_rows_raw=400.0, actual_rows=400,
-            wall_s=0.0008, cpu_s=0.0008, bytes_decoded=9600,
-            cache_hits=2, cache_misses=1, chunks_skipped=1,
-        ),
-        OperatorProfile(
-            op_id=4, parent_id=1, depth=2, operator="Scan",
-            label="Scan u", rel="u", shape="scan|",
-            est_rows=7.0, est_rows_raw=7.0, actual_rows=7,
-            wall_s=0.0003, cpu_s=0.0003, bytes_decoded=180, cache_hits=1,
-        ),
-    ]
-    return QueryProfile(
-        fingerprint="deadbeef01234567",
-        sql=(
-            "SELECT u.name, COUNT(*) AS n FROM t JOIN u ON t.grp = u.grp "
-            "WHERE t.v < 5 GROUP BY u.name"
-        ),
-        operators=ops,
-    )
-
-
 def canned_warehouse() -> TelemetryWarehouse:
-    """A deterministic dump: metrics, health, and one query profile."""
+    """A deterministic dump: metrics and health."""
     wh = TelemetryWarehouse(git_sha="golden0")
     for window, auc in ((1, 0.9123), (2, 0.8941)):
         wh.record_metrics(
@@ -171,7 +123,6 @@ def canned_warehouse() -> TelemetryWarehouse:
     health = PipelineHealthReport(families_used=["F1", "F3"])
     health.quarantined_rows = 3
     wh.record_health("run-01", 1, health)
-    wh.record_query_profile("run-01", 1, canned_profile())
     return wh
 
 
@@ -225,36 +176,6 @@ class TestTraceReportGolden:
         _, out = run_script("trace_report.py", str(trace))
         assert "shards" not in out
 
-    def test_analyze_profiles(self, tmp_path):
-        dump = tmp_path / "telemetry.json"
-        canned_warehouse().dump(dump)
-        code, out = run_script("trace_report.py", str(dump), "--analyze")
-        assert code == 0
-        check_golden("trace_report_analyze.txt", out)
-
-    def test_analyze_renders_repeated_runs_as_separate_trees(self, tmp_path):
-        wh = TelemetryWarehouse(git_sha="golden0")
-        profile = canned_profile()
-        wh.record_query_profile("run-01", 1, profile)
-        wh.record_query_profile("run-01", 1, profile)
-        dump = tmp_path / "telemetry.json"
-        wh.dump(dump)
-        code, out = run_script("trace_report.py", str(dump), "--analyze")
-        assert code == 0
-        headers = [l for l in out.splitlines() if l.startswith("-- run")]
-        assert len(headers) == 2
-        # Each tree keeps its own 5 operators — no interleaving.
-        assert out.count("Scan t  est=400") == 2
-
-    def test_analyze_empty_dump_fails_cleanly(self, tmp_path):
-        wh = TelemetryWarehouse(git_sha="golden0")
-        wh.record_metrics("run-01", 1, {"gauges": {"a": 1.0}})
-        dump = tmp_path / "telemetry.json"
-        wh.dump(dump)
-        code, out = run_script("trace_report.py", str(dump), "--analyze")
-        assert code == 1
-        assert "no query profiles" in out
-
 
 class TestObsDashboardGolden:
     def test_dashboard_render(self, tmp_path):
@@ -276,7 +197,6 @@ class TestObsDashboardGolden:
 def test_golden_files_committed():
     for name in (
         "trace_report.txt",
-        "trace_report_analyze.txt",
         "trace_report_shards.txt",
         "obs_dashboard.txt",
     ):

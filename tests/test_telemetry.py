@@ -47,7 +47,7 @@ def _report(rng, shift=0.0):
 class TestWarehouse:
     def test_schemas_are_stable(self):
         assert set(TELEMETRY_SCHEMAS) == {
-            "spans", "metrics", "drift", "health", "alerts", "query_profiles"
+            "spans", "metrics", "drift", "health", "alerts"
         }
         for schema in TELEMETRY_SCHEMAS.values():
             assert schema.names[:3] == ("run_id", "window", "git_sha")
@@ -214,6 +214,31 @@ class TestWarehouse:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(DataPlatformError):
+            TelemetryWarehouse.load_dump(path)
+
+    def test_load_dump_rejects_retired_query_profiles(self, tmp_path):
+        # Dumps written while the warehouse still kept per-operator query
+        # profiles name a table the schema no longer has; loading one
+        # fails on that table instead of dropping it silently.
+        columns = [
+            "run_id", "window", "git_sha", "fingerprint", "profile_id",
+            "sql", "op_id", "operator", "actual_rows", "wall_s",
+        ]
+        row = ["r1", 0, "sha", "deadbeef01234567", 0, "SELECT 1", 0,
+               "Scan", 7, 0.001]
+        payload = {
+            "version": 1,
+            "tables": {
+                "metrics": {
+                    "columns": list(TELEMETRY_SCHEMAS["metrics"].names),
+                    "rows": [],
+                },
+                "query_profiles": {"columns": columns, "rows": [row]},
+            },
+        }
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataPlatformError, match="'query_profiles'"):
             TelemetryWarehouse.load_dump(path)
 
     def test_git_sha_stamped(self):
