@@ -574,12 +574,12 @@ class TelcoSimulator:
 
         complaint_intent = 0.3 * _sigmoid(0.8 * (ps_now + cs_now)) + 0.2 * churn_next
         has_complaint = complaint_counts > 0
-        complaint_docs = ["" for _ in range(n)]
+        complaint_docs = np.full(n, "", dtype=object)
         idx = np.flatnonzero(has_complaint)
         if len(idx):
-            docs = complaint_gen.sample_docs(complaint_intent[idx], 2.5, rng)
-            for i, doc in zip(idx.tolist(), docs):
-                complaint_docs[i] = doc
+            complaint_docs[idx] = complaint_gen.sample_docs(
+                complaint_intent[idx], 2.5, rng
+            )
 
         tables = {
             "user_base": bss.user_base_table(pop),

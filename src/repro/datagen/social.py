@@ -37,25 +37,6 @@ class SocialGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def neighbor_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR-ish (indptr, neighbors, weights) for exposure computation."""
-        n = self.n_nodes
-        degree = np.zeros(n, dtype=np.int64)
-        np.add.at(degree, self.edges[:, 0], 1)
-        np.add.at(degree, self.edges[:, 1], 1)
-        indptr = np.concatenate([[0], np.cumsum(degree)])
-        neighbors = np.zeros(indptr[-1], dtype=np.int64)
-        weights = np.zeros(indptr[-1], dtype=np.float64)
-        cursor = indptr[:-1].copy()
-        for (a, b), w in zip(self.edges.tolist(), self.weights.tolist()):
-            neighbors[cursor[a]] = b
-            weights[cursor[a]] = w
-            cursor[a] += 1
-            neighbors[cursor[b]] = a
-            weights[cursor[b]] = w
-            cursor[b] += 1
-        return indptr, neighbors, weights
-
 
 def _community_edges(
     labels: np.ndarray,
@@ -70,36 +51,43 @@ def _community_edges(
     sorted_labels = labels[order]
     boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
     groups = np.split(order, boundaries)
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     # Allocate intra-community edges proportionally to group size.
     intra_budget = int(target_edges * (1 - cross_fraction))
     total = sum(len(g) for g in groups if len(g) > 1)
+    empty = np.empty(0, dtype=np.int64)
+    a_draws, b_draws = [empty], [empty]
     for group in groups:
         if len(group) < 2:
             continue
         share = max(1, int(round(intra_budget * len(group) / max(total, 1))))
-        a = rng.choice(group, size=share)
-        b = rng.choice(group, size=share)
-        for u, v in zip(a.tolist(), b.tolist()):
-            if u == v:
-                continue
-            key = (min(u, v), max(u, v))
-            if key not in seen:
-                seen.add(key)
-                edges.append(key)
-    cross_budget = target_edges - len(edges)
+        a_draws.append(rng.choice(group, size=share))
+        b_draws.append(rng.choice(group, size=share))
+    lo, hi = _first_new_edges(np.concatenate(a_draws), np.concatenate(b_draws), n)
+    cross_budget = target_edges - len(lo)
     if cross_budget > 0:
         a = rng.integers(0, n, size=cross_budget * 2)
         b = rng.integers(0, n, size=cross_budget * 2)
-        for u, v in zip(a.tolist(), b.tolist()):
-            if u == v or len(edges) >= target_edges:
-                continue
-            key = (min(u, v), max(u, v))
-            if key not in seen:
-                seen.add(key)
-                edges.append(key)
-    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        c_lo, c_hi = _first_new_edges(a, b, n, seen=lo * n + hi)
+        lo = np.concatenate([lo, c_lo[:cross_budget]])
+        hi = np.concatenate([hi, c_hi[:cross_budget]])
+    return np.stack([lo, hi], axis=1).astype(np.int64)
+
+
+def _first_new_edges(
+    a: np.ndarray, b: np.ndarray, n: int, seen: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected pairs ``(a[i], b[i])`` in draw order, minus self-loops,
+    repeats and keys in ``seen`` (as ``min * n + max``); each kept pair is
+    its first occurrence."""
+    keep = a != b
+    lo = np.minimum(a, b)[keep]
+    hi = np.maximum(a, b)[keep]
+    key = lo * n + hi
+    if seen is not None:
+        fresh = ~np.isin(key, seen)
+        lo, hi, key = lo[fresh], hi[fresh], key[fresh]
+    first = np.sort(np.unique(key, return_index=True)[1])
+    return lo[first], hi[first]
 
 
 def build_graphs(

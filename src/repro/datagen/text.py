@@ -49,6 +49,11 @@ class TopicCorpusGenerator:
             raise SimulationError(
                 f"intent_topic {intent_topic} out of range for {n_topics} topics"
             )
+        lo, hi = doc_length
+        if not 0 <= lo <= hi:
+            raise SimulationError(
+                f"doc_length must satisfy 0 <= lo <= hi, got {doc_length}"
+            )
         self.vocab = _make_vocab(prefix, n_topics, words_per_topic)
         self.n_topics = n_topics
         self.words_per_topic = words_per_topic
@@ -78,32 +83,54 @@ class TopicCorpusGenerator:
 
         ``intent`` in [0, 1] per author scales how much of the document's
         topic mass shifts onto the intent topic.
+
+        The generator stream per author is ``dirichlet(alpha)``, then
+        ``integers(lo, hi + 1)`` for the length ``L``, then ``2 L``
+        uniforms: the first ``L`` pick the topics exactly as
+        ``rng.choice(n_topics, size=L, p=theta)`` would (right-sided search
+        of the normalized cumulative mixture), the last ``L`` pick each
+        word by inverse CDF within its topic.  Only the draws run per
+        author; the topic and word lookups run once per call.
         """
         intent = np.asarray(intent, dtype=np.float64)
+        n = len(intent)
+        if n == 0:
+            return []
         lo, hi = self.doc_length
-        docs: list[str] = []
-        base_alpha = np.ones(self.n_topics)
-        for i in range(len(intent)):
-            alpha = base_alpha.copy()
-            alpha[self.intent_topic] += (
-                intent[i] * intent_strength * self.n_topics
-            )
-            theta = rng.dirichlet(alpha)
+        alpha = np.ones(self.n_topics)
+        theta = np.empty((n, self.n_topics))
+        lengths = np.empty(n, dtype=np.int64)
+        draws: list[np.ndarray] = []
+        intent_alpha = 1.0 + intent * intent_strength * self.n_topics
+        for i, a in enumerate(intent_alpha.tolist()):
+            alpha[self.intent_topic] = a
+            theta[i] = rng.dirichlet(alpha)
             length = int(rng.integers(lo, hi + 1))
-            topics = rng.choice(self.n_topics, size=length, p=theta)
-            # Inverse-CDF word draws: one searchsorted per word, no O(V)
-            # probability vector materialization.
-            draws = rng.random(length)
-            word_ids = [
-                int(np.searchsorted(self._phi_cdf[t], u))
-                for t, u in zip(topics.tolist(), draws.tolist())
-            ]
-            docs.append(
-                " ".join(
-                    self.vocab[min(w, self.vocab_size - 1)] for w in word_ids
-                )
-            )
-        return docs
+            lengths[i] = length
+            draws.append(rng.random(2 * length))
+        u = np.concatenate(draws)
+        # Token j of author i reads uniform 2 * start_i + j for its topic
+        # and 2 * start_i + L_i + j for its word (start_i = tokens before i).
+        token_doc = np.repeat(np.arange(n), lengths)
+        starts = np.cumsum(lengths) - lengths
+        topic_at = np.arange(len(token_doc)) + starts[token_doc]
+        topic_u = u[topic_at]
+        word_u = u[topic_at + lengths[token_doc]]
+        # Topic = count of cdf entries <= u: searchsorted(side="right") on
+        # a non-decreasing cdf.
+        cdf = np.cumsum(theta, axis=1)
+        cdf /= cdf[:, -1:]
+        topics = np.zeros(len(topic_u), dtype=np.int64)
+        for t in range(self.n_topics):
+            topics += cdf[token_doc, t] <= topic_u
+        word_ids = np.empty(len(word_u), dtype=np.int64)
+        for t in range(self.n_topics):
+            at = topics == t
+            word_ids[at] = np.searchsorted(self._phi_cdf[t], word_u[at])
+        word_ids = np.minimum(word_ids, self.vocab_size - 1)
+        tokens = [self.vocab[w] for w in word_ids.tolist()]
+        ends = (starts + lengths).tolist()
+        return [" ".join(tokens[s:e]) for s, e in zip(starts.tolist(), ends)]
 
 
 def make_search_generator() -> TopicCorpusGenerator:
@@ -126,22 +153,3 @@ def make_complaint_generator() -> TopicCorpusGenerator:
         intent_topic=0,
         doc_length=(5, 15),
     )
-
-
-def tokenize_docs(docs: list[str]) -> tuple[list[list[int]], dict[str, int]]:
-    """Turn documents into word-id lists plus the vocabulary mapping.
-
-    Matches the paper's preprocessing: a vocabulary is built from the corpus
-    (they report 2 408 complaint / 15 974 search words after pruning) and
-    each customer-month becomes one bag-of-words document.
-    """
-    vocab: dict[str, int] = {}
-    out: list[list[int]] = []
-    for doc in docs:
-        ids = []
-        for token in doc.split():
-            if token not in vocab:
-                vocab[token] = len(vocab)
-            ids.append(vocab[token])
-        out.append(ids)
-    return out, vocab

@@ -112,13 +112,6 @@ class TestGraphs:
         for g in gs.values():
             assert np.all(g.edges[:, 0] != g.edges[:, 1])
 
-    def test_neighbor_structure_consistent(self, graphs):
-        gs, _ = graphs
-        g = gs["call"]
-        indptr, neighbors, weights = g.neighbor_structure()
-        assert indptr[-1] == 2 * g.num_edges
-        assert len(neighbors) == len(weights)
-
     def test_tiny_world_rejected(self, rng):
         with pytest.raises(SimulationError):
             build_graphs(1, np.array([0]), rng)

@@ -14,7 +14,6 @@ from repro.datagen.text import (
     TopicCorpusGenerator,
     make_complaint_generator,
     make_search_generator,
-    tokenize_docs,
 )
 from repro.errors import SimulationError
 
@@ -49,16 +48,10 @@ class TestTextGenerators:
         with pytest.raises(SimulationError):
             TopicCorpusGenerator("x", 3, 5, intent_topic=9, doc_length=(2, 4))
 
-    def test_tokenize_round_trip(self):
-        docs = ["a b a", "b c"]
-        ids, vocab = tokenize_docs(docs)
-        assert len(vocab) == 3
-        assert ids[0] == [vocab["a"], vocab["b"], vocab["a"]]
-
-    def test_tokenize_empty_doc(self):
-        ids, vocab = tokenize_docs(["", "a"])
-        assert ids[0] == []
-        assert len(vocab) == 1
+    @pytest.mark.parametrize("doc_length", [(5, 2), (-2, 0)])
+    def test_bad_doc_length_rejected(self, doc_length):
+        with pytest.raises(SimulationError, match="doc_length"):
+            TopicCorpusGenerator("x", 3, 5, intent_topic=0, doc_length=doc_length)
 
 
 class TestAcceptanceModel:
