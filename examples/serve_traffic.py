@@ -11,9 +11,11 @@ wires the whole online path together:
 2. train a random forest, publish it to the :class:`ModelRegistry`, and
    drive a seeded morning of open-loop traffic through the micro-batching
    :class:`ScoringService`;
-3. swap in a retrained ``v2`` model *between requests* — atomically, with
-   the memoized score cache invalidated, no request ever scored by a
-   mix of versions;
+3. swap in a retrained ``v2`` model *between requests*, the way the
+   monthly retrain does: the forest is published durably to the block
+   store, then activated from its stored bytes — atomically, with the
+   memoized score cache invalidated, no request ever scored by a mix of
+   versions;
 4. drive the afternoon against ``v2``, then fold the latency histogram
    into SLO gauges, sink one telemetry window, and let the watchtower
    evaluate the serving SLO rules (p99 budget, shed rate, failed swaps).
@@ -26,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dataplat import observability
+from repro.dataplat.catalog import Catalog
 from repro.dataplat.telemetry import TelemetrySink, TelemetryWarehouse
 from repro.core.watchtower import Watchtower
 from repro.features.spec import FeatureMatrix
@@ -97,9 +100,10 @@ def main() -> None:
     print("  " + morning.render().replace("\n", "\n  ") + "\n")
 
     print("Swapping in retrained v2 (atomic, score cache invalidated) ...")
-    registry.publish("v2", train_forest(snapshot, seed=2))
-    registry.activate("v2")
-    print(f"  active model: {registry.active_version}\n")
+    models = Catalog()
+    registry.publish_durable(models, "v2", train_forest(snapshot, seed=2))
+    registry.activate_from_store(models, "v2")
+    print(f"  active model: {registry.active_version} (loaded from the block store)\n")
 
     print("Afternoon traffic on v2:")
     plan = arrival_plan(

@@ -10,15 +10,14 @@ dialects with renamed fields, different units and occasional malformed rows
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
 from ..dataplat.etl import ETLJob
-from ..dataplat.resilience import FaultInjector
 from ..dataplat.schema import Schema
 from ..dataplat.table import Table
-from ..errors import ETLError, TransientError
+from ..errors import ETLError
 
 
 def table_records(table: Table) -> Iterator[dict]:
@@ -95,40 +94,6 @@ def adapt_vendor_b_cs(record: dict) -> dict | None:
             value = float(value) / 1000.0
         out[standard_name] = value
     return out
-
-
-def flaky_records(
-    records: Iterable[dict],
-    injector: FaultInjector,
-) -> Iterator[dict]:
-    """Wrap a vendor record stream with injector-driven faults.
-
-    Three fault kinds, drawn deterministically from the injector's seeded
-    streams, mimic a misbehaving feed:
-
-    * ``stream_failure`` — the connection dies mid-extract
-      (:class:`~repro.errors.TransientError`; a retrying pipeline re-runs
-      the extract from a fresh iterator);
-    * ``record_drop`` — a record is silently lost;
-    * ``record_garble`` — one field's value is replaced with an
-      uncoercible marker, so schema validation rejects the row into the
-      quarantine table.
-
-    With a disabled injector the stream passes through unchanged.
-    """
-    for record in records:
-        if injector.should("stream_failure"):
-            raise TransientError("injected vendor stream failure")
-        if injector.should("record_drop"):
-            continue
-        if injector.should("record_garble") and record:
-            out = dict(record)
-            # Deterministic target: garble the first field in sorted order.
-            victim = sorted(out)[0]
-            out[victim] = "<garbled>"
-            yield out
-            continue
-        yield record
 
 
 def cs_kpi_etl_job() -> ETLJob:

@@ -11,9 +11,6 @@ accounting.
 Rejected records are not just counted: they land in a **quarantine
 (dead-letter) table** ``<target>__quarantine`` alongside the reject reason,
 so a broken vendor adapter can be diagnosed from the warehouse itself.
-Flaky sources are handled by :func:`run_pipeline`, which re-runs a job's
-extract on :class:`~repro.errors.TransientError` under a
-:class:`~repro.dataplat.resilience.RetryPolicy`.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from dataclasses import dataclass, field
 
 from ..errors import ETLError
 from .catalog import Catalog
-from .resilience import RetryPolicy, SimClock
 from .schema import ColumnType, Schema
 from .table import Table
 
@@ -50,8 +46,6 @@ class ETLStats:
     #: Rows written to the dead-letter table (== rows_rejected when
     #: quarantining is on, 0 when off).
     rows_quarantined: int = 0
-    #: Extract attempts consumed (> 1 means the source was flaky).
-    extract_attempts: int = 1
     reject_reasons: dict[str, int] = field(default_factory=dict)
 
     def reject(self, reason: str) -> None:
@@ -214,53 +208,3 @@ def _column_array(values: list, ctype: ColumnType):
     if not values:
         return np.empty(0, dtype=ctype.dtype)
     return np.asarray(values, dtype=ctype.dtype)
-
-
-#: A record source: a plain iterable, or a zero-argument factory returning a
-#: fresh iterable (required for the extract to be retryable).
-RecordSource = Iterable[Record] | Callable[[], Iterable[Record]]
-
-
-def run_pipeline(
-    jobs: Iterable[tuple[ETLJob, RecordSource]],
-    catalog: Catalog,
-    database: str = "default",
-    partition: str | None = None,
-    max_reject_fraction: float = 0.5,
-    retry_policy: RetryPolicy | None = None,
-    clock: SimClock | None = None,
-) -> dict[str, ETLStats]:
-    """Run several jobs; fail loudly if any job rejects too many rows.
-
-    Telco data is high-veracity ("very low inconsistencies"); a high reject
-    rate signals a broken adapter, so the pipeline raises *before* loading
-    a mostly-empty table (the target is never registered on failure).
-
-    A source may be a zero-argument callable returning a fresh record
-    iterable; combined with ``retry_policy``, an extract that dies with a
-    :class:`~repro.errors.TransientError` (flaky vendor feed) is re-run
-    from the start with capped exponential backoff.
-    """
-    all_stats: dict[str, ETLStats] = {}
-    for job, source in jobs:
-        attempts = 0
-
-        def run_once(job=job, source=source) -> ETLStats:
-            nonlocal attempts
-            attempts += 1
-            records = source() if callable(source) else source
-            return job.run(
-                records,
-                catalog,
-                database=database,
-                partition=partition,
-                max_reject_fraction=max_reject_fraction,
-            )
-
-        if retry_policy is not None and callable(source):
-            stats = retry_policy.call(run_once, clock=clock)
-        else:
-            stats = run_once()
-        stats.extract_attempts = attempts
-        all_stats[job._target] = stats
-    return all_stats

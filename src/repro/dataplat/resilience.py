@@ -1,17 +1,16 @@
 """Fault-tolerant execution runtime: chaos injection, retry, degradation.
 
 The paper's platform survives what a production Hadoop cluster throws at it
-— datanode loss, failed tasks, flaky vendor feeds — while still producing a
-churn list every month.  This module is the reproduction's resilience layer:
+— datanode loss, failed reads, malformed vendor records — while still
+producing a churn list every month.  This module is the reproduction's resilience layer:
 
 * :class:`SimClock` — a simulated monotonic clock, so backoff schedules are
   testable without wall-clock sleeps;
 * :class:`RetryPolicy` — capped exponential backoff with *deterministic*
   jitter (seeded), applied to any retryable callable;
 * :class:`FaultPolicy` / :class:`FaultInjector` — a seeded chaos policy
-  drawing per-kind Bernoulli faults (transient reads, flaky vendor feeds
-  and records) deterministically, so every chaos run is reproducible bit
-  for bit;
+  drawing transient block-store read failures deterministically, so every
+  chaos run is reproducible bit for bit;
 * :class:`PipelineHealthReport` — the structured record of everything the
   runtime absorbed (retries, repaired replicas, quarantined rows, dropped
   feature families) that monitoring and the predictor consume;
@@ -92,9 +91,6 @@ class CrashPoint:
             raise DataPlatformError(f"crash hit index must be >= 1, got {k}")
         self._armed = k
         return self
-
-    def disarm(self) -> None:
-        self._armed = None
 
     @property
     def armed(self) -> bool:
@@ -209,23 +205,18 @@ class RetryPolicy:
 #: Fault kinds drawn by :class:`FaultInjector`, each mapped to its stream
 #: id so a draw for one kind never perturbs another kind's stream.  The ids
 #: are fixed, not positional: renumbering a kind would reshuffle every
-#: seeded chaos run (ids 1 and 2 belonged to retired task-fault kinds).
+#: seeded chaos run (ids 1 to 5 belonged to retired task and vendor-feed
+#: fault kinds).
 FAULT_KINDS = {
     "read_failure": 0,  # transient block-store read failure
-    "stream_failure": 3,  # vendor feed drops the connection mid-extract
-    "record_drop": 4,  # vendor feed silently loses a record
-    "record_garble": 5,  # vendor feed emits an uncoercible field value
 }
 
 
 @dataclass(frozen=True)
 class FaultPolicy:
-    """Per-kind fault probabilities (all default to 0 = no chaos)."""
+    """Per-kind fault probabilities (default 0: no chaos)."""
 
     read_failure_rate: float = 0.0
-    stream_failure_rate: float = 0.0
-    record_drop_rate: float = 0.0
-    record_garble_rate: float = 0.0
 
     def __post_init__(self) -> None:
         for kind in FAULT_KINDS:
@@ -311,7 +302,6 @@ class PipelineHealthReport:
     families_used: list[str] = field(default_factory=list)
     families_dropped: dict[str, str] = field(default_factory=dict)
     retries: int = 0
-    task_retries: int = 0
     repaired_replicas: int = 0
     corrupt_replicas_detected: int = 0
     re_replicated_blocks: int = 0
@@ -393,9 +383,7 @@ class PipelineHealthReport:
         ]
         for family, reason in sorted(self.families_dropped.items()):
             lines.append(f"  dropped {family}: {reason}")
-        lines.append(
-            f"  retries: {self.retries} read / {self.task_retries} task"
-        )
+        lines.append(f"  retries: {self.retries} read")
         lines.append(
             f"  storage: {self.corrupt_replicas_detected} corrupt replicas "
             f"detected, {self.repaired_replicas} repaired, "

@@ -195,15 +195,8 @@ class ShardedCatalog:
     def version(self) -> int:
         return self._version
 
-    def telemetry_run_id(self, shard: int) -> str:
-        """The per-shard run context under which its spans/metrics land."""
-        return f"shard-{shard:02d}"
-
     def placement(self, name: str, database: str = "default") -> Placement | None:
         return self._placement.get((database, name))
-
-    def placements(self) -> dict[tuple[str, str], Placement]:
-        return dict(self._placement)
 
     # ------------------------------------------------------------------
     # Writes

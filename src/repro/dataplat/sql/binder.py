@@ -257,7 +257,6 @@ class Binder:
         self._catalog = catalog
         self._database = database
         self._columns: dict[str, ColumnStats] = {}
-        self._scan_stats: dict[str, TableStats | None] = {}
 
     def bind(self, plan: PlanNode) -> PlanNode:
         """Annotate ``plan`` (in place) with ``est_rows``; returns it."""
@@ -289,10 +288,6 @@ class Binder:
                 return matches[0]
         return None
 
-    def scan_stats(self, binding: str) -> TableStats | None:
-        """The :class:`TableStats` registered for one scan binding."""
-        return self._scan_stats.get(binding)
-
     def table_stats(self, table: str) -> TableStats | None:
         """Catalog stats for ``table`` (``db.name`` or bare) or None."""
         database = self._database
@@ -315,7 +310,6 @@ class Binder:
     def _estimate(self, node: PlanNode) -> float:
         if isinstance(node, Scan):
             stats = self.table_stats(node.table)
-            self._scan_stats[node.binding] = stats
             if stats is not None:
                 for col, cstats in stats.columns.items():
                     self._columns[f"{node.binding}.{col}"] = cstats

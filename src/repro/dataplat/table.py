@@ -350,23 +350,6 @@ class Table:
         np.savez(buf, **arrays)
         return buf.getvalue()
 
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "Table":
-        """Inverse of :meth:`to_bytes`."""
-        with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
-            meta = [str(m) for m in npz["__schema__"]]
-            cols = []
-            data = {}
-            for entry in meta:
-                name, _, ctype_name = entry.rpartition(":")
-                col = Column(name, ColumnType(ctype_name))
-                cols.append(col)
-                arr = npz[name]
-                if col.ctype is ColumnType.STRING:
-                    arr = arr.astype(object)
-                data[name] = arr
-        return cls(Schema(cols), data)
-
 
 def _key_ids(table: Table, on: Sequence[str]) -> list:
     """Row keys for join hashing."""
@@ -488,24 +471,15 @@ def _group_ids(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
     if len(key_arrays) == 1:
         uniq, ids = np.unique(key_arrays[0], return_inverse=True)
         return ids, [uniq]
-    # Combine keys into a structured view by factorizing each then combining.
-    factors = []
-    sizes = []
+    # Factorize each key, then combine the codes row-wise.
+    combined = np.zeros(len(key_arrays[0]), dtype=np.int64)
     for arr in key_arrays:
         uniq, ids = np.unique(arr, return_inverse=True)
-        factors.append((uniq, ids))
-        sizes.append(len(uniq))
-    combined = np.zeros(len(key_arrays[0]), dtype=np.int64)
-    for (uniq, ids), size in zip(factors, sizes):
-        combined = combined * size + ids
-    uniq_combined, group_ids = np.unique(combined, return_inverse=True)
-    # Recover one representative row index per group to read key values back.
-    first_idx = np.zeros(len(uniq_combined), dtype=np.intp)
-    seen = np.full(len(uniq_combined), False)
-    for row, gid in enumerate(group_ids):
-        if not seen[gid]:
-            seen[gid] = True
-            first_idx[gid] = row
+        combined = combined * len(uniq) + ids
+    # Each group's first row reads its key values back.
+    _, first_idx, group_ids = np.unique(
+        combined, return_index=True, return_inverse=True
+    )
     uniques = [arr[first_idx] for arr in key_arrays]
     return group_ids, uniques
 
@@ -527,12 +501,9 @@ def _aggregate(
             out[gid] = len(vals)
         return out
     if fn == "first":
-        out = np.empty(n_groups, dtype=values.dtype)
-        seen = np.full(n_groups, False)
-        for row in range(len(values) - 1, -1, -1):
-            out[group_ids[row]] = values[row]
-        del seen
-        return out
+        # Group ids are dense and no group is empty: each group's first row.
+        _, first_idx = np.unique(group_ids, return_index=True)
+        return values[first_idx]
     numeric = values.astype(np.float64)
     if fn == "sum":
         # bincount returns int64 on empty input even with float weights.
@@ -546,11 +517,9 @@ def _aggregate(
     if fn == "min":
         out = np.full(n_groups, np.inf)
         np.minimum.at(out, group_ids, numeric)
-        out[np.isinf(out)] = 0.0
         return out
     if fn == "max":
         out = np.full(n_groups, -np.inf)
         np.maximum.at(out, group_ids, numeric)
-        out[np.isinf(out)] = 0.0
         return out
     raise SchemaError(f"unknown aggregation function: {fn!r}")

@@ -105,7 +105,6 @@ TELEMETRY_SCHEMAS: dict[str, Schema] = {
         families_used="string",
         families_dropped="string",
         read_retries="int",
-        task_retries="int",
         repaired_replicas="int",
         quarantined_rows="int",
         faults_injected="int",
@@ -349,7 +348,6 @@ class TelemetryWarehouse:
                 ",".join(health.families_used),
                 ",".join(sorted(health.families_dropped)),
                 health.retries,
-                health.task_retries,
                 health.repaired_replicas,
                 health.quarantined_rows,
                 health.faults_injected,
@@ -583,23 +581,6 @@ class TelemetrySink:
                 self.warehouse.record_drift(self.run_id, window, monitoring)
             if health is not None:
                 self.warehouse.record_health(self.run_id, window, health)
-        finally:
-            observability.set_tracer(previous_tracer)
-
-    def record_gauges(self, window: int, gauges: dict) -> None:
-        """Sink point-in-time gauge values without touching delta state.
-
-        Used by :meth:`~repro.serve.service.ScoringService.attach_telemetry`
-        for periodic SLO flushes: gauges land in ``__telemetry.metrics``
-        like any registry snapshot, but the sink's counter/histogram delta
-        baseline is left alone so the next :meth:`record_window` stays
-        exact.
-        """
-        previous_tracer = observability.set_tracer(None)
-        try:
-            self.warehouse.record_metrics(
-                self.run_id, window, {"gauges": dict(gauges)}
-            )
         finally:
             observability.set_tracer(previous_tracer)
 

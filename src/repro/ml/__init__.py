@@ -13,11 +13,11 @@ The paper's classifiers (Section 4.2/5.8) and unsupervised feature extractors
 * :mod:`.graphalgo` — weighted PageRank (Eq. 1) and label propagation
 * :mod:`.sampling` — the four imbalance treatments of Table 7
 * :mod:`.preprocess` — standardization and quantile binning / one-hot
-* :mod:`.calibration` — Platt / isotonic recalibration of churn likelihoods
+* :mod:`.calibration` — isotonic recalibration of churn likelihoods
 * :mod:`.persistence` — forest serialization for the monthly retrain cycle
 """
 
-from .calibration import IsotonicCalibrator, PlattScaler, brier_score
+from .calibration import IsotonicCalibrator
 from .fm import FactorizationMachine
 from .forest import RandomForestClassifier
 from .gbdt import GradientBoostedTrees
@@ -38,8 +38,6 @@ __all__ = [
     "DecisionTree",
     "FactorizationMachine",
     "IsotonicCalibrator",
-    "PlattScaler",
-    "brier_score",
     "GradientBoostedTrees",
     "LatentDirichletAllocation",
     "LogisticRegression",

@@ -2,15 +2,10 @@
 
 The retention system budgets campaigns off the churn likelihood (Eq. 4);
 bagged-vote scores are well *ranked* but not well *calibrated*, so spending
-decisions benefit from mapping scores to true probabilities.  Two classic
-calibrators, from scratch:
-
-* :class:`PlattScaler` — fits a one-dimensional logistic map
-  ``p = σ(a·s + b)`` on held-out scores;
-* :class:`IsotonicCalibrator` — pool-adjacent-violators (PAVA) monotone
-  regression, non-parametric.
-
-Diagnostics: :func:`brier_score` and :func:`expected_calibration_error`.
+decisions benefit from mapping scores to true probabilities.
+:class:`IsotonicCalibrator` does it by pool-adjacent-violators (PAVA)
+monotone regression, non-parametric; :func:`expected_calibration_error`
+measures the gap.
 """
 
 from __future__ import annotations
@@ -18,18 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError, NotFittedError
-from .linear import LogisticRegression
-
-
-def brier_score(y_true: np.ndarray, probabilities: np.ndarray) -> float:
-    """Mean squared error of probabilistic predictions (lower is better)."""
-    y_true = np.asarray(y_true, dtype=np.float64)
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    if y_true.shape != probabilities.shape:
-        raise ModelError(
-            f"shape mismatch: {y_true.shape} vs {probabilities.shape}"
-        )
-    return float(np.mean((probabilities - y_true) ** 2))
 
 
 def expected_calibration_error(
@@ -51,34 +34,6 @@ def expected_calibration_error(
         gap = abs(y_true[mask].mean() - probabilities[mask].mean())
         ece += (mask.sum() / total) * gap
     return float(ece)
-
-
-class PlattScaler:
-    """Logistic recalibration of a 1-D score."""
-
-    def __init__(self, max_iter: int = 300) -> None:
-        self._model: LogisticRegression | None = None
-        self.max_iter = max_iter
-
-    def fit(self, scores: np.ndarray, y_true: np.ndarray) -> "PlattScaler":
-        scores = np.asarray(scores, dtype=np.float64).reshape(-1, 1)
-        y_true = np.asarray(y_true, dtype=np.int64)
-        model = LogisticRegression(l2=1e-8, max_iter=self.max_iter)
-        model.fit(scores, y_true)
-        self._model = model
-        return self
-
-    def transform(self, scores: np.ndarray) -> np.ndarray:
-        if self._model is None:
-            raise NotFittedError("PlattScaler.transform called before fit")
-        scores = np.asarray(scores, dtype=np.float64).reshape(-1, 1)
-        return self._model.predict_proba(scores)
-
-    @property
-    def slope(self) -> float:
-        if self._model is None:
-            raise NotFittedError("PlattScaler has not been fitted")
-        return float(self._model.coef_[0])
 
 
 class IsotonicCalibrator:

@@ -129,21 +129,6 @@ class GradientBoostedTrees:
     def predict(self, x: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(x) >= threshold).astype(np.int64)
 
-    def staged_train_loss(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> np.ndarray:
-        """Log-loss after each stage (diagnostic; monotone on train data)."""
-        table = self._table_checked()
-        x = table.check(x)
-        y = np.asarray(y, dtype=np.float64)
-        raw = np.full(len(x), self._base_score)
-        losses = []
-        for values in table.tree_values(x):
-            raw = raw + self.learning_rate * values
-            p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
-            losses.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
-        return np.asarray(losses)
-
     def _table_checked(self) -> NodeTable:
         if self._table is None:
             raise NotFittedError("GBDT has not been fitted")

@@ -115,15 +115,3 @@ def precision_at(y_true: np.ndarray, y_score: np.ndarray, u: int) -> float:
     """P@U (Eq. 9): true churners in the top U over U."""
     top = _top_u(y_true, y_score, u)
     return float(top.sum() / len(top))
-
-
-def ranking_report(
-    y_true: np.ndarray, y_score: np.ndarray, u_values: tuple[int, ...]
-) -> dict:
-    """All four paper metrics at once (one AUC/PR-AUC, per-U recall/precision)."""
-    return {
-        "auc": roc_auc(y_true, y_score),
-        "pr_auc": pr_auc(y_true, y_score),
-        "recall_at": {u: recall_at(y_true, y_score, u) for u in u_values},
-        "precision_at": {u: precision_at(y_true, y_score, u) for u in u_values},
-    }

@@ -6,8 +6,10 @@ forest is stored as what it is in memory: its
 :class:`~repro.ml.tree.NodeTable` arrays, its summed Eq. 7 importances and
 its config, as npz bytes (the same codec family the platform's tables
 use), so a fitted model can live in the block store next to the feature
-tables that produced it.  The member count does not depend on the tree
-count, and loading checks the table's layout instead of trusting it.
+tables that produced it
+(:meth:`~repro.serve.registry.ModelRegistry.publish_durable` writes it
+there).  The member count does not depend on the tree count, and loading
+checks the table's layout instead of trusting it.
 """
 
 from __future__ import annotations
@@ -97,28 +99,3 @@ def forest_from_bytes(payload: bytes) -> RandomForestClassifier:
     forest._table = table
     forest._importances = importances
     return forest
-
-
-def save_forest(
-    forest: RandomForestClassifier,
-    catalog,
-    name: str,
-    database: str = "default",
-) -> None:
-    """Store a fitted forest in the platform's block store.
-
-    The model lands at ``/models/<database>/<name>.npz`` on the same
-    replicated storage as the feature tables.
-    """
-    catalog.store.write(
-        f"/models/{database}/{name}.npz", forest_to_bytes(forest)
-    )
-
-
-def load_forest(
-    catalog, name: str, database: str = "default"
-) -> RandomForestClassifier:
-    """Inverse of :func:`save_forest`."""
-    return forest_from_bytes(
-        catalog.store.read(f"/models/{database}/{name}.npz")
-    )

@@ -117,18 +117,6 @@ def one_hot(codes: np.ndarray, counts: list[int] | None = None) -> np.ndarray:
     return out
 
 
-def binarize_for_linear(
-    x_train: np.ndarray, x_test: np.ndarray, n_bins: int = 8
-) -> tuple[np.ndarray, np.ndarray]:
-    """The paper's preprocessing for LIBFM / LIBLINEAR in one call."""
-    binner = QuantileBinner(n_bins=n_bins).fit(x_train)
-    counts = binner.bin_counts()
-    return (
-        one_hot(binner.transform(x_train), counts),
-        one_hot(binner.transform(x_test), counts),
-    )
-
-
 def _as_matrix(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:

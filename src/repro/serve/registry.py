@@ -21,10 +21,13 @@ from collections.abc import Callable
 
 from ..dataplat.observability import get_metrics, span
 from ..errors import ServeError, StorageError, TransientError
-from ..ml.persistence import load_forest, save_forest
+from ..ml.persistence import forest_from_bytes, forest_to_bytes
 
-#: Database used for durable model payloads in the block store.
-MODEL_DATABASE = "serve"
+
+def model_path(version: str) -> str:
+    """Where :meth:`ModelRegistry.publish_durable` stores ``version`` in
+    the block store."""
+    return f"/models/serve/{version}.npz"
 
 
 class ModelRegistry:
@@ -73,11 +76,11 @@ class ModelRegistry:
     ) -> None:
         """Publish a random forest and persist its bytes to the block store.
 
-        The payload lands at ``/models/serve/<version>.npz`` on the same
-        replicated storage as the feature tables, so another process can
-        :meth:`activate` the version with ``loader=`` a catalog read.
+        The payload lands at :func:`model_path` on the same replicated
+        storage as the feature tables, so another process can
+        :meth:`activate_from_store` the version.
         """
-        save_forest(forest, catalog, version, database=MODEL_DATABASE)
+        catalog.store.write(model_path(version), forest_to_bytes(forest))
         self.publish(version, forest, activate=activate)
 
     def activate(
@@ -127,7 +130,9 @@ class ModelRegistry:
         """
         return self.activate(
             version,
-            loader=lambda: load_forest(catalog, version, database=MODEL_DATABASE),
+            loader=lambda: forest_from_bytes(
+                catalog.store.read(model_path(version))
+            ),
         )
 
     def current(self) -> tuple[str, object]:

@@ -204,10 +204,6 @@ class ScoringService:
         self.batch_sizes: list[int] = []
         self._score_cache: OrderedDict[int, float] = OrderedDict()
         self._cache_version: str | None = None
-        self._telemetry_sink = None
-        self._telemetry_interval = 0.0
-        self._telemetry_next = 0.0
-        self._telemetry_window = 0
         registry.subscribe(self._on_model_swap)
 
     # ------------------------------------------------------------------
@@ -332,40 +328,6 @@ class ScoringService:
             "queue_depth_peak": self.max_queue_seen,
         }
 
-    def attach_telemetry(
-        self,
-        sink,
-        interval_s: float = 1.0,
-        window_base: int = 0,
-    ) -> None:
-        """Flush SLO gauges into a telemetry sink every ``interval_s``.
-
-        After attaching, every ``interval_s`` of *service* time (the
-        explicit clock requests arrive on) folds :meth:`slo_snapshot` into
-        one ``__telemetry.metrics`` window via the sink's
-        :meth:`~repro.dataplat.telemetry.TelemetrySink.record_gauges` —
-        window indices count up from ``window_base``, one per flush, so
-        p99/shed-rate history is SQL-queryable without the caller ever
-        asking for a snapshot.
-        """
-        if interval_s <= 0:
-            raise ServeError(
-                f"telemetry flush interval must be > 0, got {interval_s}"
-            )
-        self._telemetry_sink = sink
-        self._telemetry_interval = float(interval_s)
-        self._telemetry_next = self._now + float(interval_s)
-        self._telemetry_window = int(window_base)
-
-    def _flush_telemetry(self) -> None:
-        snapshot = self.slo_snapshot()
-        self._telemetry_sink.record_gauges(
-            self._telemetry_window,
-            {f"serve.{name}": float(value) for name, value in snapshot.items()},
-        )
-        self._telemetry_window += 1
-        self._telemetry_next = self._now + self._telemetry_interval
-
     # ------------------------------------------------------------------
     # internals
 
@@ -386,8 +348,6 @@ class ScoringService:
             self._pump()
         metrics = self._instruments()
         metrics.queue_depth.set(len(self._queue))
-        if self._telemetry_sink is not None and now >= self._telemetry_next:
-            self._flush_telemetry()
         return metrics
 
     def _pump(self) -> None:

@@ -68,15 +68,3 @@ def reference_decision_function(gbdt, trees, x) -> np.ndarray:
     for tree in trees:
         raw += gbdt.learning_rate * reference_predict(tree, x)
     return raw
-
-
-def reference_staged_train_loss(gbdt, trees, x, y) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    raw = np.full(len(x), gbdt._base_score)
-    losses = []
-    for tree in trees:
-        raw = raw + gbdt.learning_rate * reference_predict(tree, x)
-        p = np.clip(1.0 / (1.0 + np.exp(-np.clip(raw, -35, 35))), 1e-12, 1 - 1e-12)
-        losses.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
-    return np.asarray(losses)

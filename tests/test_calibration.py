@@ -1,15 +1,10 @@
-"""Tests for probability calibration (Platt, isotonic, Brier, ECE)."""
+"""Tests for probability calibration (isotonic, ECE)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError, NotFittedError
-from repro.ml.calibration import (
-    IsotonicCalibrator,
-    PlattScaler,
-    brier_score,
-    expected_calibration_error,
-)
+from repro.ml.calibration import IsotonicCalibrator, expected_calibration_error
 
 
 @pytest.fixture(scope="module")
@@ -20,20 +15,6 @@ def distorted():
     y = (rng.random(4000) < true_p).astype(int)
     scores = true_p ** 3  # monotone distortion
     return scores, y, true_p
-
-
-class TestBrier:
-    def test_perfect_predictions(self):
-        y = np.array([0, 1, 1])
-        assert brier_score(y, y.astype(float)) == 0.0
-
-    def test_worst_predictions(self):
-        y = np.array([0, 1])
-        assert brier_score(y, np.array([1.0, 0.0])) == 1.0
-
-    def test_shape_checked(self):
-        with pytest.raises(ModelError):
-            brier_score(np.array([0, 1]), np.array([0.5]))
 
 
 class TestECE:
@@ -48,28 +29,6 @@ class TestECE:
     def test_bins_validated(self):
         with pytest.raises(ModelError):
             expected_calibration_error(np.array([0]), np.array([0.5]), n_bins=0)
-
-
-class TestPlatt:
-    def test_improves_brier_on_distorted_scores(self, distorted):
-        scores, y, _ = distorted
-        scaler = PlattScaler().fit(scores[:3000], y[:3000])
-        calibrated = scaler.transform(scores[3000:])
-        assert brier_score(y[3000:], calibrated) < brier_score(
-            y[3000:], scores[3000:]
-        )
-
-    def test_monotone_output(self, distorted):
-        scores, y, _ = distorted
-        scaler = PlattScaler().fit(scores, y)
-        grid = np.linspace(0, 1, 50)
-        out = scaler.transform(grid)
-        assert np.all(np.diff(out) >= -1e-12)
-        assert scaler.slope > 0
-
-    def test_not_fitted(self):
-        with pytest.raises(NotFittedError):
-            PlattScaler().transform(np.array([0.5]))
 
 
 class TestIsotonic:

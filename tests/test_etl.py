@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dataplat.catalog import Catalog
-from repro.dataplat.etl import ETLJob, QUARANTINE_SUFFIX, run_pipeline
+from repro.dataplat.etl import ETLJob, QUARANTINE_SUFFIX
 from repro.dataplat.schema import Schema
 from repro.errors import ETLError
 
@@ -92,32 +92,23 @@ class TestETLJob:
 
 
 class TestPipeline:
-    def test_pipeline_runs_all_jobs(self, catalog, schema):
-        jobs = [
-            (ETLJob(schema, "a"), [{"imsi": 1, "dur": 1.0, "kind": "x"}]),
-            (ETLJob(schema, "b"), [{"imsi": 2, "dur": 2.0, "kind": "y"}]),
-        ]
-        stats = run_pipeline(jobs, catalog)
-        assert set(stats) == {"a", "b"}
-        assert catalog.exists("a") and catalog.exists("b")
-
     def test_pipeline_fails_on_high_reject_rate(self, catalog, schema):
         bad = [{"imsi": 1}, {"imsi": 2}, {"imsi": 3, "dur": 1.0, "kind": "x"}]
         with pytest.raises(ETLError):
-            run_pipeline([(ETLJob(schema, "a"), bad)], catalog)
+            ETLJob(schema, "a").run(bad, catalog, max_reject_fraction=0.5)
 
     def test_pipeline_tolerates_low_reject_rate(self, catalog, schema):
         records = [{"imsi": i, "dur": 1.0, "kind": "x"} for i in range(9)]
         records.append({"imsi": 99})  # one reject out of ten
-        stats = run_pipeline([(ETLJob(schema, "a"), records)], catalog)
-        assert stats["a"].rows_loaded == 9
+        stats = ETLJob(schema, "a").run(records, catalog, max_reject_fraction=0.5)
+        assert stats.rows_loaded == 9
 
     def test_failed_pipeline_never_registers_target(self, catalog, schema):
         # Regression: the reject gate used to fire only after catalog.save,
         # leaving a mostly-empty table registered behind the ETLError.
         bad = [{"imsi": 1}, {"imsi": 2}, {"imsi": 3, "dur": 1.0, "kind": "x"}]
         with pytest.raises(ETLError):
-            run_pipeline([(ETLJob(schema, "a"), bad)], catalog)
+            ETLJob(schema, "a").run(bad, catalog, max_reject_fraction=0.5)
         assert not catalog.exists("a")
         # The rejects were still quarantined for diagnosis.
         assert catalog.exists(f"a{QUARANTINE_SUFFIX}")

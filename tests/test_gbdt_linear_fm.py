@@ -35,15 +35,6 @@ class TestGBDT:
         model.fit(x_tr, y_tr)
         assert roc_auc(y_te, model.predict_proba(x_te)) > 0.85
 
-    def test_train_loss_decreases(self, linear_data):
-        x_tr, y_tr, _, _ = linear_data
-        model = GradientBoostedTrees(n_trees=25, max_depth=3, seed=1)
-        model.fit(x_tr, y_tr)
-        losses = model.staged_train_loss(x_tr, y_tr)
-        assert losses[-1] < losses[0]
-        # Mostly monotone: allow tiny numerical wobbles.
-        assert np.sum(np.diff(losses) > 1e-4) == 0
-
     def test_probabilities_valid(self, linear_data):
         x_tr, y_tr, x_te, _ = linear_data
         model = GradientBoostedTrees(n_trees=5, seed=1).fit(x_tr, y_tr)

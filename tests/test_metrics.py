@@ -9,7 +9,6 @@ from repro.ml.metrics import (
     pr_auc,
     precision_at,
     precision_recall_curve,
-    ranking_report,
     recall_at,
     roc_auc,
 )
@@ -126,11 +125,3 @@ class TestTopU:
         s = rng.random(300)
         assert precision_at(y, s, 300) == pytest.approx(y.mean())
         assert recall_at(y, s, 300) == 1.0
-
-
-class TestReport:
-    def test_ranking_report_keys(self, perfect):
-        y, s = perfect
-        report = ranking_report(y, s, (1, 2))
-        assert set(report) == {"auc", "pr_auc", "recall_at", "precision_at"}
-        assert set(report["recall_at"]) == {1, 2}

@@ -12,14 +12,9 @@ from test_predict_kernel import problems
 from repro.dataplat.catalog import Catalog
 from repro.errors import ModelError, NotFittedError
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.persistence import (
-    forest_from_bytes,
-    forest_to_bytes,
-    load_forest,
-    save_forest,
-)
+from repro.ml.persistence import forest_from_bytes, forest_to_bytes
 from repro.ml.tree import NodeTable
-from repro.serve.registry import MODEL_DATABASE, ModelRegistry
+from repro.serve.registry import ModelRegistry, model_path
 
 
 @pytest.fixture(scope="module")
@@ -74,17 +69,21 @@ class TestCatalogStorage:
     def test_save_load_through_block_store(self, fitted):
         forest, x, _ = fitted
         catalog = Catalog()
-        save_forest(forest, catalog, "churn_2014_06", database="default")
-        assert catalog.store.exists("/models/default/churn_2014_06.npz")
-        rebuilt = load_forest(catalog, "churn_2014_06")
+        ModelRegistry().publish_durable(catalog, "churn_2014_06", forest)
+        assert catalog.store.exists("/models/serve/churn_2014_06.npz")
+        registry = ModelRegistry()
+        assert registry.activate_from_store(catalog, "churn_2014_06") is True
+        rebuilt = registry.current()[1]
         assert np.array_equal(forest.predict_proba(x), rebuilt.predict_proba(x))
 
     def test_model_survives_datanode_failure(self, fitted):
         forest, x, _ = fitted
         catalog = Catalog()
-        save_forest(forest, catalog, "m")
+        ModelRegistry().publish_durable(catalog, "m", forest)
         catalog.store.kill_node(0)
-        rebuilt = load_forest(catalog, "m")
+        registry = ModelRegistry()
+        assert registry.activate_from_store(catalog, "m") is True
+        rebuilt = registry.current()[1]
         assert np.array_equal(forest.predict_proba(x), rebuilt.predict_proba(x))
 
 
@@ -254,7 +253,7 @@ class TestPayloadEdges:
             payload = forest_to_bytes(forest)[:-100]
         else:
             payload = _mutated(forest, bad)
-        catalog.store.write(f"/models/{MODEL_DATABASE}/2014-07.npz", payload)
+        catalog.store.write(model_path("2014-07"), payload)
         with pytest.raises(ModelError):
             registry.activate_from_store(catalog, "2014-07")
         assert registry.current() == ("2014-06", forest)

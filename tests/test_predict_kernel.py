@@ -17,7 +17,6 @@ from reference_predict import (
     reference_apply,
     reference_decision_function,
     reference_forest_proba,
-    reference_staged_train_loss,
 )
 from repro.errors import ModelError
 from repro.ml import tree as tree_module
@@ -103,7 +102,7 @@ def test_forest_proba_matches_reference(problem, n_trees, max_depth, leaf, seed)
 
 @given(problems(), st.integers(1, 5), st.integers(1, 4), st.integers(0, 50))
 @settings(max_examples=60, deadline=None)
-def test_gbdt_scores_and_losses_match_reference(problem, n_trees, max_depth, seed):
+def test_gbdt_scores_match_reference(problem, n_trees, max_depth, seed):
     x, y, probe = problem
     gbdt, trees = fit_grown(
         GradientBoostedTrees(
@@ -115,9 +114,6 @@ def test_gbdt_scores_and_losses_match_reference(problem, n_trees, max_depth, see
         assert_same_bits(
             gbdt.decision_function(rows), reference_decision_function(gbdt, trees, rows)
         )
-    assert_same_bits(
-        gbdt.staged_train_loss(x, y), reference_staged_train_loss(gbdt, trees, x, y)
-    )
 
 
 @given(problems(), st.integers(1, 6), st.integers(0, 50))
@@ -194,9 +190,6 @@ def test_walk_block_size_never_changes_the_scores(monkeypatch, cells):
     assert_same_bits(
         gbdt.decision_function(probe), reference_decision_function(gbdt, stages, probe)
     )
-    assert_same_bits(
-        gbdt.staged_train_loss(x, y), reference_staged_train_loss(gbdt, stages, x, y)
-    )
 
 
 def test_non_contiguous_input_reads_the_right_cells():
@@ -224,7 +217,6 @@ class TestInputChecks:
         for predict in (
             forest.predict_proba,
             gbdt.decision_function,
-            lambda rows: gbdt.staged_train_loss(rows, np.zeros(len(rows))),
             tree.predict,
         ):
             with pytest.raises(ModelError):

@@ -16,7 +16,7 @@ from repro.core.pipeline import ChurnPipeline
 from repro.core.window import WindowSpec
 from repro.dataplat.blockstore import BlockStore
 from repro.dataplat.catalog import Catalog
-from repro.dataplat.etl import ETLJob, QUARANTINE_SUFFIX, run_pipeline
+from repro.dataplat.etl import ETLJob, QUARANTINE_SUFFIX
 from repro.dataplat.resilience import (
     CatalogTableSource,
     FaultInjector,
@@ -26,7 +26,6 @@ from repro.dataplat.resilience import (
     SimClock,
 )
 from repro.dataplat.schema import Schema
-from repro.datagen.records import flaky_records
 from repro.errors import (
     DataPlatformError,
     ETLError,
@@ -123,36 +122,18 @@ class TestRetryPolicy:
 
 class TestFaultInjector:
     def test_same_seed_same_decisions(self):
-        policy = FaultPolicy(read_failure_rate=0.3, stream_failure_rate=0.2)
+        policy = FaultPolicy(read_failure_rate=0.3)
         a = FaultInjector(policy, seed=9)
         b = FaultInjector(policy, seed=9)
         seq_a = [a.should("read_failure") for _ in range(50)]
         seq_b = [b.should("read_failure") for _ in range(50)]
         assert seq_a == seq_b
         assert any(seq_a)  # 50 draws at 0.3 fire with near-certainty
-        # Each kind's stream id is pinned: renumbering or deleting a kind
-        # must fail here, not silently reshuffle every seeded chaos run.
-        recorded = {
-            "read_failure": "0010001110000100",
-            "stream_failure": "0000111010000010",
-            "record_drop": "1001000000000100",
-            "record_garble": "1100101001111111",
-        }
-        for kind, bits in recorded.items():
-            injector = FaultInjector(FaultPolicy(**{f"{kind}_rate": 0.3}), seed=7)
-            drawn = "".join(str(int(injector.should(kind))) for _ in range(16))
-            assert drawn == bits, kind
-
-    def test_streams_independent_of_interleaving(self):
-        policy = FaultPolicy(read_failure_rate=0.4, stream_failure_rate=0.4)
-        pure = FaultInjector(policy, seed=5)
-        mixed = FaultInjector(policy, seed=5)
-        reads_pure = [pure.should("read_failure") for _ in range(20)]
-        reads_mixed = []
-        for _ in range(20):
-            mixed.should("stream_failure")  # interleaved other-kind draws
-            reads_mixed.append(mixed.should("read_failure"))
-        assert reads_pure == reads_mixed
+        # The stream id is pinned: renumbering the kind must fail here,
+        # not silently reshuffle every seeded chaos run.
+        injector = FaultInjector(FaultPolicy(read_failure_rate=0.3), seed=7)
+        drawn = "".join(str(int(injector.should("read_failure"))) for _ in range(16))
+        assert drawn == "0010001110000100"
 
     def test_disabled_never_fires(self):
         injector = FaultInjector.disabled()
@@ -160,9 +141,9 @@ class TestFaultInjector:
         assert injector.total_injected == 0
 
     def test_injected_counts(self):
-        injector = FaultInjector(FaultPolicy(record_drop_rate=0.5), seed=0)
-        fired = sum(injector.should("record_drop") for _ in range(100))
-        assert injector.injected["record_drop"] == fired > 0
+        injector = FaultInjector(FaultPolicy(read_failure_rate=0.5), seed=0)
+        fired = sum(injector.should("read_failure") for _ in range(100))
+        assert injector.injected["read_failure"] == fired > 0
 
     def test_bad_rate_rejected(self):
         with pytest.raises(DataPlatformError):
@@ -293,44 +274,26 @@ class TestQuarantineETL:
         catalog = Catalog()
         bad = [{"imsi": 1}, {"imsi": 2}, {"imsi": 3, "dur": 1.0}]
         with pytest.raises(ETLError):
-            run_pipeline([(ETLJob(schema, "cdr"), bad)], catalog)
+            ETLJob(schema, "cdr").run(bad, catalog, max_reject_fraction=0.5)
         assert not catalog.exists("cdr")
         # The rejects are still quarantined for diagnosis.
         assert catalog.load(f"cdr{QUARANTINE_SUFFIX}").num_rows == 2
 
-    def test_flaky_extract_retried_via_factory(self, schema):
-        catalog = Catalog()
-        injector = FaultInjector(FaultPolicy(stream_failure_rate=0.05), seed=2)
-        rows = [{"imsi": i, "dur": float(i)} for i in range(20)]
-
-        def source():
-            return flaky_records(iter(rows), injector)
-
-        stats = run_pipeline(
-            [(ETLJob(schema, "cdr"), source)],
-            catalog,
-            retry_policy=RetryPolicy(max_attempts=30, jitter=0.0),
-            clock=SimClock(),
-        )["cdr"]
-        assert injector.injected["stream_failure"] > 0
-        assert stats.extract_attempts == injector.injected["stream_failure"] + 1
-        assert catalog.load("cdr").num_rows == 20
-
     def test_garbled_records_quarantined_dropped_records_lost(self, schema):
+        # A lossy, corrupting vendor adapter: every 7th record never
+        # arrives, every 5th carries an uncoercible value.
         catalog = Catalog()
-        injector = FaultInjector(
-            FaultPolicy(record_drop_rate=0.1, record_garble_rate=0.1), seed=2
-        )
         rows = [{"imsi": i, "dur": float(i)} for i in range(200)]
-        stats = ETLJob(schema, "cdr").run(
-            flaky_records(iter(rows), injector), catalog
-        )
-        dropped = injector.injected["record_drop"]
-        garbled = injector.injected["record_garble"]
-        assert dropped > 0 and garbled > 0
-        assert stats.rows_read == 200 - dropped
+        arrived = [row for i, row in enumerate(rows) if i % 7 != 3]
+        feed = [
+            {**row, "dur": "<garbled>"} if i % 5 == 2 else row
+            for i, row in enumerate(arrived)
+        ]
+        garbled = sum(1 for row in feed if row["dur"] == "<garbled>")
+        stats = ETLJob(schema, "cdr").run(feed, catalog)
+        assert stats.rows_read == len(arrived) < len(rows)
         assert stats.rows_loaded + stats.rows_rejected == stats.rows_read
-        assert stats.rows_rejected == garbled
+        assert stats.rows_rejected == garbled > 0
         assert catalog.load(f"cdr{QUARANTINE_SUFFIX}").num_rows == garbled
 
 

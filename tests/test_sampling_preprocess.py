@@ -7,7 +7,6 @@ from repro.errors import ModelError, NotFittedError
 from repro.ml.preprocess import (
     QuantileBinner,
     Standardizer,
-    binarize_for_linear,
     one_hot,
 )
 from repro.ml.sampling import STRATEGIES, rebalance
@@ -164,11 +163,3 @@ class TestOneHot:
     def test_counts_length_checked(self):
         with pytest.raises(ModelError):
             one_hot(np.zeros((1, 2), dtype=int), counts=[2])
-
-    def test_binarize_for_linear_shapes(self, rng):
-        train = rng.normal(size=(200, 3))
-        test = rng.normal(size=(50, 3))
-        tr, te = binarize_for_linear(train, test, n_bins=4)
-        assert tr.shape[1] == te.shape[1]
-        assert np.all((tr == 0) | (tr == 1))
-        assert np.all(tr.sum(axis=1) == 3)  # one hot bit per source column

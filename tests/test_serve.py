@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.dataplat.catalog import Catalog
 from repro.dataplat.observability import Histogram
-from repro.dataplat.telemetry import TelemetrySink, TelemetryWarehouse
 from repro.errors import DataPlatformError, ServeError, TransientError
 from repro.features.spec import FeatureMatrix
 from repro.ml.forest import RandomForestClassifier
@@ -598,92 +597,3 @@ class TestHistogramQuantile:
             hist.quantile(0.0)
         with pytest.raises(DataPlatformError):
             hist.quantile(1.5)
-
-
-class TestServeTelemetry:
-    def _service(self):
-        from repro.features.spec import FeatureMatrix
-        from repro.ml.forest import RandomForestClassifier
-        from repro.serve import (
-            FeatureStore,
-            FixedServiceTime,
-            ModelRegistry,
-            ScoringService,
-            ServeConfig,
-        )
-
-        rng = np.random.default_rng(3)
-        n, k = 120, 4
-        matrix = FeatureMatrix(
-            imsi=np.arange(50_000, 50_000 + n, dtype=np.int64),
-            names=[f"f{i}" for i in range(k)],
-            values=rng.normal(size=(n, k)),
-        )
-        y = (matrix.values[:, 0] > 0).astype(np.int64)
-        model = RandomForestClassifier(
-            n_trees=3, max_depth=4, min_samples_leaf=5, seed=1
-        ).fit(matrix.values, y)
-        store = FeatureStore(cache_rows=32)
-        store.materialize(matrix, "m3", buckets=2)
-        registry = ModelRegistry()
-        registry.publish("v1", model, activate=True)
-        service = ScoringService(
-            store,
-            registry,
-            ServeConfig(
-                max_batch=4,
-                batch_window_s=0.010,
-                max_queue_depth=16,
-                default_deadline_s=1.0,
-            ),
-            service_time=FixedServiceTime(base_s=0.002, per_row_s=0.0001),
-        )
-        return service, matrix
-
-    def test_attach_telemetry_flushes_slo_gauges(self):
-        service, matrix = self._service()
-        wh = TelemetryWarehouse(git_sha="sha")
-        sink = TelemetrySink(wh, "serve-run")
-        service.attach_telemetry(sink, interval_s=0.050)
-        for i in range(6):
-            service.submit(int(matrix.imsi[i]), now=0.010 * i)
-        service.poll(0.120)
-        rows = list(
-            wh.query(
-                "SELECT window, name, value FROM __telemetry.metrics "
-                "WHERE run_id = 'serve-run' AND kind = 'gauge' "
-                "ORDER BY window, name"
-            ).rows()
-        )
-        assert rows, "no telemetry flushed"
-        names = {r[1] for r in rows}
-        assert "serve.latency_p99_s" in names
-        assert "serve.shed_rate" in names
-        windows = sorted({r[0] for r in rows})
-        assert windows == list(range(len(windows)))  # consecutive windows
-
-    def test_flush_catches_up_without_storm(self):
-        service, matrix = self._service()
-        wh = TelemetryWarehouse(git_sha="sha")
-        sink = TelemetrySink(wh, "serve-run")
-        service.attach_telemetry(sink, interval_s=0.010)
-        service.submit(int(matrix.imsi[0]), now=0.0)
-        # A long idle gap then one event: exactly one flush, not 100.
-        service.poll(1.0)
-        windows = [
-            r[0]
-            for r in wh.query(
-                "SELECT window FROM metrics WHERE kind = 'gauge' "
-                "GROUP BY window"
-            ).rows()
-        ]
-        assert len(windows) <= 2
-
-    def test_attach_rejects_bad_interval(self):
-        from repro.errors import ServeError
-
-        service, _ = self._service()
-        wh = TelemetryWarehouse(git_sha="sha")
-        sink = TelemetrySink(wh, "serve-run")
-        with pytest.raises(ServeError):
-            service.attach_telemetry(sink, interval_s=0.0)

