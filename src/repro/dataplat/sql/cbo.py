@@ -16,8 +16,8 @@ plan.  Three rewrites, applied in order with re-annotation between them:
    partial SUM/MIN/MAX columns plus a ``COUNT(*)`` partial.  The upper
    aggregate combines partials (``SUM``→``SUM``, ``MIN``→``MIN``,
    ``MAX``→``MAX``, any non-distinct ``COUNT``→ the integer sum
-   (:data:`~.functions.COUNT_MERGE`) of the count partial — exact because
-   this engine's COUNT never skips NaN).
+   (:data:`~repro.dataplat.table.COUNT_MERGE`) of the count partial —
+   exact because this engine's COUNT never skips NaN).
 3. **Early projection (Narrow)** — between chained joins, drop columns no
    operator above references, sized by estimated bytes saved.
 
@@ -30,6 +30,7 @@ order.
 from __future__ import annotations
 
 from ..observability import get_metrics
+from ..table import COUNT_MERGE
 from .ast_nodes import (
     BinaryOp,
     ColumnRef,
@@ -41,7 +42,7 @@ from .ast_nodes import (
     UnaryOp,
 )
 from .binder import Binder
-from .functions import AGGREGATE_FUNCTIONS, COUNT_MERGE
+from .functions import AGGREGATE_FUNCTIONS
 from .plan import (
     Aggregate,
     Distinct,

@@ -18,7 +18,7 @@ from ...errors import SQLAnalysisError, ExecutionError
 from .. import observability
 from ..catalog import Catalog
 from ..schema import Column, ColumnType, Schema
-from ..table import Table
+from ..table import Table, aggregate, factorize
 from .ast_nodes import (
     Between,
     BinaryOp,
@@ -34,7 +34,7 @@ from .ast_nodes import (
     Star,
     UnaryOp,
 )
-from .functions import AGGREGATE_FUNCTIONS, aggregate_grouped, scalar_function
+from .functions import AGGREGATE_FUNCTIONS, scalar_function
 from .plan import (
     Aggregate,
     Distinct,
@@ -173,10 +173,8 @@ class Executor:
             child = self._run(node.child)
             if child.num_rows == 0:
                 return child
-            # Factorize the packed row key: np.unique's first-occurrence
-            # indices, sorted, keep rows in input order — same result as
-            # the old per-row hash-set walk without the Python loop.
-            _, _, first_idx = _factorize(
+            # Each row key's first occurrence, sorted, keeps input order.
+            _, _, first_idx = factorize(
                 [child.column(name) for name in child.schema.names]
             )
             return child.take(np.sort(first_idx))
@@ -248,7 +246,7 @@ class Executor:
         n = child.num_rows
         if node.group_by:
             key_values = [np.asarray(evaluate(e, child)) for e in node.group_by]
-            group_ids, n_groups, first_idx = _factorize(key_values)
+            group_ids, n_groups, first_idx = factorize(key_values)
         else:
             group_ids = np.zeros(n, dtype=np.int64)
             n_groups = 1
@@ -528,6 +526,10 @@ class _GroupEnv:
         )
 
     def _aggregate_call(self, expr: FunctionCall) -> np.ndarray:
+        if expr.distinct and expr.name != "COUNT":
+            raise SQLAnalysisError(
+                f"DISTINCT is only supported inside COUNT, not {expr.name}"
+            )
         if expr.name == "COUNT" and (
             not expr.args or isinstance(expr.args[0], Star)
         ):
@@ -536,28 +538,9 @@ class _GroupEnv:
             if len(expr.args) != 1:
                 raise SQLAnalysisError(f"{expr.name} takes exactly one argument")
             values = np.asarray(evaluate(expr.args[0], self._child))
-        return aggregate_grouped(
+        return aggregate(
             expr.name, values, self._group_ids, self._n_groups, expr.distinct
         )
-
-
-def _factorize(
-    key_values: list[np.ndarray],
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Dense group ids for one or more key arrays, plus representative rows."""
-    if len(key_values) == 1:
-        uniq, first_idx, ids = np.unique(
-            key_values[0], return_index=True, return_inverse=True
-        )
-        return ids.astype(np.int64), len(uniq), first_idx.astype(np.intp)
-    combined = np.zeros(len(key_values[0]), dtype=np.int64)
-    for arr in key_values:
-        uniq, ids = np.unique(arr, return_inverse=True)
-        combined = combined * (len(uniq) + 1) + ids
-    uniq, first_idx, ids = np.unique(
-        combined, return_index=True, return_inverse=True
-    )
-    return ids.astype(np.int64), len(uniq), first_idx.astype(np.intp)
 
 
 # ----------------------------------------------------------------------

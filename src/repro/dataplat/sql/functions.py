@@ -1,9 +1,8 @@
 """Scalar and aggregate function registry for the SQL engine.
 
-Scalar functions operate on whole numpy arrays (vectorized).  Aggregate
-functions receive the column values of one group plus optional distinct flag
-and return a scalar; the executor vectorizes common ones (SUM/COUNT/AVG/...)
-via grouped kernels and only falls back to the per-group path for the rest.
+Scalar functions operate on whole numpy arrays (vectorized).  Aggregates
+are only named here; :func:`repro.dataplat.table.aggregate`, the kernel
+``Table.group_by`` shares, computes them over dense group ids.
 """
 
 from __future__ import annotations
@@ -13,15 +12,9 @@ from collections.abc import Callable
 import numpy as np
 
 from ...errors import SQLAnalysisError
+from ..table import COUNT_MERGE
 
 ScalarFn = Callable[..., np.ndarray]
-
-#: Internal aggregate merging partial ``COUNT`` columns: an *integer* sum,
-#: so a count is int64 whichever plan answers it (user-visible ``SUM`` is
-#: float by contract).  Only the partial-aggregate rewrites in :mod:`.cbo`
-#: and :mod:`.scatter` emit it; the ``$`` is a character the lexer rejects,
-#: so no SQL text can name it.
-COUNT_MERGE = "$SUM_COUNTS"
 
 #: Aggregate function names understood by the planner.  ``count`` supports
 #: ``COUNT(*)`` and ``COUNT(DISTINCT x)``.
@@ -124,79 +117,3 @@ def scalar_function(name: str) -> ScalarFn:
             f"unknown function {name}; "
             f"scalar functions: {sorted(SCALAR_FUNCTIONS)}"
         ) from None
-
-
-def aggregate_grouped(
-    name: str,
-    values: np.ndarray | None,
-    group_ids: np.ndarray,
-    n_groups: int,
-    distinct: bool = False,
-) -> np.ndarray:
-    """Vectorized grouped aggregation.
-
-    ``values`` is ``None`` only for ``COUNT(*)``.  ``group_ids`` are dense
-    group indices in ``[0, n_groups)``.
-    """
-    if name == "COUNT":
-        if values is None:
-            return np.bincount(group_ids, minlength=n_groups).astype(np.int64)
-        if distinct:
-            out = np.zeros(n_groups, dtype=np.int64)
-            seen: dict[int, set] = {}
-            for gid, val in zip(group_ids.tolist(), values.tolist()):
-                seen.setdefault(gid, set()).add(val)
-            for gid, vals in seen.items():
-                out[gid] = len(vals)
-            return out
-        return np.bincount(group_ids, minlength=n_groups).astype(np.int64)
-    if values is None:
-        raise SQLAnalysisError(f"{name} requires an argument")
-    if distinct:
-        raise SQLAnalysisError(f"DISTINCT is only supported inside COUNT, not {name}")
-    if name == COUNT_MERGE:
-        out = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(out, group_ids, np.asarray(values, dtype=np.int64))
-        return out
-    numeric = _as_float(values)
-    if name == "SUM":
-        # bincount returns int64 on empty input even with float weights.
-        return np.bincount(
-            group_ids, weights=numeric, minlength=n_groups
-        ).astype(np.float64)
-    if name == "AVG":
-        totals = np.bincount(group_ids, weights=numeric, minlength=n_groups)
-        counts = np.bincount(group_ids, minlength=n_groups)
-        return totals / np.maximum(counts, 1)
-    if name in ("MIN", "MAX"):
-        sentinel = np.inf if name == "MIN" else -np.inf
-        out = np.full(n_groups, sentinel)
-        if name == "MIN":
-            np.minimum.at(out, group_ids, numeric)
-        else:
-            np.maximum.at(out, group_ids, numeric)
-        # Zero only the genuinely empty groups — a group whose true
-        # extremum is ±inf (e.g. an infinite PSI) must keep it.
-        out[np.bincount(group_ids, minlength=n_groups) == 0] = 0.0
-        return out
-    if name == "MEDIAN":
-        out = np.zeros(n_groups)
-        order = np.argsort(group_ids, kind="mergesort")
-        sorted_ids = group_ids[order]
-        sorted_vals = numeric[order]
-        boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [len(sorted_ids)]])
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            if hi > lo:
-                out[sorted_ids[lo]] = np.median(sorted_vals[lo:hi])
-        return out
-    if name in ("STDDEV", "VARIANCE"):
-        counts = np.bincount(group_ids, minlength=n_groups)
-        totals = np.bincount(group_ids, weights=numeric, minlength=n_groups)
-        sq = np.bincount(group_ids, weights=numeric * numeric, minlength=n_groups)
-        denom = np.maximum(counts, 1)
-        mean = totals / denom
-        var = np.maximum(sq / denom - mean * mean, 0.0)
-        return np.sqrt(var) if name == "STDDEV" else var
-    raise SQLAnalysisError(f"unknown aggregate function {name}")

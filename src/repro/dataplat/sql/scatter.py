@@ -24,8 +24,8 @@ shard-executable subtrees and a central remainder:
 - An aggregate sitting on a Gather is decomposed into per-shard partial
   aggregates merged at the gather node, reusing the PR 7 aggregate-pushdown
   algebra: ``COUNT`` → the integer sum of ``__cnt__``
-  (:data:`~.functions.COUNT_MERGE`), SUM/MIN/MAX merge as themselves,
-  ``AVG → SUM(partial sums) / SUM(__cnt__)``.  Non-decomposable aggregates
+  (:data:`~repro.dataplat.table.COUNT_MERGE`), SUM/MIN/MAX merge as
+  themselves, ``AVG → SUM(partial sums) / SUM(__cnt__)``.  Non-decomposable aggregates
   (DISTINCT counts, MEDIAN, STDDEV, VARIANCE) fall back to gathering the
   input rows and aggregating centrally — still scan/join-parallel, and
   counted as ``shard.partial_fallbacks``.
@@ -53,7 +53,7 @@ from ..sharding import (
     ShuffleExchange,
     shard_of,
 )
-from ..table import Table
+from ..table import COUNT_MERGE, Table
 from .ast_nodes import (
     BinaryOp,
     ColumnRef,
@@ -66,7 +66,7 @@ from .ast_nodes import (
 from .cbo import _rebuild
 from .engine import SQLEngine
 from .executor import Executor
-from .functions import AGGREGATE_FUNCTIONS, COUNT_MERGE
+from .functions import AGGREGATE_FUNCTIONS
 from .plan import (
     Aggregate,
     Distinct,

@@ -11,8 +11,7 @@ mini-HDFS stores real bytes, not Python references.
 from __future__ import annotations
 
 import io
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from typing import Any
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -145,10 +144,6 @@ class Table:
         for i in range(self._length):
             yield tuple(arr[i] for arr in arrays)
 
-    def to_dict(self) -> dict[str, np.ndarray]:
-        """Copy of the column mapping."""
-        return dict(self._data)
-
     def __repr__(self) -> str:
         return f"Table({self._length} rows, {self._schema!r})"
 
@@ -210,10 +205,6 @@ class Table:
                 f"mask length {len(predicate)} != table length {self._length}"
             )
         return self.take(np.flatnonzero(predicate))
-
-    def filter(self, fn: Callable[["Table"], np.ndarray]) -> "Table":
-        """Filter with a vectorized predicate over the whole table."""
-        return self.mask(fn(self))
 
     def head(self, n: int) -> "Table":
         """First ``n`` rows."""
@@ -316,17 +307,21 @@ class Table:
         keys = list(keys)
         if not keys:
             raise SchemaError("group_by requires at least one key")
-        key_arrays = [self._data[k] for k in keys]
-        group_ids, uniques = _group_ids(key_arrays)
-        n_groups = len(uniques[0]) if uniques else 0
+        ids, n_groups, first_idx = factorize([self._data[k] for k in keys])
 
         out_cols = [self._schema[k] for k in keys]
-        data: dict[str, np.ndarray] = {
-            k: uniques[i] for i, k in enumerate(keys)
-        }
+        data: dict[str, np.ndarray] = {k: self._data[k][first_idx] for k in keys}
         for out_name, (fn, col_name) in aggregations.items():
-            values = None if fn == "count" else self._data[col_name]
-            agg = _aggregate(fn, group_ids, n_groups, values)
+            if fn == "first":
+                agg = self._data[col_name][first_idx]
+            elif fn in _GROUP_BY_AGGREGATES:
+                values = None if fn == "count" else self._data[col_name]
+                agg = aggregate(
+                    _GROUP_BY_AGGREGATES[fn], values, ids, n_groups,
+                    distinct=fn == "count_distinct",
+                )
+            else:
+                raise SchemaError(f"unknown aggregation function: {fn!r}")
             data[out_name] = agg
             out_cols.append(Column(out_name, ColumnType.infer(agg)))
         return Table(Schema(out_cols), data)
@@ -351,65 +346,118 @@ class Table:
         return buf.getvalue()
 
 
-def _key_ids(table: Table, on: Sequence[str]) -> list:
-    """Row keys for join hashing."""
-    arrays = [table.column(n) for n in on]
-    if len(arrays) == 1:
-        return arrays[0].tolist()
-    return list(zip(*(a.tolist() for a in arrays)))
+def factorize(
+    keys: Sequence[np.ndarray], equal_nan: bool = True
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Dense group ids over one or more equal-length key arrays.
 
+    Returns ``(ids, n_groups, first_idx)``: ``ids[i]`` is row ``i``'s group
+    in ``[0, n_groups)``, numbered in lexicographic key order, and
+    ``first_idx[g]`` is group ``g``'s first row.  Each further key is
+    combined as ``ids * len(uniq) + codes`` and re-densified, so codes stay
+    below the row count and no key count can overflow int64.  Every key
+    costs one stable ``np.unique`` (fast on the presorted runs partitions
+    hold), a further key also one over its values for its codes;
+    ``first_idx`` comes from the last stable one, with no pass of its own.
 
-def _join_codes(
-    left: Table, right: Table, on: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared dense key codes for both sides of an equi-join.
-
-    Factorizes each key column over the *concatenation* of the two sides
-    so equal keys get equal codes regardless of side, combining multiple
-    keys mixed-radix and re-densifying.  ``equal_nan=False`` keeps the
-    hash-path semantics: NaN keys never match anything, themselves
-    included.
+    With ``equal_nan`` NaN keys form one group (``GROUP BY``, ``DISTINCT``);
+    without it every NaN is a key of its own, so a join never matches one.
     """
-    n_left = left.num_rows
-    combined: np.ndarray | None = None
-    for name in on:
-        both = np.concatenate([left.column(name), right.column(name)])
-        uniq, codes = np.unique(both, return_inverse=True, equal_nan=False)
-        codes = codes.astype(np.int64, copy=False)
-        if combined is None:
-            combined = codes
-        else:
-            combined = combined * (len(uniq) + 1) + codes
-            _, combined = np.unique(combined, return_inverse=True)
-            combined = combined.astype(np.int64, copy=False)
-    assert combined is not None
-    return combined[:n_left], combined[n_left:]
-
-
-def _join_indices_hashed(
-    left: Table, right: Table, on: Sequence[str], how: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reference dict-bucket join (row order the vectorized path must match)."""
-    left_keys = _key_ids(left, on)
-    right_keys = _key_ids(right, on)
-    buckets: dict[Any, list[int]] = {}
-    for idx, key in enumerate(right_keys):
-        buckets.setdefault(key, []).append(idx)
-    left_idx: list[int] = []
-    right_idx: list[int] = []
-    unmatched: list[int] = []
-    for idx, key in enumerate(left_keys):
-        matches = buckets.get(key)
-        if matches:
-            left_idx.extend([idx] * len(matches))
-            right_idx.extend(matches)
-        elif how == "left":
-            unmatched.append(idx)
-    return (
-        np.asarray(left_idx, dtype=np.intp),
-        np.asarray(right_idx, dtype=np.intp),
-        np.asarray(unmatched, dtype=np.intp),
+    uniq, first_idx, ids = np.unique(
+        keys[0], return_index=True, return_inverse=True, equal_nan=equal_nan
     )
+    for arr in keys[1:]:
+        uniq, codes = np.unique(arr, return_inverse=True, equal_nan=equal_nan)
+        uniq, first_idx, ids = np.unique(
+            ids * len(uniq) + codes, return_index=True, return_inverse=True
+        )
+    return ids.astype(np.int64, copy=False), len(uniq), first_idx
+
+
+#: Internal aggregate merging partial ``COUNT`` columns: an *integer* sum,
+#: so a count is int64 whichever plan answers it (user-visible ``SUM`` is
+#: float by contract).  Only the partial-aggregate rewrites in
+#: :mod:`.sql.cbo` and :mod:`.sql.scatter` emit it; the ``$`` is a
+#: character the lexer rejects, so no SQL text can name it.
+COUNT_MERGE = "$SUM_COUNTS"
+
+#: ``Table.group_by``'s names for the :func:`aggregate` functions it offers
+#: (``first`` reads the group's first row instead).
+_GROUP_BY_AGGREGATES = {
+    "sum": "SUM", "mean": "AVG", "min": "MIN", "max": "MAX",
+    "count": "COUNT", "count_distinct": "COUNT",
+}
+
+
+def aggregate(
+    name: str,
+    values: np.ndarray | None,
+    ids: np.ndarray,
+    n_groups: int,
+    distinct: bool = False,
+) -> np.ndarray:
+    """Vectorized grouped aggregation under its upper-case SQL name.
+
+    ``values`` is ``None`` only for ``COUNT(*)``; ``ids`` are dense group
+    indices in ``[0, n_groups)``, as :func:`factorize` returns them.
+    ``distinct`` applies to ``COUNT`` only.
+    """
+    if name == "COUNT":
+        if values is None or not distinct:
+            return np.bincount(ids, minlength=n_groups).astype(np.int64)
+        out = np.zeros(n_groups, dtype=np.int64)
+        seen: dict[int, set] = {}
+        for gid, val in zip(ids.tolist(), values.tolist()):
+            seen.setdefault(gid, set()).add(val)
+        for gid, vals in seen.items():
+            out[gid] = len(vals)
+        return out
+    if name == COUNT_MERGE:
+        out = np.zeros(n_groups, dtype=np.int64)
+        np.add.at(out, ids, np.asarray(values, dtype=np.int64))
+        return out
+    numeric = np.asarray(values, dtype=np.float64)
+    if name == "SUM":
+        # bincount returns int64 on empty input even with float weights.
+        return np.bincount(
+            ids, weights=numeric, minlength=n_groups
+        ).astype(np.float64)
+    if name == "AVG":
+        totals = np.bincount(ids, weights=numeric, minlength=n_groups)
+        counts = np.bincount(ids, minlength=n_groups)
+        return totals / np.maximum(counts, 1)
+    if name in ("MIN", "MAX"):
+        sentinel = np.inf if name == "MIN" else -np.inf
+        out = np.full(n_groups, sentinel)
+        if name == "MIN":
+            np.minimum.at(out, ids, numeric)
+        else:
+            np.maximum.at(out, ids, numeric)
+        # Zero only the genuinely empty groups — a group whose true
+        # extremum is ±inf (e.g. an infinite PSI) must keep it.
+        out[np.bincount(ids, minlength=n_groups) == 0] = 0.0
+        return out
+    if name == "MEDIAN":
+        out = np.zeros(n_groups)
+        order = np.argsort(ids, kind="mergesort")
+        sorted_ids = ids[order]
+        sorted_vals = numeric[order]
+        boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
+        starts = np.concatenate([[0], boundaries])
+        ends = np.concatenate([boundaries, [len(sorted_ids)]])
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            if hi > lo:
+                out[sorted_ids[lo]] = np.median(sorted_vals[lo:hi])
+        return out
+    if name in ("STDDEV", "VARIANCE"):
+        counts = np.bincount(ids, minlength=n_groups)
+        totals = np.bincount(ids, weights=numeric, minlength=n_groups)
+        sq = np.bincount(ids, weights=numeric * numeric, minlength=n_groups)
+        denom = np.maximum(counts, 1)
+        mean = totals / denom
+        var = np.maximum(sq / denom - mean * mean, 0.0)
+        return np.sqrt(var) if name == "STDDEV" else var
+    raise SchemaError(f"unknown aggregate function {name}")
 
 
 def _join_indices(
@@ -417,25 +465,27 @@ def _join_indices(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row indices realizing an equi-join: (left, right, unmatched-left).
 
-    Vectorized: factorize keys to shared codes, group right rows per code
-    with a stable argsort, then expand each left row against its code's
-    run.  Matched pairs come out ordered by left row, ties by right row —
-    bit-identical to :func:`_join_indices_hashed`, which remains the
-    fallback for key columns numpy cannot sort together (e.g. a numeric
-    column joined against strings; such keys never match anyway).
+    Factorize keys over both sides concatenated (NaN never matches), group
+    right rows per code with a stable argsort, then expand each left row
+    against its code's run.  Matched pairs come out ordered by left row,
+    ties by right row.  A STRING key never equals a non-STRING one, so
+    such a pair matches nothing.
     """
+    none = np.empty(0, dtype=np.intp)
+    n_left = left.num_rows
     if not on:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty, empty
-    try:
-        left_codes, right_codes = _join_codes(left, right, on)
-    except TypeError:
-        return _join_indices_hashed(left, right, on, how)
-    n_codes = int(
-        max(
-            left_codes.max(initial=-1), right_codes.max(initial=-1)
-        )
-    ) + 1
+        return none, none, none
+    if any(
+        (left.column(n).dtype == object) != (right.column(n).dtype == object)
+        for n in on
+    ):
+        unmatched = np.arange(n_left, dtype=np.intp) if how == "left" else none
+        return none, none, unmatched
+    ids, n_codes, _ = factorize(
+        [np.concatenate([left.column(n), right.column(n)]) for n in on],
+        equal_nan=False,
+    )
+    left_codes, right_codes = ids[:n_left], ids[n_left:]
     counts = np.bincount(right_codes, minlength=n_codes)
     order = np.argsort(right_codes, kind="stable")
     starts = np.concatenate(([0], np.cumsum(counts)[:-1])) if n_codes else (
@@ -444,7 +494,7 @@ def _join_indices(
     reps = counts[left_codes]
     ends = np.cumsum(reps)
     total = int(ends[-1]) if len(ends) else 0
-    li = np.repeat(np.arange(left.num_rows, dtype=np.intp), reps)
+    li = np.repeat(np.arange(n_left, dtype=np.intp), reps)
     within = np.arange(total, dtype=np.int64) - np.repeat(ends - reps, reps)
     ri = order[np.repeat(starts[left_codes], reps) + within].astype(
         np.intp, copy=False
@@ -452,7 +502,7 @@ def _join_indices(
     if how == "left":
         ui = np.flatnonzero(reps == 0).astype(np.intp, copy=False)
     else:
-        ui = np.empty(0, dtype=np.intp)
+        ui = none
     return li, ri, ui
 
 
@@ -464,62 +514,3 @@ def _fill_value(ctype: ColumnType):
     if ctype is ColumnType.INT:
         return 0
     return 0.0
-
-
-def _group_ids(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Dense group ids plus per-key unique value arrays (aligned)."""
-    if len(key_arrays) == 1:
-        uniq, ids = np.unique(key_arrays[0], return_inverse=True)
-        return ids, [uniq]
-    # Factorize each key, then combine the codes row-wise.
-    combined = np.zeros(len(key_arrays[0]), dtype=np.int64)
-    for arr in key_arrays:
-        uniq, ids = np.unique(arr, return_inverse=True)
-        combined = combined * len(uniq) + ids
-    # Each group's first row reads its key values back.
-    _, first_idx, group_ids = np.unique(
-        combined, return_index=True, return_inverse=True
-    )
-    uniques = [arr[first_idx] for arr in key_arrays]
-    return group_ids, uniques
-
-
-def _aggregate(
-    fn: str, group_ids: np.ndarray, n_groups: int, values: np.ndarray | None
-) -> np.ndarray:
-    """Vectorized aggregation of ``values`` per group."""
-    if fn == "count":
-        return np.bincount(group_ids, minlength=n_groups).astype(np.int64)
-    if values is None:
-        raise SchemaError(f"aggregation {fn!r} requires an input column")
-    if fn == "count_distinct":
-        out = np.zeros(n_groups, dtype=np.int64)
-        pairs = {}
-        for gid, val in zip(group_ids.tolist(), values.tolist()):
-            pairs.setdefault(gid, set()).add(val)
-        for gid, vals in pairs.items():
-            out[gid] = len(vals)
-        return out
-    if fn == "first":
-        # Group ids are dense and no group is empty: each group's first row.
-        _, first_idx = np.unique(group_ids, return_index=True)
-        return values[first_idx]
-    numeric = values.astype(np.float64)
-    if fn == "sum":
-        # bincount returns int64 on empty input even with float weights.
-        return np.bincount(
-            group_ids, weights=numeric, minlength=n_groups
-        ).astype(np.float64)
-    if fn == "mean":
-        totals = np.bincount(group_ids, weights=numeric, minlength=n_groups)
-        counts = np.bincount(group_ids, minlength=n_groups)
-        return totals / np.maximum(counts, 1)
-    if fn == "min":
-        out = np.full(n_groups, np.inf)
-        np.minimum.at(out, group_ids, numeric)
-        return out
-    if fn == "max":
-        out = np.full(n_groups, -np.inf)
-        np.maximum.at(out, group_ids, numeric)
-        return out
-    raise SchemaError(f"unknown aggregation function: {fn!r}")

@@ -394,11 +394,13 @@ class DecisionTree:
             r, b = divmod(int(at[k]), m)
             j = int(candidates[r])
             values = codes.distinct[j]
-            thr = 0.5 * (values[ranked[r, b]] + values[ranked[r, b + 1]])
+            lo, hi = values[ranked[r, b]], values[ranked[r, b + 1]]
+            # Python floats: -inf and inf meet at NaN without a warning.
+            thr = 0.5 * (float(lo) + float(hi))
             go_left = x[index, j] <= thr
             # For adjacent floats the midpoint can round onto one of the two
-            # values and sweep every row to one side; such a split is
-            # unusable.
+            # values (or be NaN) and sweep every row to one side; such a
+            # split is unusable.
             if go_left.all() or not go_left.any():
                 first = per_candidate[:r].sum()
                 improvement[first : first + per_candidate[r]] = -np.inf

@@ -162,11 +162,11 @@ def _best_split(
             continue
         if best is None or improvement[k] > best[2]:
             b = boundaries[k]
-            thr = 0.5 * (v_sorted[b] + v_sorted[b + 1])
+            thr = 0.5 * (float(v_sorted[b]) + float(v_sorted[b + 1]))
             go_left = values <= thr
             # For adjacent floats the midpoint can round onto one of the
-            # two values and sweep every row to one side; such a split is
-            # unusable.
+            # two values (or be NaN, between -inf and inf) and sweep every
+            # row to one side; such a split is unusable.
             if go_left.all() or not go_left.any():
                 continue
             best = (

@@ -121,7 +121,7 @@ class TestTransforms:
             sample.mask(np.array([True]))
 
     def test_filter_callable(self, sample):
-        out = sample.filter(lambda t: t["kind"] == "a")
+        out = sample.mask(sample["kind"] == "a")
         assert out["imsi"].tolist() == [1, 3]
 
     def test_head(self, sample):
@@ -274,8 +274,9 @@ class TestSerialization:
 
 
 class TestJoinVectorizedParity:
-    """The np.unique-based join must be bit-identical to the dict-bucket
-    path it replaced — same pairs, same row order, same unmatched set."""
+    """The factorized join must be bit-identical to the dict-bucket oracle
+    in ``tests/reference_join.py`` — same pairs, same row order, same
+    unmatched set."""
 
     @staticmethod
     def _random_tables(rng, trial):
@@ -299,7 +300,8 @@ class TestJoinVectorizedParity:
         return left, right
 
     def test_indices_match_hashed_reference(self):
-        from repro.dataplat.table import _join_indices, _join_indices_hashed
+        from reference_join import join_indices_hashed
+        from repro.dataplat.table import _join_indices
 
         rng = np.random.default_rng(7)
         for trial in range(200):
@@ -307,7 +309,7 @@ class TestJoinVectorizedParity:
             on = ["k"] if trial % 2 else ["k", "k2"]
             how = "left" if trial % 4 < 2 else "inner"
             got = _join_indices(left, right, on, how)
-            want = _join_indices_hashed(left, right, on, how)
+            want = join_indices_hashed(left, right, on, how)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), (trial, on, how)
 
@@ -322,9 +324,9 @@ class TestJoinVectorizedParity:
         # Row 0 (NaN key) is unmatched -> padded; row 1 matches.
         assert out["rv"].tolist() == [2.0, 0.0]
 
-    def test_mixed_type_keys_fall_back(self):
-        # numpy cannot sort ints against strings; the dict fallback keeps
-        # the old "never matches" behavior instead of raising.
+    def test_mixed_type_keys_never_match(self):
+        # A STRING key never equals a numeric one (numpy could not even
+        # sort the two together): the pair is decided from the dtypes.
         left = Table.from_arrays(k=np.array([1, 2]), lv=np.array([1.0, 2.0]))
         right = Table.from_arrays(
             k=np.asarray(["1", "2"], dtype=object), rv=np.array([9.0, 8.0])

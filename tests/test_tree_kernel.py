@@ -7,7 +7,7 @@ feature / threshold / left / right / value / importances.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from reference_predict import fit_grown
@@ -211,6 +211,11 @@ matrices = st.integers(4, 60).flatmap(
     st.integers(0, 50),
 )
 @settings(max_examples=150, deadline=None)
+@example(  # the only boundary of a column is -inf | inf: its midpoint is NaN
+    (np.array([[-np.inf], [np.inf], [np.inf], [np.inf]]),
+     np.array([0.0, 1.0, 1.0, 1.0]), np.full(4, 0.5)),
+    "gini", 1, None, 0,
+)
 def test_property_small_matrices(data, criterion, leaf, max_features, seed):
     x, y, w = data
     _fit_both(
