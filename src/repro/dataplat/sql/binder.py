@@ -54,6 +54,7 @@ from .plan import (
     Sort,
     UnionAll,
 )
+from .planner import _split_conjuncts
 
 __all__ = [
     "Binder",
@@ -361,7 +362,7 @@ class Binder:
         """Estimated output rows of an inner equi-join."""
         est = left_rows * right_rows
         fallback = max(min(left_rows, right_rows), 1.0)
-        for term in _conjuncts(condition):
+        for term in _split_conjuncts(condition):
             if (
                 isinstance(term, BinaryOp)
                 and term.op == "="
@@ -376,9 +377,3 @@ class Binder:
             else:
                 est *= selectivity(term, self.lookup)
         return est
-
-
-def _conjuncts(expr: Expr) -> list[Expr]:
-    if isinstance(expr, BinaryOp) and expr.op == "AND":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]

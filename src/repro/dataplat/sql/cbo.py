@@ -13,11 +13,13 @@ plan.  Three rewrites, applied in order with re-annotation between them:
 2. **Aggregate pushdown** (eager aggregation) — when the grouping keys of
    an aggregate over an inner equi-join restrict one side to its join
    keys, that side is pre-aggregated by those keys before the join, with
-   partial SUM/MIN/MAX columns plus a ``COUNT(*)`` partial.  The upper
+   partial SUM/MIN/MAX/AVG columns plus a ``COUNT(*)`` partial.  The upper
    aggregate combines partials (``SUM``→``SUM``, ``MIN``→``MIN``,
-   ``MAX``→``MAX``, any non-distinct ``COUNT``→ the integer sum
+   ``MAX``→``MAX``, ``AVG``→ partial sums over the count partial, any
+   non-distinct ``COUNT``→ the integer sum
    (:data:`~repro.dataplat.table.COUNT_MERGE`) of the count partial —
-   exact because this engine's COUNT never skips NaN).
+   exact because this engine's COUNT never skips NaN).  The split is
+   :func:`split_partials`, which the sharded engine's gather shares.
 3. **Early projection (Narrow)** — between chained joins, drop columns no
    operator above references, sized by estimated bytes saved.
 
@@ -28,6 +30,8 @@ order.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from ..observability import get_metrics
 from ..table import COUNT_MERGE
@@ -59,12 +63,13 @@ from .plan import (
 from .planner import (
     _bindings_of,
     _combine_conjuncts,
+    _equi_pairs,
     _expr_bindings,
     _referenced_columns,
     _split_conjuncts,
 )
 
-__all__ = ["optimize_cost_based"]
+__all__ = ["optimize_cost_based", "split_partials"]
 
 #: Minimum estimated bytes saved before a Narrow node is inserted.
 NARROW_MIN_BYTES = 32_768.0
@@ -178,9 +183,9 @@ def _reorder_cluster(join: Join, binder: Binder) -> PlanNode | None:
             idx, leaf, bindings = entry
             combined = acc_bindings | bindings
             conjs = [p for p in unplaced if p[1] <= combined]
-            if not _has_cross_equality(conjs, acc_bindings, bindings):
+            cond = _combine_conjuncts([c for c, _ in conjs]) if conjs else None
+            if cond is None or not _equi_pairs(cond, acc_bindings, bindings)[0]:
                 continue  # would be a cross product; never pick it
-            cond = _combine_conjuncts([c for c, _ in conjs])
             est = binder.join_estimate(acc_est, leaf.est_rows or 0.0, cond)
             if best is None or (est, idx) < (best[4], best[0]):
                 best = (idx, entry, conjs, cond, est)
@@ -203,37 +208,9 @@ def _reorder_cluster(join: Join, binder: Binder) -> PlanNode | None:
     return node
 
 
-def _has_cross_equality(
-    conjs: list[tuple[Expr, set[str]]],
-    left_bindings: set[str],
-    right_bindings: set[str],
-) -> bool:
-    for c, _ in conjs:
-        if not (
-            isinstance(c, BinaryOp)
-            and c.op == "="
-            and isinstance(c.left, ColumnRef)
-            and isinstance(c.right, ColumnRef)
-        ):
-            continue
-        lb = _expr_bindings(c.left)
-        rb = _expr_bindings(c.right)
-        if not lb or not rb:
-            continue
-        if (lb <= left_bindings and rb <= right_bindings) or (
-            lb <= right_bindings and rb <= left_bindings
-        ):
-            return True
-    return False
-
-
 # ----------------------------------------------------------------------
 # 2. Aggregate pushdown below joins (eager aggregation)
 # ----------------------------------------------------------------------
-
-
-class _PushAbort(Exception):
-    """Raised while rewriting when an expression blocks the pushdown."""
 
 
 def _push_aggregates(node: PlanNode, binder: Binder) -> PlanNode:
@@ -252,27 +229,12 @@ def _push_aggregates(node: PlanNode, binder: Binder) -> PlanNode:
 def _try_push_aggregate(agg: Aggregate, binder: Binder) -> PlanNode | None:
     join = agg.child
     assert isinstance(join, Join)
-    left_b = _bindings_of(join.left)
-    right_b = _bindings_of(join.right)
-    equalities: list[tuple[ColumnRef, ColumnRef]] = []  # (left ref, right ref)
-    for term in _split_conjuncts(join.condition):
-        if not (
-            isinstance(term, BinaryOp)
-            and term.op == "="
-            and isinstance(term.left, ColumnRef)
-            and isinstance(term.right, ColumnRef)
-        ):
-            return None  # residual conjuncts filter *pairs*; cannot pre-agg
-        lb = _expr_bindings(term.left)
-        rb = _expr_bindings(term.right)
-        if not lb or not rb:
-            return None
-        if lb <= left_b and rb <= right_b:
-            equalities.append((term.left, term.right))
-        elif lb <= right_b and rb <= left_b:
-            equalities.append((term.right, term.left))
-        else:
-            return None
+    # Residual conjuncts filter *pairs*, so they block pre-aggregation.
+    equalities, residual = _equi_pairs(
+        join.condition, _bindings_of(join.left), _bindings_of(join.right)
+    )
+    if residual:
+        return None
     for side in ("right", "left"):
         pushed = _push_into_side(agg, join, equalities, side, binder)
         if pushed is not None:
@@ -321,57 +283,88 @@ def _push_into_side(
     if distinct_product >= AGG_PUSH_RATIO * s_node.est_rows:
         return None
 
-    partials: list[SelectItem] = []
-    used_count = [False]
-
-    def partial_ref(call: FunctionCall) -> ColumnRef:
-        alias = f"__partial{len(partials)}__"
-        partials.append(SelectItem(call, alias))
-        return ColumnRef(alias)
-
-    def rewrite(expr: Expr) -> Expr:
-        for key in agg.group_by:
-            if expr == key:
-                return expr
-        if isinstance(expr, Literal):
-            return expr
-        if isinstance(expr, FunctionCall) and expr.name in AGGREGATE_FUNCTIONS:
-            if expr.distinct:
-                raise _PushAbort
-            if expr.name == "COUNT":
-                # COUNT never skips NaN here, so any COUNT is the pair
-                # count per group: the sum of per-key pre-agg row counts.
-                used_count[0] = True
-                return FunctionCall(COUNT_MERGE, (ColumnRef("__cnt__"),))
-            if expr.name not in ("SUM", "MIN", "MAX") or len(expr.args) != 1:
-                raise _PushAbort
-            refs = _expr_bindings(expr.args[0])
-            if not refs or not refs <= s_bindings:
-                raise _PushAbort  # aggregates the other side; would need ×cnt
-            return FunctionCall(expr.name, (partial_ref(expr),))
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(expr.op, rewrite(expr.operand))
-        if isinstance(expr, BinaryOp):
-            return BinaryOp(expr.op, rewrite(expr.left), rewrite(expr.right))
-        raise _PushAbort  # bare non-key columns (FIRST semantics) et al.
-
-    try:
-        new_items = tuple(
-            SelectItem(rewrite(item.expr), item.alias) for item in agg.items
-        )
-        new_having = rewrite(agg.having) if agg.having is not None else None
-    except _PushAbort:
+    # ``covers``: aggregating the other side's columns would need weights.
+    split = split_partials(agg, keys, s_node, covers=s_bindings)
+    if split is None:
         return None
-
-    pre_items = [SelectItem(key, key.qualified) for key in keys]
-    pre_items.extend(partials)
-    pre_items.append(SelectItem(FunctionCall("COUNT", (Star(),)), "__cnt__"))
-    pre = Aggregate(s_node, tuple(keys), tuple(pre_items), None)
+    pre, items, having = split
     if side == "right":
         new_join = Join(join.left, pre, "inner", join.condition)
     else:
         new_join = Join(pre, join.right, "inner", join.condition)
-    return Aggregate(new_join, agg.group_by, new_items, new_having)
+    return Aggregate(new_join, agg.group_by, items, having)
+
+
+class _Unsplittable(Exception):
+    """Raised mid-rewrite by an expression that blocks :func:`split_partials`."""
+
+
+def split_partials(
+    agg: Aggregate,
+    keys: Sequence[Expr],
+    child: PlanNode,
+    covers: set[str] | None = None,
+) -> tuple[Aggregate, tuple[SelectItem, ...], Expr | None] | None:
+    """Split ``agg`` into a pre-aggregate of ``child`` by ``keys`` and the
+    select items and HAVING that merge its partials.
+
+    The pre-aggregate emits the keys (named by their qualified names),
+    ``__partial{i}__`` partials and a ``__cnt__`` row count.  SUM, MIN,
+    MAX and :data:`~repro.dataplat.table.COUNT_MERGE` merge as
+    themselves, any non-distinct ``COUNT`` becomes the integer sum of
+    ``__cnt__`` (exact because this engine's COUNT never skips NaN), and
+    ``AVG`` becomes ``SUM(partial sums) / SUM(__cnt__)``; unary and binary
+    operators, literals and ``agg``'s group keys pass through.  Returns
+    None when anything else blocks the split: DISTINCT, MEDIAN, STDDEV,
+    VARIANCE, a bare non-key column, a non-column key, or (with
+    ``covers``) an aggregate argument not drawn from those bindings alone.
+    """
+    if not all(isinstance(k, ColumnRef) for k in keys):
+        return None
+    partials: list[SelectItem] = []
+
+    def partial(call: FunctionCall) -> FunctionCall:
+        """The call merged over its ``__partial{i}__`` column."""
+        if covers is not None:
+            refs = _expr_bindings(call.args[0])
+            if not refs or not refs <= covers:
+                raise _Unsplittable
+        alias = f"__partial{len(partials)}__"
+        partials.append(SelectItem(call, alias))
+        return FunctionCall(call.name, (ColumnRef(alias),))
+
+    def rewrite(expr: Expr) -> Expr:
+        if expr in agg.group_by or isinstance(expr, Literal):
+            return expr
+        if isinstance(expr, FunctionCall) and expr.name in AGGREGATE_FUNCTIONS:
+            if expr.distinct:
+                raise _Unsplittable
+            if expr.name == "COUNT":
+                return FunctionCall(COUNT_MERGE, (ColumnRef("__cnt__"),))
+            if len(expr.args) != 1:
+                raise _Unsplittable
+            if expr.name == "AVG":
+                total = partial(FunctionCall("SUM", expr.args))
+                count = FunctionCall("SUM", (ColumnRef("__cnt__"),))
+                return BinaryOp("/", total, count)
+            if expr.name in ("SUM", "MIN", "MAX", COUNT_MERGE):
+                return partial(expr)
+            raise _Unsplittable  # MEDIAN/STDDEV/VARIANCE need the raw rows
+        if isinstance(expr, UnaryOp):
+            return UnaryOp(expr.op, rewrite(expr.operand))
+        if isinstance(expr, BinaryOp):
+            return BinaryOp(expr.op, rewrite(expr.left), rewrite(expr.right))
+        raise _Unsplittable  # bare non-key columns (FIRST semantics) et al.
+
+    try:
+        items = tuple(SelectItem(rewrite(i.expr), i.alias) for i in agg.items)
+        having = rewrite(agg.having) if agg.having is not None else None
+    except _Unsplittable:
+        return None
+    pre_items = [SelectItem(k, k.qualified) for k in keys]
+    pre_items.extend(partials)
+    pre_items.append(SelectItem(FunctionCall("COUNT", (Star(),)), "__cnt__"))
+    return Aggregate(child, tuple(keys), tuple(pre_items), None), items, having
 
 
 # ----------------------------------------------------------------------

@@ -106,6 +106,9 @@ class SQLEngine:
         """Readable bound, cost-optimized plan."""
         return self.plan(sql).describe()
 
+    def _executor(self) -> Executor:
+        return Executor(self._catalog, self._database)
+
     def _explain_analyze(self, plan: PlanNode) -> list[str]:
         """Execute ``plan`` and annotate it from its own ``sql.*`` spans.
 
@@ -114,7 +117,7 @@ class SQLEngine:
         """
         with nullcontext() if enabled() else trace():
             with span("sql.execute") as root:
-                Executor(self._catalog, self._database).execute(plan)
+                self._executor().execute(plan)
         lines: list[str] = []
         _annotate(plan, next(_operator_spans(root)), 0, lines)
         return lines
@@ -143,9 +146,8 @@ class SQLEngine:
                 sp.incr("rows", out.num_rows)
                 return out
             plan = self._plan_statement(stmt)
-            executor = Executor(self._catalog, self._database)
             with span("sql.execute"):
-                out = executor.execute(plan)
+                out = self._executor().execute(plan)
             sp.incr("rows", out.num_rows)
         return out
 
@@ -156,7 +158,7 @@ class SQLEngine:
         stages can reuse them; this is that operation.
         """
         result = self.query(sql)
-        self._catalog.save(result, name, database=self._database, partition=partition)
+        self.catalog.save(result, name, database=self._database, partition=partition)
         return result
 
 

@@ -48,6 +48,7 @@ from .plan import (
     Sort,
     UnionAll,
 )
+from .planner import _combine_conjuncts, _split_conjuncts
 
 #: Buckets for the estimate-error q-factor ``(max+1)/(min+1)`` of
 #: estimated vs actual rows — 1.0 means a perfect estimate.  Every
@@ -608,19 +609,15 @@ def _equi_keys(
             return side, matches[0]
         return None
 
-    def walk(expr: Expr) -> None:
-        if isinstance(expr, BinaryOp) and expr.op == "AND":
-            walk(expr.left)
-            walk(expr.right)
-            return
+    for term in _split_conjuncts(condition):
         if (
-            isinstance(expr, BinaryOp)
-            and expr.op == "="
-            and isinstance(expr.left, ColumnRef)
-            and isinstance(expr.right, ColumnRef)
+            isinstance(term, BinaryOp)
+            and term.op == "="
+            and isinstance(term.left, ColumnRef)
+            and isinstance(term.right, ColumnRef)
         ):
-            a = resolve_side(expr.left)
-            b = resolve_side(expr.right)
+            a = resolve_side(term.left)
+            b = resolve_side(term.right)
             if a and b and {a[0], b[0]} == {"left", "right"}:
                 if a[0] == "left":
                     left_keys.append(a[1])
@@ -628,13 +625,7 @@ def _equi_keys(
                 else:
                     left_keys.append(b[1])
                     right_keys.append(a[1])
-                return
-        residual.append(expr)
-
-    walk(condition)
-    residual_expr: Expr | None = None
-    if residual:
-        residual_expr = residual[0]
-        for term in residual[1:]:
-            residual_expr = BinaryOp("AND", residual_expr, term)
+                continue
+        residual.append(term)
+    residual_expr = _combine_conjuncts(residual) if residual else None
     return left_keys, right_keys, residual_expr

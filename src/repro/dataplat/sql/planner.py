@@ -141,6 +141,36 @@ def _expr_bindings(expr: Expr) -> set[str] | None:
     return out
 
 
+def _equi_pairs(
+    condition: Expr, left_bindings: set[str], right_bindings: set[str]
+) -> tuple[list[tuple[ColumnRef, ColumnRef]], list[Expr]]:
+    """Split a join condition into cross-side column equalities and the rest.
+
+    Returns ``(pairs, residual)``: each pair is ``(left ref, right ref)`` of
+    a conjunct ``a.x = b.y`` whose qualified sides resolve one in each
+    binding set; every other conjunct is residual.
+    """
+    pairs: list[tuple[ColumnRef, ColumnRef]] = []
+    residual: list[Expr] = []
+    for term in _split_conjuncts(condition):
+        if (
+            isinstance(term, BinaryOp)
+            and term.op == "="
+            and isinstance(term.left, ColumnRef)
+            and isinstance(term.right, ColumnRef)
+            and term.left.table is not None
+            and term.right.table is not None
+        ):
+            if term.left.table in left_bindings and term.right.table in right_bindings:
+                pairs.append((term.left, term.right))
+                continue
+            if term.right.table in left_bindings and term.left.table in right_bindings:
+                pairs.append((term.right, term.left))
+                continue
+        residual.append(term)
+    return pairs, residual
+
+
 def _push_down_predicates(node: PlanNode) -> PlanNode:
     if isinstance(node, Filter):
         child = _push_down_predicates(node.child)

@@ -1,34 +1,40 @@
 """Scatter-gather SQL over a :class:`~repro.dataplat.sharding.ShardedCatalog`.
 
-:class:`ShardedSQLEngine` plans a statement once (against shard 0, whose
-schema every shard mirrors), then splits the bound plan into the maximal
-shard-executable subtrees and a central remainder:
+:class:`ShardedSQLEngine` is the single :class:`~.engine.SQLEngine`
+pipeline — parse, plan, bind and cost-optimize against shard 0, whose
+schema every shard mirrors — plus a distribution analysis that splits
+the bound plan into the maximal shard-executable subtrees and a central
+remainder.  The plan is a value: planning reads placements only and moves
+no data.
 
 - A **distribution** is tracked bottom-up: ``hash`` tables start out
   distributed by their shard-key column, ``replicated`` tables are whole
   everywhere, and join equalities extend the set of columns known to be
   hash-aligned.  An aligned equi-join (co-partitioning contract) or a join
   against a replicated side stays shard-local; a misaligned scan side is
-  repartitioned through the :class:`~repro.dataplat.sharding.ShuffleExchange`;
-  a replicated side that a LEFT join needs hash-distributed is *realigned*
-  — filtered locally to its shard's key range, no data movement at all.
-- Each maximal shard-executable subtree becomes a :class:`Gather` node: the
-  subplan fans out per shard through
-  :func:`~repro.dataplat.executor.map_traced` with the sharded catalog as
-  the resident, so a task carries only ``(database, subplan, shard_id)``
-  and process workers read the
-  shard catalogs they inherited at fork (forked again only when a shard's
+  wrapped in a :class:`Shuffle` by the join key; a replicated side that a
+  LEFT join needs hash-distributed is *realigned* — filtered locally to
+  its shard's key range, no data movement at all.
+- Each maximal shard-executable subtree becomes a :class:`Gather`
+  operator.  Where the coordinator's executor meets one, it first lands
+  the subplan's shuffles through the
+  :class:`~repro.dataplat.sharding.ShuffleExchange` (memoized per table,
+  key, columns and catalog version) and then fans the subplan out per
+  shard through :func:`~repro.dataplat.executor.map_traced` with the
+  sharded catalog as the resident, so a task carries only
+  ``(database, subplan, shard_id)`` and process workers read the shard
+  catalogs they inherited at fork (forked again only when a shard's
   ``Catalog.generation`` moves).  Each task runs under a fresh tracer
   whose spans travel home tagged with their shard, and the pieces
   concatenate in shard order.
 - An aggregate sitting on a Gather is decomposed into per-shard partial
-  aggregates merged at the gather node, reusing the PR 7 aggregate-pushdown
-  algebra: ``COUNT`` → the integer sum of ``__cnt__``
-  (:data:`~repro.dataplat.table.COUNT_MERGE`), SUM/MIN/MAX merge as
-  themselves, ``AVG → SUM(partial sums) / SUM(__cnt__)``.  Non-decomposable aggregates
-  (DISTINCT counts, MEDIAN, STDDEV, VARIANCE) fall back to gathering the
-  input rows and aggregating centrally — still scan/join-parallel, and
-  counted as ``shard.partial_fallbacks``.
+  aggregates merged at the gather node by the cost-based optimizer's own
+  split, :func:`~.cbo.split_partials`: ``COUNT`` → the integer sum of
+  ``__cnt__`` (:data:`~repro.dataplat.table.COUNT_MERGE`), SUM/MIN/MAX
+  merge as themselves, ``AVG → SUM(partial sums) / SUM(__cnt__)``.
+  Non-decomposable aggregates (DISTINCT counts, MEDIAN, STDDEV, VARIANCE)
+  fall back to gathering the input rows and aggregating centrally — still
+  scan/join-parallel, and counted as ``shard.partial_fallbacks``.
 
 Results are bit-identical to the single-catalog engine up to row order
 (hash partitioning permutes rows; aggregates see identical per-group row
@@ -38,8 +44,6 @@ sequences because shard splits preserve input order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .. import observability
 from ...errors import SQLAnalysisError
@@ -53,20 +57,11 @@ from ..sharding import (
     ShuffleExchange,
     shard_of,
 )
-from ..table import COUNT_MERGE, Table
-from .ast_nodes import (
-    BinaryOp,
-    ColumnRef,
-    ExplainStatement,
-    FunctionCall,
-    Literal,
-    SelectItem,
-    Star,
-)
-from .cbo import _rebuild
+from ..table import Table
+from .ast_nodes import BinaryOp, ColumnRef, Literal
+from .cbo import _rebuild, split_partials
 from .engine import SQLEngine
 from .executor import Executor
-from .functions import AGGREGATE_FUNCTIONS
 from .plan import (
     Aggregate,
     Distinct,
@@ -77,9 +72,9 @@ from .plan import (
     Project,
     Scan,
 )
-from .planner import _split_conjuncts
+from .planner import _bindings_of, _equi_pairs
 
-__all__ = ["Gather", "Realign", "ShardedSQLEngine"]
+__all__ = ["Gather", "Realign", "ShardedSQLEngine", "Shuffle"]
 
 #: Distribution sentinel: the subtree's full output exists on every shard.
 _REPLICATED = "replicated"
@@ -91,23 +86,37 @@ class Gather(PlanNode):
 
     The ``subplan`` runs on every shard (shard 0 only when ``replicated``
     — every copy is identical, concatenating N of them would duplicate
-    rows) and the results concatenate in shard order.  The coordinator
-    stores the gathered table on the node before running the central
-    remainder.
+    rows) and the results concatenate in shard order.
     """
 
     subplan: PlanNode
     replicated: bool = False
-
-    #: Gathered table, attached by the coordinator at execution time.  A
-    #: plain attribute (not a field) so node equality ignores it.
-    result = None
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.subplan,)
 
     def _label(self) -> str:
         return "Gather(shard 0 of replicated)" if self.replicated else "Gather"
+
+
+@dataclass
+class Shuffle(PlanNode):
+    """Read a hash-placed table repartitioned on another column.
+
+    The exchange runs when the enclosing :class:`Gather` executes, not at
+    planning: the gather swaps this node for a scan of
+    :meth:`~repro.dataplat.sharding.ShuffleExchange.repartition`'s output,
+    which every shard holds hash-placed by ``key``.
+    """
+
+    child: Scan
+    key: str
+
+    def children(self) -> tuple[PlanNode, ...]:
+        return (self.child,)
+
+    def _label(self) -> str:
+        return f"Shuffle(by {self.key})"
 
 
 @dataclass
@@ -152,15 +161,66 @@ class _ShardExecutor(Executor):
         return super()._dispatch(node)
 
 
-class _GatherExecutor(Executor):
-    """Central executor: :class:`Gather` leaves yield their stored table."""
+class _Coordinator(Executor):
+    """Central executor: the stock operators plus :class:`Gather`.
+
+    Plan nodes outside every Gather read shard 0, as the planner did.
+    """
+
+    def __init__(
+        self,
+        sharded: ShardedCatalog,
+        database: str,
+        backend: ExecutorBackend,
+        exchange: ShuffleExchange,
+    ) -> None:
+        super().__init__(sharded.shards[0], database)
+        self._sharded = sharded
+        self._backend = backend
+        self._exchange = exchange
 
     def _dispatch(self, node: PlanNode) -> Table:
-        if isinstance(node, Gather):
-            if node.result is None:
-                raise SQLAnalysisError("Gather executed before scatter phase")
-            return node.result
-        return super()._dispatch(node)
+        if not isinstance(node, Gather):
+            return super()._dispatch(node)
+        subplan = self._land(node.subplan)
+        with span(
+            "shard.scatter",
+            backend=self._backend.name,
+            replicated=node.replicated,
+        ) as sp:
+            shard_ids = (
+                range(1) if node.replicated
+                else range(self._sharded.num_shards)
+            )
+            tasks = [(self._database, subplan, i) for i in shard_ids]
+            # Stamped after the shuffles land: a worker forked before them
+            # forks again and sees the repartitioned tables.
+            stamp = tuple(s.generation for s in self._sharded.shards)
+            pieces = map_traced(
+                self._backend, _execute_shard_plan, self._sharded, stamp, tasks
+            )
+            out = Table.concat(pieces)
+            metrics = get_metrics()
+            metrics.counter("shard.scatter_tasks").inc(len(tasks))
+            metrics.counter("shard.rows_gathered").inc(out.num_rows)
+            sp.incr("tasks", len(tasks))
+            sp.incr("rows", out.num_rows)
+        return out
+
+    def _land(self, node: PlanNode) -> PlanNode:
+        """``node`` with each :class:`Shuffle` run and replaced by a scan
+        of its repartitioned table (a Realign's replicated subtree holds
+        none, so it is left as is)."""
+        if isinstance(node, Shuffle):
+            scan = node.child
+            database, name = _resolve(scan.table, self._database)
+            columns = None if scan.columns is None else list(scan.columns)
+            shuffled = self._exchange.repartition(
+                name, node.key, database=database, columns=columns
+            )
+            table = f"{SHUFFLE_DATABASE}.{shuffled}"
+            return Scan(table, scan.binding, scan.columns, scan.predicate)
+        return _rebuild(node, self._land)
 
 
 def _execute_shard_plan(sharded: ShardedCatalog, args):
@@ -184,22 +244,19 @@ def _execute_shard_plan(sharded: ShardedCatalog, args):
     return table
 
 
-class _Abort(Exception):
-    """Raised mid-rewrite when an aggregate blocks partial decomposition."""
+def _resolve(table: str, database: str) -> tuple[str, str]:
+    """``(database, name)`` of a possibly database-qualified table name."""
+    if "." in table:
+        database, table = table.split(".", 1)
+    return database, table
 
 
 class _Scatterer:
     """Splits one bound plan into Gather subtrees plus a central remainder."""
 
-    def __init__(
-        self,
-        catalog: ShardedCatalog,
-        database: str,
-        exchange: ShuffleExchange,
-    ) -> None:
+    def __init__(self, catalog: ShardedCatalog, database: str) -> None:
         self._catalog = catalog
         self._database = database
-        self._exchange = exchange
 
     # -- distribution analysis -----------------------------------------
 
@@ -249,7 +306,7 @@ class _Scatterer:
         return node, None
 
     def _analyze_scan(self, node: Scan):
-        database, name = self._resolve(node.table)
+        database, name = _resolve(node.table, self._database)
         placement = self._catalog.placement(name, database)
         if placement is None:
             return node, None
@@ -263,7 +320,10 @@ class _Scatterer:
         right, rd = self._analyze(node.right)
         if ld is None or rd is None:
             return node, None
-        pairs = _equi_pairs(node, left, right)
+        refs, _ = _equi_pairs(
+            node.condition, _bindings_of(left), _bindings_of(right)
+        )
+        pairs = [(lc.qualified, rc.qualified) for lc, rc in refs]
         if ld is _REPLICATED and rd is _REPLICATED:
             joined = Join(left, right, node.kind, node.condition)
             return joined, _REPLICATED
@@ -297,7 +357,7 @@ class _Scatterer:
         return joined, _closure(ld | rd, pairs)
 
     def _try_shuffle(self, left, ld, right, rd, pairs):
-        """Repartition misaligned scan sides through the exchange.
+        """Shuffle misaligned scan sides onto the join key.
 
         When one side is already hash-placed on a join column, only the
         other moves; when neither is, both repartition onto the join key
@@ -329,40 +389,25 @@ class _Scatterer:
         return left, ld, right, rd, False
 
     def _shuffle_side(self, node: PlanNode, qualified_key: str):
-        """Rewrite a Scan / Filter(Scan) chain to read the repartition.
+        """Wrap the scan of a Scan / Filter(Scan) chain in a :class:`Shuffle`.
 
         Only single-scan chains shuffle — their output is the stored table,
         so the repartition is a plain catalog-level exchange.  Anything
         richer (a pushed pre-aggregate, a join) gathers instead.
         """
-        chain: list[PlanNode] = []
-        cur = node
-        while isinstance(cur, (Filter, Narrow)):
-            chain.append(cur)
-            cur = cur.child
-        if not isinstance(cur, Scan):
+        if isinstance(node, (Filter, Narrow)):
+            child = self._shuffle_side(node.child, qualified_key)
+            return None if child is None else _rebuild(node, lambda _: child)
+        if not isinstance(node, Scan):
             return None
-        binding_prefix = f"{cur.binding}."
-        if not qualified_key.startswith(binding_prefix):
+        prefix = f"{node.binding}."
+        if not qualified_key.startswith(prefix):
             return None
-        key = qualified_key[len(binding_prefix):]
-        database, name = self._resolve(cur.table)
+        database, name = _resolve(node.table, self._database)
         placement = self._catalog.placement(name, database)
         if placement is None or placement.kind != "hash":
             return None
-        columns = None if cur.columns is None else list(cur.columns)
-        shuffled = self._exchange.repartition(
-            name, key, database=database, columns=columns
-        )
-        out: PlanNode = Scan(
-            f"{SHUFFLE_DATABASE}.{shuffled}",
-            cur.binding,
-            cur.columns,
-            cur.predicate,
-        )
-        for wrapper in reversed(chain):
-            out = _rebuild(wrapper, lambda _: out)
-        return out
+        return Shuffle(node, qualified_key[len(prefix):])
 
     def _analyze_aggregate(self, node: Aggregate):
         child, dist = self._analyze(node.child)
@@ -382,43 +427,6 @@ class _Scatterer:
         agg = Aggregate(child, node.group_by, node.items, node.having)
         return agg, aligned
 
-    def _resolve(self, table: str) -> tuple[str, str]:
-        if "." in table:
-            database, name = table.split(".", 1)
-            return database, name
-        return self._database, table
-
-
-def _equi_pairs(node: Join, left: PlanNode, right: PlanNode):
-    """(left qualified, right qualified) column pairs equated by the join."""
-    left_b = _bindings(left)
-    right_b = _bindings(right)
-    pairs: list[tuple[str, str]] = []
-    for term in _split_conjuncts(node.condition):
-        if not (
-            isinstance(term, BinaryOp)
-            and term.op == "="
-            and isinstance(term.left, ColumnRef)
-            and isinstance(term.right, ColumnRef)
-            and term.left.table is not None
-            and term.right.table is not None
-        ):
-            continue
-        if term.left.table in left_b and term.right.table in right_b:
-            pairs.append((term.left.qualified, term.right.qualified))
-        elif term.right.table in left_b and term.left.table in right_b:
-            pairs.append((term.right.qualified, term.left.qualified))
-    return pairs
-
-
-def _bindings(node: PlanNode) -> set[str]:
-    if isinstance(node, Scan):
-        return {node.binding}
-    out: set[str] = set()
-    for child in node.children():
-        out |= _bindings(child)
-    return out
-
 
 def _closure(dist: frozenset, pairs) -> frozenset:
     """Grow the co-located column set through join equalities."""
@@ -437,7 +445,7 @@ def _closure(dist: frozenset, pairs) -> frozenset:
 
 
 # ----------------------------------------------------------------------
-# Partial-aggregate merge at the gather node (PR 7 algebra)
+# Partial-aggregate merge at the gather node (the CBO's split)
 # ----------------------------------------------------------------------
 
 
@@ -469,63 +477,14 @@ def _push_partials(node: PlanNode) -> PlanNode:
 def _decompose(agg: Aggregate, gather: Gather) -> PlanNode | None:
     """Split ``agg`` into per-shard partials plus a merging aggregate.
 
-    The merge algebra mirrors :mod:`.cbo`'s aggregate pushdown —
-    ``__partial{i}__`` aliases, a ``__cnt__`` row count, ``COUNT`` merged
-    as the integer sum of ``__cnt__`` — extended with AVG as total-sum over
-    total-count.
     A ``__cnt__ > 0`` filter between the gather and the merge drops the
     placeholder row an *empty* shard emits for a global aggregate, whose
     zero-fill MIN/MAX would otherwise poison the merge.
     """
-    if not all(isinstance(k, ColumnRef) for k in agg.group_by):
+    split = split_partials(agg, agg.group_by, gather.subplan)
+    if split is None:
         return None
-    partials: list[SelectItem] = []
-
-    def partial_ref(call: FunctionCall) -> ColumnRef:
-        alias = f"__partial{len(partials)}__"
-        partials.append(SelectItem(call, alias))
-        return ColumnRef(alias)
-
-    def rewrite(expr):
-        for key in agg.group_by:
-            if expr == key:
-                return expr
-        if isinstance(expr, Literal):
-            return expr
-        if isinstance(expr, FunctionCall) and expr.name in AGGREGATE_FUNCTIONS:
-            if expr.distinct:
-                raise _Abort
-            if expr.name == "COUNT":
-                return FunctionCall(COUNT_MERGE, (ColumnRef("__cnt__"),))
-            if expr.name == "AVG" and len(expr.args) == 1:
-                total = partial_ref(FunctionCall("SUM", expr.args))
-                return BinaryOp(
-                    "/",
-                    FunctionCall("SUM", (total,)),
-                    FunctionCall("SUM", (ColumnRef("__cnt__"),)),
-                )
-            if (
-                expr.name in ("SUM", "MIN", "MAX", COUNT_MERGE)
-                and len(expr.args) == 1
-            ):
-                return FunctionCall(expr.name, (partial_ref(expr),))
-            raise _Abort  # MEDIAN/STDDEV/VARIANCE need the raw rows
-        if isinstance(expr, BinaryOp):
-            return BinaryOp(expr.op, rewrite(expr.left), rewrite(expr.right))
-        raise _Abort  # bare non-key columns, CASE over aggregates, ...
-
-    try:
-        items = tuple(
-            SelectItem(rewrite(item.expr), item.alias) for item in agg.items
-        )
-        having = rewrite(agg.having) if agg.having is not None else None
-    except _Abort:
-        return None
-
-    pre_items = [SelectItem(k, k.qualified) for k in agg.group_by]
-    pre_items.extend(partials)
-    pre_items.append(SelectItem(FunctionCall("COUNT", (Star(),)), "__cnt__"))
-    pre = Aggregate(gather.subplan, agg.group_by, tuple(pre_items), None)
+    pre, items, having = split
     nonempty = Filter(
         Gather(pre), BinaryOp(">", ColumnRef("__cnt__"), Literal(0))
     )
@@ -537,14 +496,14 @@ def _decompose(agg: Aggregate, gather: Gather) -> PlanNode | None:
 # ----------------------------------------------------------------------
 
 
-class ShardedSQLEngine:
-    """Drop-in SQL entry point over a :class:`ShardedCatalog`.
+class ShardedSQLEngine(SQLEngine):
+    """Drop-in :class:`~.engine.SQLEngine` over a :class:`ShardedCatalog`.
 
     Statements plan against shard 0 (schemas are identical on every shard;
     statistics differ only by the 1/N row slice, steering plan shape, not
     correctness), scatter over ``backend`` and gather centrally.  ``EXPLAIN``
     renders the scatter-gather plan — Gather barriers, Realign filters and
-    shuffled scans included.
+    Shuffle exchanges included — without running any of it.
     """
 
     def __init__(
@@ -554,10 +513,9 @@ class ShardedSQLEngine:
         backend: "ExecutorBackend | str | None" = None,
         spill_bytes: int = DEFAULT_SPILL_BYTES,
     ) -> None:
+        super().__init__(catalog.shards[0], database)
         self._sharded = catalog
-        self._database = database
         self._backend = resolve_backend(backend)
-        self._planner = SQLEngine(catalog.shards[0], database)
         self._exchange = ShuffleExchange(catalog, spill_bytes=spill_bytes)
 
     @property
@@ -578,89 +536,19 @@ class ShardedSQLEngine:
             table, name, database=self._database, key=key
         )
 
-    def plan(self, sql: str) -> PlanNode:
-        """The scatter-gather plan of ``sql`` (EXPLAIN-transparent)."""
-        from .parser import parse
-
-        stmt = parse(sql)
-        if isinstance(stmt, ExplainStatement):
-            stmt = stmt.statement
-        return self._scatter_plan(stmt)
-
-    def explain(self, sql: str) -> str:
-        return self.plan(sql).describe()
-
-    def query(self, sql: str) -> Table:
-        from .parser import parse
-
-        with span("shard.query", sql=sql.strip()[:80]) as sp:
-            with span("sql.parse"):
-                stmt = parse(sql)
-            if isinstance(stmt, ExplainStatement):
-                if stmt.analyze:
-                    raise SQLAnalysisError(
-                        "EXPLAIN ANALYZE is not supported on a sharded "
-                        "engine; profile per-shard engines directly"
-                    )
-                plan = self._scatter_plan(stmt.statement)
-                lines = plan.describe().split("\n")
-                return Table.from_arrays(
-                    plan=np.asarray(lines, dtype=object)
-                )
-            plan = self._scatter_plan(stmt)
-            out = self._execute(plan)
-            sp.incr("rows", out.num_rows)
-        return out
-
-    # -- internals ------------------------------------------------------
-
-    def _scatter_plan(self, stmt) -> PlanNode:
+    def _plan_statement(self, stmt, optimized: bool = True) -> PlanNode:
         with span("shard.plan"):
-            base = self._planner._plan_statement(stmt)
-            scatterer = _Scatterer(
-                self._sharded, self._database, self._exchange
-            )
-            plan = scatterer.split(base)
-            plan = _push_partials(plan)
-        return plan
+            plan = super()._plan_statement(stmt, optimized)
+            plan = _Scatterer(self._sharded, self._database).split(plan)
+            return _push_partials(plan)
 
-    def _execute(self, plan: PlanNode) -> Table:
-        metrics = get_metrics()
-        for gather in _walk_gathers(plan):
-            with span(
-                "shard.scatter",
-                backend=self._backend.name,
-                replicated=gather.replicated,
-            ) as sp:
-                shard_ids = (
-                    range(1) if gather.replicated
-                    else range(self._sharded.num_shards)
-                )
-                tasks = [(self._database, gather.subplan, i) for i in shard_ids]
-                stamp = tuple(s.generation for s in self._sharded.shards)
-                pieces = map_traced(
-                    self._backend, _execute_shard_plan, self._sharded, stamp, tasks
-                )
-                out = Table.concat(pieces)
-                gather.result = out
-                metrics.counter("shard.scatter_tasks").inc(len(tasks))
-                metrics.counter("shard.rows_gathered").inc(out.num_rows)
-                sp.incr("tasks", len(tasks))
-                sp.incr("rows", out.num_rows)
-        executor = _GatherExecutor(self._sharded.shards[0], self._database)
-        with span("shard.merge"):
-            return executor.execute(plan)
+    def _executor(self) -> Executor:
+        return _Coordinator(
+            self._sharded, self._database, self._backend, self._exchange
+        )
 
-
-def _walk_gathers(plan: PlanNode):
-    """All Gather nodes, children-first (a plan may hold several)."""
-    out = []
-
-    def visit(node: PlanNode) -> None:
-        for child in node.children():
-            visit(child)
-        if isinstance(node, Gather):
-            out.append(node)
-
-    visit(plan)
-    return out
+    def _explain_analyze(self, plan: PlanNode) -> list[str]:
+        raise SQLAnalysisError(
+            "EXPLAIN ANALYZE is not supported on a sharded engine; profile "
+            "per-shard engines directly"
+        )

@@ -376,8 +376,8 @@ def factorize(
 
 #: Internal aggregate merging partial ``COUNT`` columns: an *integer* sum,
 #: so a count is int64 whichever plan answers it (user-visible ``SUM`` is
-#: float by contract).  Only the partial-aggregate rewrites in
-#: :mod:`.sql.cbo` and :mod:`.sql.scatter` emit it; the ``$`` is a
+#: float by contract).  Only the one partial-aggregate split,
+#: :func:`.sql.cbo.split_partials`, emits it; the ``$`` is a
 #: character the lexer rejects, so no SQL text can name it.
 COUNT_MERGE = "$SUM_COUNTS"
 

@@ -27,6 +27,7 @@ from repro.dataplat.sharding import (
 )
 from repro.dataplat.sql import ShardedSQLEngine, SQLEngine
 from repro.dataplat.table import Table
+from repro.errors import SQLAnalysisError
 
 int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 shard_counts = st.sampled_from([1, 2, 3, 4, 8, 16])
@@ -284,6 +285,14 @@ def _norm(table) -> list[tuple]:
     )
 
 
+#: Non-aligned join key: facts repartitions on ``cell`` to meet sessions.
+SHUFFLE_JOIN_SQL = (
+    "SELECT f.cell AS cell, SUM(s.bytes_dl) AS b FROM facts f "
+    "JOIN sessions s ON f.cell = s.imsi GROUP BY f.cell ORDER BY cell"
+)
+UNARY_AVG_SQL = "SELECT cell, -SUM(dur), AVG(dur) FROM facts GROUP BY cell"
+
+
 class TestScatterGatherSQL:
     def _engines(self, **kwargs):
         tables = _scatter_world()
@@ -320,6 +329,8 @@ class TestScatterGatherSQL:
             # DISTINCT aggregate: not decomposable, falls back to a full
             # gather — must still be correct.
             "SELECT COUNT(DISTINCT cell) AS n FROM facts",
+            # Unary minus over an aggregate and AVG merge as partials.
+            UNARY_AVG_SQL,
         ],
     )
     def test_matches_single_shard(self, sql):
@@ -337,6 +348,54 @@ class TestScatterGatherSQL:
         pushed, fell_back = capture_spans.find("shard.plan")
         assert "partial_fallbacks" not in pushed.counters
         assert fell_back.counters["partial_fallbacks"] == 1
+
+    def test_unary_and_avg_aggregates_merge_as_partials(self, capture_spans):
+        single, sharded = self._engines()
+        got = sharded.query(UNARY_AVG_SQL)
+        assert capture_spans.counter("shard.partials_pushed") == 1
+        assert capture_spans.counter("shard.partial_fallbacks") == 0
+        assert _norm(got) == _norm(single.query(UNARY_AVG_SQL))
+
+    def test_planning_moves_no_data(self):
+        pool = ProcessPoolBackend(max_workers=2)
+        try:
+            single, sharded = self._engines(backend=pool, spill_bytes=0)
+            shards = sharded.catalog.shards
+            earlier = "SELECT imsi, SUM(dur) AS total FROM facts GROUP BY imsi"
+            sharded.query(earlier)
+            forks = pool.pool_forks
+            generations = [shard.generation for shard in shards]
+            stored = [shard.store.total_bytes for shard in shards]
+            text = sharded.explain(SHUFFLE_JOIN_SQL)
+            sharded.plan(SHUFFLE_JOIN_SQL)
+            sharded.query(f"EXPLAIN {SHUFFLE_JOIN_SQL}")
+            assert "Shuffle(by cell)" in text
+            assert sharded.exchange.shuffles == 0
+            assert all(not s.tables(SHUFFLE_DATABASE) for s in shards)
+            assert [shard.generation for shard in shards] == generations
+            assert [shard.store.total_bytes for shard in shards] == stored
+            sharded.query(earlier)
+            assert pool.pool_forks == forks
+            got = sharded.query(SHUFFLE_JOIN_SQL)
+            assert _norm(got) == _norm(single.query(SHUFFLE_JOIN_SQL))
+            assert sharded.exchange.shuffles == 1
+        finally:
+            pool.close()
+
+    def test_explain_analyze_is_rejected(self):
+        _, sharded = self._engines()
+        with pytest.raises(SQLAnalysisError, match="EXPLAIN ANALYZE"):
+            sharded.query(f"EXPLAIN ANALYZE {SHUFFLE_JOIN_SQL}")
+
+    def test_create_table_as_saves_every_shard(self):
+        single, sharded = self._engines()
+        sql = "SELECT imsi, SUM(dur) AS total FROM facts GROUP BY imsi"
+        sharded.create_table_as("totals", sql)
+        assert sharded.catalog.placement("totals") == Placement("hash", "imsi")
+        assert sum(sharded.catalog.shard_rows("totals")) == 40
+        assert all(sharded.catalog.shard_rows("totals"))
+        back = "SELECT imsi, total FROM totals"
+        assert _norm(sharded.query(back)) == _norm(single.query(sql))
 
     def test_explain_shows_gather(self):
         _, sharded = self._engines()

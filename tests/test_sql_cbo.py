@@ -230,7 +230,7 @@ class TestAggregatePushdown:
         engine.plan(sql)
         assert metrics.counter("planner.aggregates_pushed").value == 0
 
-    def test_avg_not_pushed_but_correct(self, metrics):
+    def test_avg_pushed_and_correct(self, metrics):
         engine = _star_world()
         sql = (
             "SELECT o.kind AS kind, AVG(c.dur) AS mean "
@@ -238,7 +238,7 @@ class TestAggregatePushdown:
             "JOIN offers o ON u.offer = o.id GROUP BY o.kind"
         )
         engine.plan(sql)
-        assert metrics.counter("planner.aggregates_pushed").value == 0
+        assert metrics.counter("planner.aggregates_pushed").value == 1
         assert _rows(_raw(engine, sql)) == _rows(engine.query(sql))
 
 
