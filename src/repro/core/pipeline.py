@@ -61,20 +61,6 @@ class WindowResult:
     #: runs without a resilience runtime).
     health: PipelineHealthReport | None = field(default=None, repr=False)
 
-    def metric(self, name: str, u: int | None = None) -> float:
-        """Uniform metric accessor for reporting code."""
-        if name == "auc":
-            return self.auc
-        if name == "pr_auc":
-            return self.pr_auc
-        if u is None:
-            raise ExperimentError(f"metric {name!r} requires a cutoff u")
-        if name == "recall":
-            return self.recall_at[u]
-        if name == "precision":
-            return self.precision_at[u]
-        raise ExperimentError(f"unknown metric {name!r}")
-
 
 class ChurnPipeline:
     """Train/evaluate churn prediction windows over one world."""

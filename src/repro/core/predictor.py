@@ -3,8 +3,9 @@
 Wraps the four classifiers the paper benchmarks (Section 5.8) behind one
 interface; linear models (LIBLINEAR / LIBFM analogues) get the paper's
 discretize-and-binarize preprocessing automatically.  The business output is
-:meth:`ChurnPredictor.top_u`: the top-U customers by churn likelihood, which
-downstream retention campaigns consume.
+the churn likelihood of :meth:`ChurnPredictor.predict_proba`, whose top-U
+customers (cut by :mod:`repro.ml.metrics`) downstream retention campaigns
+consume.
 """
 
 from __future__ import annotations
@@ -145,16 +146,6 @@ class ChurnPredictor:
             "predictor.predict", classifier=self.classifier, rows=int(x.shape[0])
         ):
             return self._model.predict_proba(self._design(x, fit=False))
-
-    def rank(self, x: np.ndarray) -> np.ndarray:
-        """Row indices by descending churn likelihood."""
-        return np.argsort(-self.predict_proba(x), kind="mergesort")
-
-    def top_u(self, x: np.ndarray, u: int) -> np.ndarray:
-        """The monthly potential-churner list: top-``u`` row indices."""
-        if u < 1:
-            raise ModelError(f"u must be >= 1, got {u}")
-        return self.rank(x)[:u]
 
     @property
     def feature_importances_(self) -> np.ndarray:

@@ -158,10 +158,3 @@ class Schema:
         return Schema(
             Column(mapping.get(c.name, c.name), c.ctype) for c in self._columns
         )
-
-    def concat(self, other: "Schema") -> "Schema":
-        """Append another schema's columns (names must not collide)."""
-        overlap = set(self.names) & set(other.names)
-        if overlap:
-            raise SchemaError(f"cannot concat schemas; shared columns {sorted(overlap)}")
-        return Schema(self._columns + other.columns)

@@ -219,8 +219,10 @@ class _Coordinator(Executor):
                 name, node.key, database=database, columns=columns
             )
             table = f"{SHUFFLE_DATABASE}.{shuffled}"
-            return Scan(table, scan.binding, scan.columns, scan.predicate)
-        return _rebuild(node, self._land)
+            landed = Scan(table, scan.binding, scan.columns, scan.predicate)
+        else:
+            landed = _rebuild(node, self._land)
+        return _estimated(landed, node)
 
 
 def _execute_shard_plan(sharded: ShardedCatalog, args):
@@ -252,7 +254,14 @@ def _resolve(table: str, database: str) -> tuple[str, str]:
 
 
 class _Scatterer:
-    """Splits one bound plan into Gather subtrees plus a central remainder."""
+    """Splits one bound plan into Gather subtrees plus a central remainder.
+
+    The binder's ``est_rows`` are shard 0's, i.e. per shard.  Every node
+    that runs on the shards keeps the estimate of the node it replaces, so
+    a sharded ``EXPLAIN`` and the shard executors' q-error histogram read
+    them as the single engine does.  The central nodes above a Gather see
+    every shard's rows, which no estimate counts yet: they carry none.
+    """
 
     def __init__(self, catalog: ShardedCatalog, database: str) -> None:
         self._catalog = catalog
@@ -264,7 +273,7 @@ class _Scatterer:
         rewritten, dist = self._analyze(node)
         if dist is not None:
             return Gather(rewritten, replicated=dist is _REPLICATED)
-        return _rebuild(node, self.split)
+        return _push_partials(_rebuild(node, self.split), node.est_rows)
 
     def _analyze(self, node: PlanNode):
         """Return ``(node', dist)``: the shard-executable rewrite and its
@@ -274,6 +283,10 @@ class _Scatterer:
         names whose equal values are proven co-located (possibly empty:
         hash-distributed, but by no surviving column).
         """
+        out, dist = self._distribute(node)
+        return _estimated(out, node), dist
+
+    def _distribute(self, node: PlanNode):
         if isinstance(node, Scan):
             return self._analyze_scan(node)
         if isinstance(node, (Filter, Narrow)):
@@ -341,7 +354,12 @@ class _Scatterer:
             # join equates to the right's hash column.
             for lc, rc in pairs:
                 if rc in rd:
-                    left = Realign(left, lc)
+                    realigned = Realign(left, lc)
+                    if left.est_rows is not None:
+                        # Keeps the rows whose key hashes to the shard.
+                        shards = self._catalog.num_shards
+                        realigned.est_rows = left.est_rows / shards
+                    left = realigned
                     ld = frozenset((lc,))
                     joined = Join(left, right, node.kind, node.condition)
                     return joined, _closure(ld | rd, pairs)
@@ -397,7 +415,9 @@ class _Scatterer:
         """
         if isinstance(node, (Filter, Narrow)):
             child = self._shuffle_side(node.child, qualified_key)
-            return None if child is None else _rebuild(node, lambda _: child)
+            if child is None:
+                return None
+            return _estimated(_rebuild(node, lambda _: child), node)
         if not isinstance(node, Scan):
             return None
         prefix = f"{node.binding}."
@@ -407,7 +427,7 @@ class _Scatterer:
         placement = self._catalog.placement(name, database)
         if placement is None or placement.kind != "hash":
             return None
-        return Shuffle(node, qualified_key[len(prefix):])
+        return _estimated(Shuffle(node, qualified_key[len(prefix):]), node)
 
     def _analyze_aggregate(self, node: Aggregate):
         child, dist = self._analyze(node.child)
@@ -426,6 +446,12 @@ class _Scatterer:
         # runs shard-local, its output still hash-placed by the group key.
         agg = Aggregate(child, node.group_by, node.items, node.having)
         return agg, aligned
+
+
+def _estimated(new: PlanNode, old: PlanNode) -> PlanNode:
+    """``new``, carrying the estimate of ``old``, the node it replaces."""
+    new.est_rows = old.est_rows
+    return new
 
 
 def _closure(dist: frozenset, pairs) -> frozenset:
@@ -449,32 +475,41 @@ def _closure(dist: frozenset, pairs) -> frozenset:
 # ----------------------------------------------------------------------
 
 
-def _push_partials(node: PlanNode) -> PlanNode:
+def _push_partials(node: PlanNode, est_rows: float | None) -> PlanNode:
+    """Move a central Aggregate's or Distinct's work below its Gather.
+
+    ``est_rows`` is the binder's estimate of the node ``node`` rebuilds;
+    the per-shard part that is pushed keeps it.
+    """
     if (
         isinstance(node, Aggregate)
         and isinstance(node.child, Gather)
         and not node.child.replicated
     ):
-        pushed = _decompose(node, node.child)
+        pushed = _decompose(node, node.child, est_rows)
         if pushed is not None:
             get_metrics().counter("shard.partials_pushed").inc()
             return pushed
         # Not decomposable: the raw rows gather and aggregate centrally.
         get_metrics().counter("shard.partial_fallbacks").inc()
         observability.current_span().incr("partial_fallbacks")
-    if isinstance(node, Distinct) and isinstance(node.child, Gather):
+        return node
+    if (
+        isinstance(node, Distinct)
+        and isinstance(node.child, Gather)
+        and not isinstance(node.child.subplan, Distinct)
+    ):
         # Pre-distinct per shard: cheap transfer shrink, still centrally
         # deduped (identical rows may live on different shards).
-        inner = node.child
-        if not isinstance(inner.subplan, Distinct):
-            return Distinct(
-                Gather(Distinct(inner.subplan), inner.replicated)
-            )
-        return node
-    return _rebuild(node, _push_partials)
+        local = Distinct(node.child.subplan)
+        local.est_rows = est_rows
+        return Distinct(Gather(local, node.child.replicated))
+    return node
 
 
-def _decompose(agg: Aggregate, gather: Gather) -> PlanNode | None:
+def _decompose(
+    agg: Aggregate, gather: Gather, est_rows: float | None
+) -> PlanNode | None:
     """Split ``agg`` into per-shard partials plus a merging aggregate.
 
     A ``__cnt__ > 0`` filter between the gather and the merge drops the
@@ -485,6 +520,7 @@ def _decompose(agg: Aggregate, gather: Gather) -> PlanNode | None:
     if split is None:
         return None
     pre, items, having = split
+    pre.est_rows = est_rows
     nonempty = Filter(
         Gather(pre), BinaryOp(">", ColumnRef("__cnt__"), Literal(0))
     )
@@ -539,8 +575,7 @@ class ShardedSQLEngine(SQLEngine):
     def _plan_statement(self, stmt, optimized: bool = True) -> PlanNode:
         with span("shard.plan"):
             plan = super()._plan_statement(stmt, optimized)
-            plan = _Scatterer(self._sharded, self._database).split(plan)
-            return _push_partials(plan)
+            return _Scatterer(self._sharded, self._database).split(plan)
 
     def _executor(self) -> Executor:
         return _Coordinator(

@@ -17,16 +17,12 @@ the result is bit-identical to the single-process
 :class:`~repro.features.widetable.WideTableBuilder`.
 
 The world-coupled families stay central: F4..F6 walk the social graphs
-(a customer's features depend on neighbours on *other* shards), F7/F8
-fit/transform against the whole month's corpus, and F9 is a transform of
-the (already gathered) F1 block.  They are built once by an embedded
-central builder, which also keeps train/test extractor hygiene in one
-place.
+(a customer's features depend on neighbours on *other* shards), and F7..F9
+need extractors fitted on training months.  An embedded central builder
+builds them and assembles the wide table from the gathered shard blocks.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -35,7 +31,7 @@ from ..dataplat.executor import ExecutorBackend, map_traced, resolve_backend
 from ..dataplat.observability import get_metrics, span
 from ..dataplat.sharding import shard_of
 from ..errors import FeatureError
-from .spec import ALL_CATEGORIES, FeatureMatrix
+from .spec import FeatureMatrix
 from .widetable import WideTableBuilder
 
 #: Families whose queries key every group-by and join on ``imsi`` — safe
@@ -109,7 +105,7 @@ def _gather_block(parts: list[FeatureMatrix]) -> FeatureMatrix:
 
 
 class ShardedWideTableBuilder:
-    """Drop-in :class:`WideTableBuilder` that fans F1..F3 across shards.
+    """A month's wide table with F1..F3 fanned across shards.
 
     Parameters
     ----------
@@ -139,74 +135,27 @@ class ShardedWideTableBuilder:
         self._backend = resolve_backend(backend)
         self._central = WideTableBuilder(world, seed=seed)
 
-    @property
-    def world(self) -> TelcoWorld:
-        return self._world
-
-    @property
-    def num_shards(self) -> int:
-        return self._num_shards
-
-    @property
-    def central(self) -> WideTableBuilder:
-        """The embedded single-process builder (world-coupled families)."""
-        return self._central
-
-    def fit_extractors(
-        self, train_months: list[int], train_labels: dict
-    ) -> "ShardedWideTableBuilder":
-        """Fit LDA/FM extractors; F1 training blocks build shard-parallel."""
-        for month in train_months:
-            self._warm(month, ("F1",))
-        self._central.fit_extractors(train_months, train_labels)
-        return self
-
-    def category(self, category: str, month: int) -> FeatureMatrix:
-        """One F-block for one month — sharded for F1..F3, else central."""
-        if category in SHARDED_CATEGORIES:
-            self._warm(month, (category,))
-        return self._central.category(category, month)
-
     def features(
         self, month: int, categories: "tuple[str, ...] | list[str]"
     ) -> FeatureMatrix:
-        """The month's wide table; per-customer families build sharded."""
-        sharded = tuple(
-            c for c in dict.fromkeys(categories) if c in SHARDED_CATEGORIES
-        )
-        if sharded:
-            self._warm(month, sharded)
-        return self._central.features(month, categories)
+        """The month's wide table; per-customer families build sharded.
 
-    def surviving_categories(self, months, categories, health=None):
-        """Delegates to the central builder (probe path is shared)."""
-        return self._central.surviving_categories(months, categories, health)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _warm(self, month: int, categories: Sequence[str]) -> None:
-        """Scatter-build the missing sharded families into the cache.
-
-        Finished blocks are seeded into the central builder's cache, so
-        every downstream consumer (``features``, F9's transform of F1,
-        the FM selector fit) sees exactly the gathered matrices.
+        F1..F3 blocks not yet built are scattered across the shards,
+        gathered and seeded into the central builder's cache; the central
+        builder then builds the other families and assembles the table.
         """
-        for category in categories:
-            if category not in ALL_CATEGORIES:
-                raise FeatureError(
-                    f"unknown category {category!r}; expected one of "
-                    f"{ALL_CATEGORIES}"
-                )
         missing = tuple(
             c for c in dict.fromkeys(categories)
             if c in SHARDED_CATEGORIES and (c, month) not in self._central._cache
         )
-        if not missing:
-            return
+        if missing:
+            self._scatter(month, missing)
+        return self._central.features(month, categories)
+
+    def _scatter(self, month: int, categories: tuple[str, ...]) -> None:
+        """Build ``categories`` of ``month`` per shard and gather them."""
         tasks = [
-            (self._seed, month, missing, shard_id, self._num_shards)
+            (self._seed, month, categories, shard_id, self._num_shards)
             for shard_id in range(self._num_shards)
         ]
         with span(
@@ -221,7 +170,7 @@ class ShardedWideTableBuilder:
             )
             metrics = get_metrics()
             metrics.counter("shard.widetable_tasks").inc(len(tasks))
-            for category in missing:
+            for category in categories:
                 block = _gather_block([b[category] for b in per_shard])
                 metrics.counter("shard.widetable_rows").inc(len(block.imsi))
                 self._central._cache[(category, month)] = block

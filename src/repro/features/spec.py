@@ -76,22 +76,6 @@ class FeatureMatrix:
         cols = [self.names.index(n) for n in names]
         return FeatureMatrix(self.imsi, list(names), self.values[:, cols])
 
-    def align_to(self, imsi: np.ndarray) -> "FeatureMatrix":
-        """Reorder/sub-select rows to a target IMSI order.
-
-        Missing IMSIs get all-zero rows (a customer with no complaints has
-        no complaint doc, etc.); this mirrors the LEFT JOIN + fill the
-        paper's wide-table build performs in Spark SQL.
-        """
-        imsi = np.asarray(imsi, dtype=np.int64)
-        position = {int(v): i for i, v in enumerate(self.imsi)}
-        values = np.zeros((len(imsi), self.n_features))
-        for row, key in enumerate(imsi.tolist()):
-            src = position.get(key)
-            if src is not None:
-                values[row] = self.values[src]
-        return FeatureMatrix(imsi, list(self.names), values)
-
     def hstack(self, other: "FeatureMatrix") -> "FeatureMatrix":
         """Column-concatenate two blocks over the same rows."""
         if not np.array_equal(self.imsi, other.imsi):

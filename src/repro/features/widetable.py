@@ -165,20 +165,13 @@ class WideTableBuilder:
     ) -> FeatureMatrix:
         """The wide table of one month over the given categories.
 
-        Rows cover every slot of the month in IMSI order; blocks keyed by a
-        subset of customers (none currently) are left-join aligned with
-        zero fill.
+        Every family block holds one row per slot of the month, in IMSI
+        order; :meth:`FeatureMatrix.hstack` rejects a block whose rows
+        differ.
         """
         if not categories:
             raise FeatureError("need at least one feature category")
-        imsi = np.sort(self._world.month(month).imsi)
-        blocks = []
-        for category in categories:
-            block = self.category(category, month)
-            if not np.array_equal(block.imsi, imsi):
-                block = block.align_to(imsi)
-            blocks.append(block)
-        return FeatureMatrix.concat(blocks)
+        return FeatureMatrix.concat([self.category(c, month) for c in categories])
 
     def prefetch(
         self,

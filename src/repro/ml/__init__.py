@@ -9,7 +9,7 @@ The paper's classifiers (Section 4.2/5.8) and unsupervised feature extractors
 * :mod:`.gbdt` — gradient boosted decision trees
 * :mod:`.linear` — L2-regularised logistic regression (LIBLINEAR analogue)
 * :mod:`.fm` — factorization machines (Eq. 3, LIBFM analogue)
-* :mod:`.lda` — latent Dirichlet allocation (collapsed Gibbs sampling)
+* :mod:`.lda` — latent Dirichlet allocation (belief propagation)
 * :mod:`.graphalgo` — weighted PageRank (Eq. 1) and label propagation
 * :mod:`.sampling` — the four imbalance treatments of Table 7
 * :mod:`.preprocess` — standardization and quantile binning / one-hot

@@ -131,9 +131,6 @@ class FactorizationMachine:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision_function(x))
 
-    def predict(self, x: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(x) >= threshold).astype(np.int64)
-
     def pair_weight(self, i: int, j: int) -> float:
         """The learned second-order weight ``<v_i, v_j>`` for features i, j."""
         _, v = self._params_checked()

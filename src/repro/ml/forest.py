@@ -157,26 +157,6 @@ class RandomForestClassifier:
             out += row
         return out / len(table.roots)
 
-    def predict(self, x: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        """Hard 0/1 labels at a likelihood threshold."""
-        return (self.predict_proba(x) >= threshold).astype(np.int64)
-
-    def rank(self, x: np.ndarray) -> np.ndarray:
-        """Row indices sorted by descending churn likelihood.
-
-        This is the paper's output artifact: the top of this list is the
-        monthly potential-churner list sent to retention campaigns.  Ties
-        are broken by a *stable* mergesort, so equal-likelihood customers
-        keep their input order — rankings are reproducible across runs and
-        backends:
-
-        >>> x, y = np.zeros((4, 2)), np.zeros(4)
-        >>> rf = RandomForestClassifier(n_trees=3, seed=0).fit(x, y)
-        >>> rf.rank(x)  # every score ties, so rows keep input order
-        array([0, 1, 2, 3])
-        """
-        return np.argsort(-self.predict_proba(x), kind="mergesort")
-
     @property
     def feature_importances_(self) -> np.ndarray:
         """Eq. 7 summed over trees, normalized to sum to 1."""

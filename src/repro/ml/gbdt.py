@@ -126,9 +126,6 @@ class GradientBoostedTrees:
         """Churner probability."""
         return _sigmoid(self.decision_function(x))
 
-    def predict(self, x: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(x) >= threshold).astype(np.int64)
-
     def _table_checked(self) -> NodeTable:
         if self._table is None:
             raise NotFittedError("GBDT has not been fitted")

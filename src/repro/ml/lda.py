@@ -2,12 +2,9 @@
 
 The paper runs LDA with K=10 over complaint and search-query corpora and uses
 the document-topic matrix θ as compact features, inferred by belief
-propagation.  That is the default here and the only path the pipeline takes
-(``method="bp"``): a vectorized message-passing / EM loop over the non-zero
+propagation: a vectorized message-passing / EM loop over the non-zero
 (document, word) pairs, whose per-iteration scatter of responsibilities into
 the document-topic and word-topic matrices is one ``np.bincount`` each.
-``method="gibbs"`` keeps a token-level collapsed Gibbs sampler — same
-smoothed-LDA posterior, orders of magnitude slower — as a cross-check.
 
 Documents are bags of word ids.
 """
@@ -23,7 +20,7 @@ from ..errors import ModelError, NotFittedError, TrainingError
 
 
 class LatentDirichletAllocation:
-    """Smoothed LDA fitted by belief propagation (or collapsed Gibbs).
+    """Smoothed LDA fitted by belief propagation.
 
     Parameters
     ----------
@@ -32,11 +29,9 @@ class LatentDirichletAllocation:
     alpha, beta:
         Symmetric Dirichlet hyper-parameters for θ and φ.
     n_iter:
-        Message-passing iterations (Gibbs sweeps) over the corpus.
+        Message-passing iterations over the corpus.
     seed:
-        RNG seed; either method is deterministic given it.
-    method:
-        ``"bp"`` (default) or ``"gibbs"``.
+        RNG seed; the fit is deterministic given it.
     """
 
     def __init__(
@@ -46,7 +41,6 @@ class LatentDirichletAllocation:
         beta: float = 0.1,
         n_iter: int = 30,
         seed: int = 0,
-        method: str = "bp",
     ) -> None:
         if n_topics < 2:
             raise ModelError(f"n_topics must be >= 2, got {n_topics}")
@@ -54,14 +48,11 @@ class LatentDirichletAllocation:
             raise ModelError("alpha and beta must be positive")
         if n_iter < 1:
             raise ModelError(f"n_iter must be >= 1, got {n_iter}")
-        if method not in ("bp", "gibbs"):
-            raise ModelError(f"method must be 'bp' or 'gibbs', got {method!r}")
         self.n_topics = n_topics
         self.alpha = alpha
         self.beta = beta
         self.n_iter = n_iter
         self.seed = seed
-        self.method = method
         self._phi: np.ndarray | None = None
         self._vocab_size: int | None = None
 
@@ -74,10 +65,11 @@ class LatentDirichletAllocation:
     ) -> np.ndarray:
         """Fit on a corpus and return θ, the (n_docs, K) topic mixture.
 
-        ``method="bp"`` (default) runs the vectorized message-passing /
-        EM scheme of the paper's belief-propagation inference [Zeng et al.];
-        ``method="gibbs"`` runs token-level collapsed Gibbs sampling.
-        Both maximize the same smoothed-LDA posterior (Eq. 2).
+        Belief propagation [Zeng et al.] as vectorized message passing over
+        the sparse doc-word matrix: each iteration updates the
+        responsibilities ``μ(d,w,k) ∝ θ_dk φ_kw`` of every non-zero (doc,
+        word) pair at once, then re-estimates θ and φ with Dirichlet
+        smoothing — coordinate descent on the smoothed-LDA posterior (Eq. 2).
         """
         if vocab_size < 1:
             raise ModelError(f"vocab_size must be >= 1, got {vocab_size}")
@@ -85,61 +77,6 @@ class LatentDirichletAllocation:
         if len(tokens) == 0:
             raise TrainingError("corpus is empty")
         n_docs = len(docs)
-        if self.method == "bp":
-            return self._fit_bp(tokens, doc_ids, n_docs, vocab_size)
-        k = self.n_topics
-        rng = np.random.default_rng(self.seed)
-
-        assignments = rng.integers(0, k, size=len(tokens))
-        doc_topic = np.zeros((n_docs, k), dtype=np.int64)
-        word_topic = np.zeros((vocab_size, k), dtype=np.int64)
-        topic_total = np.zeros(k, dtype=np.int64)
-        np.add.at(doc_topic, (doc_ids, assignments), 1)
-        np.add.at(word_topic, (tokens, assignments), 1)
-        np.add.at(topic_total, assignments, 1)
-
-        v_beta = vocab_size * self.beta
-        for _ in range(self.n_iter):
-            unit_draws = rng.random(len(tokens))
-            for i in range(len(tokens)):
-                w = tokens[i]
-                d = doc_ids[i]
-                z = assignments[i]
-                doc_topic[d, z] -= 1
-                word_topic[w, z] -= 1
-                topic_total[z] -= 1
-                probs = (
-                    (doc_topic[d] + self.alpha)
-                    * (word_topic[w] + self.beta)
-                    / (topic_total + v_beta)
-                )
-                cumulative = np.cumsum(probs)
-                z = int(np.searchsorted(cumulative, unit_draws[i] * cumulative[-1]))
-                z = min(z, k - 1)
-                assignments[i] = z
-                doc_topic[d, z] += 1
-                word_topic[w, z] += 1
-                topic_total[z] += 1
-
-        theta = (doc_topic + self.alpha) / (
-            doc_topic.sum(axis=1, keepdims=True) + k * self.alpha
-        )
-        self._phi = (word_topic + self.beta).T / (
-            topic_total[:, np.newaxis] + v_beta
-        )
-        self._vocab_size = vocab_size
-        return theta
-
-    def _fit_bp(
-        self, tokens: np.ndarray, doc_ids: np.ndarray, n_docs: int, vocab_size: int
-    ) -> np.ndarray:
-        """Vectorized message-passing over the sparse doc-word matrix.
-
-        Each iteration updates responsibilities ``μ(d,w,k) ∝ θ_dk φ_kw`` for
-        every non-zero (doc, word) pair at once, then re-estimates θ and φ
-        with Dirichlet smoothing — the coordinate-descent structure of the
-        paper's BP inference.
-        """
         # Collapse repeated (doc, word) pairs into counts.
         uniq, counts = np.unique(doc_ids * vocab_size + tokens, return_counts=True)
         pd = (uniq // vocab_size).astype(np.intp)
@@ -175,7 +112,7 @@ class LatentDirichletAllocation:
     def transform(self, docs: Sequence[Sequence[int]]) -> np.ndarray:
         """θ for unseen documents under the fitted φ (folding-in).
 
-        Runs the same message-passing as :meth:`_fit_bp` with φ held fixed,
+        Runs the same message passing as :meth:`fit_transform` with φ held fixed,
         vectorized across all documents.  Empty documents get the uniform
         prior mixture.
         """

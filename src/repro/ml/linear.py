@@ -120,9 +120,6 @@ class LogisticRegression:
             )
         return _sigmoid(x @ w + self._intercept)
 
-    def predict(self, x: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(x) >= threshold).astype(np.int64)
-
     @property
     def coef_(self) -> np.ndarray:
         return self._weights_checked()

@@ -42,9 +42,6 @@ class Standardizer:
             )
         return (x - self._mean) / self._std
 
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
-
 
 class QuantileBinner:
     """Equal-frequency binning of continuous columns into integer codes."""
@@ -80,9 +77,6 @@ class QuantileBinner:
         for j, edges in enumerate(self._edges):
             out[:, j] = np.searchsorted(edges, x[:, j], side="right")
         return out
-
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
 
     def bin_counts(self) -> list[int]:
         """Number of distinct bins actually realized per column."""

@@ -110,7 +110,7 @@ def check_training_set(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate and cast ``(x, y, sample_weight)`` for a tree-based fit.
 
-    Shared by the tree, the forest and GBDT so an ensemble validates once,
+    Shared by the forest and GBDT so an ensemble validates once,
     not per tree; ``sample_weight=None`` becomes unit weights.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -176,7 +176,7 @@ class DecisionTree:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        # Flat array representation, filled by fit().
+        # Flat array representation, filled by grow().
         self._feature: np.ndarray | None = None
         self._threshold: np.ndarray | None = None
         self._left: np.ndarray | None = None
@@ -188,18 +188,6 @@ class DecisionTree:
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
-
-    def fit(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        sample_weight: np.ndarray | None = None,
-    ) -> "DecisionTree":
-        x, y, sample_weight = check_training_set(
-            x, y, sample_weight, binary_labels=self.criterion == "gini"
-        )
-        self.grow(x, y, sample_weight, RankCodes(x), np.arange(len(y)))
-        return self
 
     def grow(
         self,

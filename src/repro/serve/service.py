@@ -265,35 +265,6 @@ class ScoringService:
         done, self._completed = self._completed, []
         return done
 
-    def score(self, customer_ids, now: float | None = None) -> np.ndarray:
-        """Score synchronously *through the micro-batch path*.
-
-        Every id goes through submit → batch → vectorized predict exactly
-        like concurrent traffic would (deadline-free, so nothing expires),
-        and the queue is drained before returning.  Used by the parity
-        tests: the scores must be bit-identical to the batch predictor on
-        the same snapshot.
-        """
-        start = self._now if now is None else now
-        self._advance(start)
-        tickets = []
-        for cid in np.asarray(customer_ids, dtype=np.int64).tolist():
-            if len(self._queue) >= self.config.max_queue_depth:
-                # Synchronous callers absorb backpressure by waiting
-                # (draining) instead of being shed.
-                self.drain()
-            tickets.append(
-                self.submit(cid, now=self._now, deadline_s=float("inf"))
-            )
-        self.drain()
-        bad = [t for t in tickets if t.outcome != "scored"]
-        if bad:
-            raise ServeError(
-                f"{len(bad)} of {len(tickets)} synchronous requests ended "
-                f"{bad[0].outcome!r}"
-            )
-        return np.array([t.score for t in tickets], dtype=np.float64)
-
     # ------------------------------------------------------------------
     # SLO surface
 

@@ -4,15 +4,29 @@ This is the split search ``repro.ml.tree`` shipped before the batched
 kernel: per node and per candidate feature, one float64 mergesort of the
 node's values plus cumulative class-mass arrays.  It is slow and obviously
 right, which is what an oracle should be; the library kernel must grow
-array-equal trees.  Tests only — nothing under ``src/`` imports it.
+array-equal trees.  :func:`fit_tree` fits one library tree on its own, the
+way an ensemble grows each of its trees.  Tests only — nothing under
+``src/`` imports it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.ml.tree import RankCodes, check_training_set
+
 LEAF = -1
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "importances")
+
+
+def fit_tree(tree, x, y, sample_weight=None):
+    """Grow ``tree`` on all of ``(x, y)``: validate, rank-code, then
+    :meth:`~repro.ml.tree.DecisionTree.grow` from every row.  Returns it."""
+    x, y, sample_weight = check_training_set(
+        x, y, sample_weight, binary_labels=tree.criterion == "gini"
+    )
+    tree.grow(x, y, sample_weight, RankCodes(x), np.arange(len(y)))
+    return tree
 
 
 def tree_arrays(tree) -> dict[str, np.ndarray]:

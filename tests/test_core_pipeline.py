@@ -49,20 +49,6 @@ class TestChurnPredictor:
         # The underlying LR was fitted on one-hot features, not raw ones.
         assert len(model._model.coef_) > x.shape[1]
 
-    def test_top_u(self, data):
-        x, y = data
-        model = ChurnPredictor("rf", ModelConfig(n_trees=5)).fit(x, y)
-        top = model.top_u(x, 10)
-        assert len(top) == 10
-        p = model.predict_proba(x)
-        assert p[top].min() >= np.sort(p)[-10:].min() - 1e-12
-
-    def test_rank_is_descending(self, data):
-        x, y = data
-        model = ChurnPredictor("rf", ModelConfig(n_trees=5)).fit(x, y)
-        p = model.predict_proba(x)
-        assert np.all(np.diff(p[model.rank(x)]) <= 1e-12)
-
     def test_importances_only_for_rf(self, data):
         x, y = data
         gb = ChurnPredictor("gbdt", ModelConfig(n_trees=5)).fit(x, y)
@@ -98,14 +84,6 @@ class TestPipeline:
     def test_labels_match_truth(self, result, small_world):
         truth = small_world.month(6).churn_next[result.test_slots]
         assert np.array_equal(result.labels.astype(bool), truth)
-
-    def test_metric_accessor(self, result):
-        assert result.metric("auc") == result.auc
-        assert result.metric("recall", 50_000) == result.recall_at[50_000]
-        with pytest.raises(ExperimentError):
-            result.metric("recall")
-        with pytest.raises(ExperimentError):
-            result.metric("f1")
 
     def test_learns_better_than_chance(self, result):
         assert result.auc > 0.75

@@ -34,12 +34,6 @@ class TestFeatureMatrix:
         assert fm.names == ["b"]
         assert fm.values.shape == (3, 1)
 
-    def test_align_to_reorders_and_fills(self):
-        fm = self.make().align_to(np.array([30, 99, 10]))
-        assert fm.values[0].tolist() == [5.0, 6.0]
-        assert fm.values[1].tolist() == [0.0, 0.0]
-        assert fm.values[2].tolist() == [1.0, 2.0]
-
     def test_hstack(self):
         fm = self.make()
         other = FeatureMatrix(fm.imsi, ["c"], np.ones((3, 1)))

@@ -63,19 +63,6 @@ class TestFit:
 
 
 class TestInterface:
-    def test_predict_hard_labels(self, data):
-        x_tr, y_tr, x_te, _ = data
-        rf = RandomForestClassifier(n_trees=5, seed=1).fit(x_tr, y_tr)
-        labels = rf.predict(x_te)
-        assert set(np.unique(labels)) <= {0, 1}
-
-    def test_rank_descending(self, data):
-        x_tr, y_tr, x_te, _ = data
-        rf = RandomForestClassifier(n_trees=5, seed=1).fit(x_tr, y_tr)
-        order = rf.rank(x_te)
-        p = rf.predict_proba(x_te)
-        assert np.all(np.diff(p[order]) <= 1e-12)
-
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):
             RandomForestClassifier().predict_proba(np.zeros((1, 2)))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_lda import gibbs_fit
 
 from repro.errors import ModelError, NotFittedError, TrainingError
 from repro.ml.graphalgo import label_propagation, pagerank
@@ -18,19 +19,41 @@ def two_topic_corpus(n_docs: int = 200, seed: int = 0):
     return docs
 
 
+def bp_theta(docs, vocab_size, n_topics, n_iter, seed):
+    lda = LatentDirichletAllocation(n_topics=n_topics, n_iter=n_iter, seed=seed)
+    return lda.fit_transform(docs, vocab_size=vocab_size)
+
+
+def gibbs_theta(docs, vocab_size, n_topics, n_iter, seed):
+    return gibbs_fit(docs, vocab_size, n_topics, n_iter=n_iter, seed=seed)[0]
+
+
 class TestLDA:
-    @pytest.mark.parametrize("method", ["bp", "gibbs"])
-    def test_recovers_topic_structure(self, method):
+    @pytest.mark.parametrize("fit", [bp_theta, gibbs_theta], ids=["bp", "gibbs"])
+    def test_recovers_topic_structure(self, fit):
         docs = two_topic_corpus()
-        lda = LatentDirichletAllocation(
-            n_topics=2, n_iter=30, seed=0, method=method
-        )
-        theta = lda.fit_transform(docs, vocab_size=20)
+        theta = fit(docs, vocab_size=20, n_topics=2, n_iter=30, seed=0)
         even = theta[::2].argmax(axis=1)
         odd = theta[1::2].argmax(axis=1)
         purity = max((even == 0).mean(), (even == 1).mean())
         assert purity > 0.9
         assert (even[0] != odd[0]) or purity > 0.95
+
+    def test_bp_and_gibbs_split_documents_alike(self):
+        """BP and the Gibbs oracle put the planted corpus's documents into
+        the same two groups, up to a swap of the topic labels."""
+        docs = two_topic_corpus()
+        bp = bp_theta(docs, vocab_size=20, n_topics=2, n_iter=30, seed=0)
+        gibbs = gibbs_theta(docs, vocab_size=20, n_topics=2, n_iter=30, seed=0)
+        bp_group = bp.argmax(axis=1)
+        gibbs_group = gibbs.argmax(axis=1)
+        planted = np.arange(len(docs)) % 2
+        assert np.array_equal(bp_group, planted) or np.array_equal(
+            bp_group, 1 - planted
+        )
+        assert np.array_equal(bp_group, gibbs_group) or np.array_equal(
+            bp_group, 1 - gibbs_group
+        )
 
     def test_theta_rows_are_distributions(self):
         docs = two_topic_corpus(50)
@@ -91,8 +114,6 @@ class TestLDA:
             LatentDirichletAllocation(n_topics=1)
         with pytest.raises(ModelError):
             LatentDirichletAllocation(alpha=0)
-        with pytest.raises(ModelError):
-            LatentDirichletAllocation(method="vb")
 
 
 def add_at_fit_bp(lda, docs, vocab_size):

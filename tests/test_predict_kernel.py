@@ -18,6 +18,7 @@ from reference_predict import (
     reference_decision_function,
     reference_forest_proba,
 )
+from reference_tree import fit_tree
 from repro.errors import ModelError
 from repro.ml import tree as tree_module
 from repro.ml.forest import RandomForestClassifier
@@ -121,7 +122,8 @@ def test_gbdt_scores_match_reference(problem, n_trees, max_depth, seed):
 def test_single_tree_apply_matches_reference(problem, max_depth, seed):
     x, y, probe = problem
     for criterion in ("gini", "mse"):
-        tree = DecisionTree(criterion=criterion, max_depth=max_depth, seed=seed).fit(x, y)
+        tree = DecisionTree(criterion=criterion, max_depth=max_depth, seed=seed)
+        fit_tree(tree, x, y)
         assert_same_bits(tree.apply(probe), reference_apply(tree, probe))
 
 
@@ -208,7 +210,7 @@ class TestInputChecks:
         return (
             RandomForestClassifier(n_trees=2, seed=0).fit(x, y),
             GradientBoostedTrees(n_trees=2).fit(x, y),
-            DecisionTree().fit(x, y),
+            fit_tree(DecisionTree(), x, y),
         )
 
     @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 5)), np.zeros((2, 3, 1))])

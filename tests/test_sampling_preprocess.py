@@ -81,13 +81,13 @@ class TestRebalance:
 class TestStandardizer:
     def test_zero_mean_unit_std(self, rng):
         x = rng.normal(5, 3, size=(500, 4))
-        z = Standardizer().fit_transform(x)
+        z = Standardizer().fit(x).transform(x)
         assert np.allclose(z.mean(axis=0), 0, atol=1e-10)
         assert np.allclose(z.std(axis=0), 1, atol=1e-10)
 
     def test_constant_column_safe(self):
         x = np.column_stack([np.ones(10), np.arange(10.0)])
-        z = Standardizer().fit_transform(x)
+        z = Standardizer().fit(x).transform(x)
         assert np.all(np.isfinite(z))
         assert np.allclose(z[:, 0], 0)
 
@@ -118,7 +118,7 @@ class TestQuantileBinner:
 
     def test_roughly_equal_frequency(self, rng):
         x = rng.normal(size=(4000, 1))
-        codes = QuantileBinner(n_bins=4).fit_transform(x)
+        codes = QuantileBinner(n_bins=4).fit(x).transform(x)
         counts = np.bincount(codes[:, 0], minlength=4)
         assert counts.min() > 800
 

@@ -92,14 +92,6 @@ class TestSchema:
         assert out.names == ("z", "b")
         assert out["z"].ctype is ColumnType.INT
 
-    def test_concat(self):
-        s = Schema.of(a="int").concat(Schema.of(b="float"))
-        assert s.names == ("a", "b")
-
-    def test_concat_collision_rejected(self):
-        with pytest.raises(SchemaError):
-            Schema.of(a="int").concat(Schema.of(a="float"))
-
     def test_equality_and_hash(self):
         assert Schema.of(a="int") == Schema.of(a="int")
         assert Schema.of(a="int") != Schema.of(a="float")

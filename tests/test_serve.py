@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serve_sync import SyncClient
 from repro.dataplat.catalog import Catalog
 from repro.dataplat.observability import Histogram
 from repro.errors import DataPlatformError, ServeError, TransientError
@@ -474,7 +475,7 @@ class TestScoringService:
     def test_score_sync_matches_direct_predict(self, store, registry, matrix):
         service = self.make_service(store, registry)
         sample = matrix.imsi[:10]
-        scores = service.score(sample)
+        scores = SyncClient(service).score(sample)
         _, model = registry.current()
         expected = model.predict_proba(
             np.stack([row_for(matrix, int(c)) for c in sample.tolist()])
@@ -483,7 +484,7 @@ class TestScoringService:
 
     def test_slo_snapshot_sets_gauges(self, store, registry, matrix, capture_spans):
         service = self.make_service(store, registry)
-        service.score(matrix.imsi[:8])
+        SyncClient(service).score(matrix.imsi[:8])
         slo = service.slo_snapshot()
         gauges = capture_spans.metrics
         assert gauges.gauge("serve.latency_p99_s").value == slo["latency_p99_s"]
@@ -563,13 +564,14 @@ class TestModelSwapDuringTraffic:
         )
         sample = matrix.imsi[:4]
         rows = np.stack([row_for(matrix, int(c)) for c in sample.tolist()])
-        first = service.score(sample)
+        client = SyncClient(service)
+        first = client.score(sample)
         assert np.array_equal(first, v1.predict_proba(rows))
         # Same ids again: served from the memoized score cache.
-        again = service.score(sample)
+        again = client.score(sample)
         assert np.array_equal(again, first)
         registry.activate("v2")
-        swapped = service.score(sample)
+        swapped = client.score(sample)
         assert np.array_equal(swapped, v2.predict_proba(rows))
         assert capture_spans.counter("serve.model_swaps") == 2
 

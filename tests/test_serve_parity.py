@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from serve_sync import SyncClient
 from repro.config import ModelConfig
 from repro.core.predictor import ChurnPredictor
 from repro.dataplat.executor import ProcessPoolBackend, SerialBackend
@@ -81,7 +82,7 @@ def test_online_scores_bit_identical_to_batch(
         ServeConfig(max_batch=64, batch_window_s=0.002, max_queue_depth=256),
         service_time=FixedServiceTime(),
     )
-    online_scores = service.score(imsi)
+    online_scores = SyncClient(service).score(imsi)
     assert np.array_equal(online_scores, batch_scores)
 
 
@@ -106,7 +107,8 @@ def test_parity_survives_cache_hits(snapshot, fitted, sample_ids):
         ServeConfig(score_cache_rows=4096),
         service_time=FixedServiceTime(),
     )
-    first = service.score(imsi[:200])
-    second = service.score(imsi[:200])
+    client = SyncClient(service)
+    first = client.score(imsi[:200])
+    second = client.score(imsi[:200])
     assert np.array_equal(first, second)
     assert np.array_equal(first, predictor.predict_proba(snapshot.values[idx[:200]]))

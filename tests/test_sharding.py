@@ -26,6 +26,7 @@ from repro.dataplat.sharding import (
     shard_of,
 )
 from repro.dataplat.sql import ShardedSQLEngine, SQLEngine
+from repro.dataplat.sql.scatter import Gather
 from repro.dataplat.table import Table
 from repro.errors import SQLAnalysisError
 
@@ -270,9 +271,11 @@ def _scatter_world():
         imsi=rng.integers(0, 40, size=n).astype(np.int64),
         bytes_dl=rng.integers(0, 10_000, size=n),
     )
+    # Cells 6 and 7 carry no facts: a LEFT join from cells keeps them
+    # unmatched, once.
     cells = Table.from_arrays(
-        id=np.arange(6, dtype=np.int64),
-        region=np.array(list("abcdef"), dtype=object),
+        id=np.arange(8, dtype=np.int64),
+        region=np.array(list("abcdefgh"), dtype=object),
     )
     return {"facts": facts, "sessions": sessions, "cells": cells}
 
@@ -291,6 +294,60 @@ SHUFFLE_JOIN_SQL = (
     "JOIN sessions s ON f.cell = s.imsi GROUP BY f.cell ORDER BY cell"
 )
 UNARY_AVG_SQL = "SELECT cell, -SUM(dur), AVG(dur) FROM facts GROUP BY cell"
+#: A LEFT join from a replicated side onto the right's hash column: the
+#: left side is realigned, not gathered.
+LEFT_REALIGN_SQL = (
+    "SELECT c.region AS region, COUNT(*) AS n FROM cells c "
+    "LEFT JOIN facts f ON c.id = f.imsi GROUP BY c.region "
+    "ORDER BY region"
+)
+#: A LEFT join from a replicated side on a column the right is not placed
+#: by: no realignment is possible, so both sides gather.
+LEFT_GATHER_SQL = (
+    "SELECT c.region AS region, COUNT(*) AS n FROM cells c "
+    "LEFT JOIN facts f ON c.id = f.cell GROUP BY c.region "
+    "ORDER BY region"
+)
+SCATTER_CASES = [
+    # Shard-local: filter + aggregate grouped on the shard key.
+    "SELECT imsi, SUM(dur) AS total, COUNT(*) AS n FROM facts "
+    "WHERE dur > 100 GROUP BY imsi ORDER BY imsi",
+    # Co-partitioned join on the shard key.
+    "SELECT f.imsi AS imsi, SUM(s.bytes_dl) AS b FROM facts f "
+    "JOIN sessions s ON f.imsi = s.imsi GROUP BY f.imsi "
+    "ORDER BY imsi",
+    # Replicated dimension join + non-aligned group key: the
+    # decomposable aggregate is pushed below the gather.
+    "SELECT c.region AS region, COUNT(*) AS n, AVG(f.dur) AS mean_dur "
+    "FROM facts f JOIN cells c ON f.cell = c.id GROUP BY c.region "
+    "ORDER BY region",
+    # Non-aligned self-join key: needs a shuffle exchange.
+    SHUFFLE_JOIN_SQL,
+    # Global aggregate without grouping.
+    "SELECT COUNT(*) AS n, SUM(dur) AS total, MIN(dur) AS lo, "
+    "MAX(dur) AS hi FROM facts",
+    # DISTINCT aggregate: not decomposable, falls back to a full
+    # gather — must still be correct.
+    "SELECT COUNT(DISTINCT cell) AS n FROM facts",
+    # Unary minus over an aggregate and AVG merge as partials.
+    UNARY_AVG_SQL,
+]
+
+
+def _split_at_gathers(node, shard, central):
+    """Sort a plan's nodes into those below a Gather and those above."""
+    central.append(node)
+    for child in node.children():
+        if isinstance(node, Gather):
+            shard.extend(_subtree(child))
+        else:
+            _split_at_gathers(child, shard, central)
+
+
+def _subtree(node):
+    yield node
+    for child in node.children():
+        yield from _subtree(child)
 
 
 class TestScatterGatherSQL:
@@ -304,38 +361,28 @@ class TestScatterGatherSQL:
             sharded.register(table, name)
         return single, sharded
 
-    @pytest.mark.parametrize(
-        "sql",
-        [
-            # Shard-local: filter + aggregate grouped on the shard key.
-            "SELECT imsi, SUM(dur) AS total, COUNT(*) AS n FROM facts "
-            "WHERE dur > 100 GROUP BY imsi ORDER BY imsi",
-            # Co-partitioned join on the shard key.
-            "SELECT f.imsi AS imsi, SUM(s.bytes_dl) AS b FROM facts f "
-            "JOIN sessions s ON f.imsi = s.imsi GROUP BY f.imsi "
-            "ORDER BY imsi",
-            # Replicated dimension join + non-aligned group key: the
-            # decomposable aggregate is pushed below the gather.
-            "SELECT c.region AS region, COUNT(*) AS n, AVG(f.dur) AS mean_dur "
-            "FROM facts f JOIN cells c ON f.cell = c.id GROUP BY c.region "
-            "ORDER BY region",
-            # Non-aligned self-join key: needs a shuffle exchange.
-            "SELECT f.cell AS cell, SUM(s.bytes_dl) AS b FROM facts f "
-            "JOIN sessions s ON f.cell = s.imsi GROUP BY f.cell "
-            "ORDER BY cell",
-            # Global aggregate without grouping.
-            "SELECT COUNT(*) AS n, SUM(dur) AS total, MIN(dur) AS lo, "
-            "MAX(dur) AS hi FROM facts",
-            # DISTINCT aggregate: not decomposable, falls back to a full
-            # gather — must still be correct.
-            "SELECT COUNT(DISTINCT cell) AS n FROM facts",
-            # Unary minus over an aggregate and AVG merge as partials.
-            UNARY_AVG_SQL,
-        ],
-    )
+    @pytest.mark.parametrize("sql", SCATTER_CASES)
     def test_matches_single_shard(self, sql):
         single, sharded = self._engines()
         assert _norm(sharded.query(sql)) == _norm(single.query(sql)), sql
+
+    @pytest.mark.parametrize(
+        "sql", SCATTER_CASES + [LEFT_REALIGN_SQL, LEFT_GATHER_SQL]
+    )
+    def test_only_nodes_below_a_gather_are_estimated(self, sql):
+        """Shard subplans keep the binder's per-shard ``est_rows``; the
+        central nodes above a Gather, which see every shard's rows, carry
+        none rather than one shard's count."""
+        _, sharded = self._engines()
+        shard, central = [], []
+        _split_at_gathers(sharded.plan(sql), shard, central)
+        assert any(isinstance(node, Gather) for node in central), sql
+        bare = [type(n).__name__ for n in shard if n.est_rows is None]
+        assert not bare, (sql, bare)
+        estimated = [
+            type(n).__name__ for n in central if n.est_rows is not None
+        ]
+        assert not estimated, (sql, estimated)
 
     def test_raw_row_fallback_is_counted(self, capture_spans):
         _, sharded = self._engines()
@@ -417,13 +464,17 @@ class TestScatterGatherSQL:
         finally:
             pool.close()
 
+    def test_left_join_replicated_left_gathers(self):
+        single, sharded = self._engines()
+        assert "Realign" not in sharded.explain(LEFT_GATHER_SQL)
+        assert _norm(sharded.query(LEFT_GATHER_SQL)) == _norm(
+            single.query(LEFT_GATHER_SQL)
+        )
+
     def test_left_join_replicated_left_realigns(self):
         single, sharded = self._engines()
-        sql = (
-            "SELECT c.region AS region, COUNT(*) AS n FROM cells c "
-            "LEFT JOIN facts f ON c.id = f.cell GROUP BY c.region "
-            "ORDER BY region"
-        )
+        sql = LEFT_REALIGN_SQL
+        assert "Realign(by c.id)" in sharded.explain(sql)
         assert _norm(sharded.query(sql)) == _norm(single.query(sql))
 
 
@@ -463,7 +514,7 @@ class TestShardedWideTable:
         previous = observability.set_tracer(tracer)
         try:
             builder = ShardedWideTableBuilder(world, num_shards=3, seed=0)
-            builder.category("F1", 1)
+            builder.features(1, ("F1",))
         finally:
             observability.set_tracer(previous)
         shards = {

@@ -62,6 +62,16 @@ class TestFeatureMatrixConcat:
         assert out.names == ["c0", "c1", "c2"]
         assert out.values[0].tolist() == [0.0, 1.0, 2.0]
 
+    def test_features_rejects_misaligned_block(self, tiny_world):
+        """A block missing a customer raises; nothing zero-fills it."""
+        builder = WideTableBuilder(tiny_world)
+        f1 = builder.category("F1", 1)
+        builder._cache[("F2", 1)] = FeatureMatrix(
+            f1.imsi[1:], ["short"], np.zeros((f1.n_rows - 1, 1))
+        )
+        with pytest.raises(FeatureError, match="identical imsi order"):
+            builder.features(1, ("F1", "F2"))
+
 
 class TestMonitoringReportPlumbing:
     def make_report(self, psis, score_psi=None):
