@@ -340,13 +340,7 @@ class Binder:
                         continue
                 groups *= max(1.0, child ** 0.5)
             return min(child, groups) if child else 0.0
-        if isinstance(node, Project):
-            return self._annotate(node.child)
-        if isinstance(node, Narrow):
-            return self._annotate(node.child)
-        if isinstance(node, Sort):
-            return self._annotate(node.child)
-        if isinstance(node, Distinct):
+        if isinstance(node, (Project, Narrow, Sort, Distinct)):
             return self._annotate(node.child)
         if isinstance(node, Limit):
             return min(self._annotate(node.child), float(node.count))

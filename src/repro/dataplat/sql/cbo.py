@@ -32,6 +32,7 @@ order.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import replace
 
 from ..observability import get_metrics
 from ..table import COUNT_MERGE
@@ -58,14 +59,13 @@ from .plan import (
     Project,
     Scan,
     Sort,
-    UnionAll,
 )
 from .planner import (
     _bindings_of,
+    _child_required,
     _combine_conjuncts,
     _equi_pairs,
     _expr_bindings,
-    _referenced_columns,
     _split_conjuncts,
 )
 
@@ -99,29 +99,6 @@ def _contains_star(node: PlanNode) -> bool:
     return any(_contains_star(c) for c in node.children())
 
 
-def _rebuild(node: PlanNode, fn) -> PlanNode:
-    """Structural recursion helper: ``fn`` maps each child."""
-    if isinstance(node, Filter):
-        return Filter(fn(node.child), node.predicate)
-    if isinstance(node, Join):
-        return Join(fn(node.left), fn(node.right), node.kind, node.condition)
-    if isinstance(node, Project):
-        return Project(fn(node.child), node.items)
-    if isinstance(node, Aggregate):
-        return Aggregate(fn(node.child), node.group_by, node.items, node.having)
-    if isinstance(node, Sort):
-        return Sort(fn(node.child), node.order_by)
-    if isinstance(node, Limit):
-        return Limit(fn(node.child), node.count)
-    if isinstance(node, Distinct):
-        return Distinct(fn(node.child))
-    if isinstance(node, Narrow):
-        return Narrow(fn(node.child), node.columns)
-    if isinstance(node, UnionAll):
-        return UnionAll(tuple(fn(c) for c in node.inputs))
-    return node
-
-
 # ----------------------------------------------------------------------
 # 1. Selectivity-aware join reordering
 # ----------------------------------------------------------------------
@@ -133,7 +110,7 @@ def _reorder_joins(node: PlanNode, binder: Binder) -> PlanNode:
         if reordered is not None:
             get_metrics().counter("planner.joins_reordered").inc()
             return reordered
-    return _rebuild(node, lambda c: _reorder_joins(c, binder))
+    return node.map_children(_reorder_joins, binder)
 
 
 def _reorder_cluster(join: Join, binder: Binder) -> PlanNode | None:
@@ -214,16 +191,17 @@ def _reorder_cluster(join: Join, binder: Binder) -> PlanNode | None:
 
 
 def _push_aggregates(node: PlanNode, binder: Binder) -> PlanNode:
-    if isinstance(node, Aggregate):
-        child = _push_aggregates(node.child, binder)
-        candidate = Aggregate(child, node.group_by, node.items, node.having)
-        if isinstance(child, Join) and child.kind == "inner":
-            pushed = _try_push_aggregate(candidate, binder)
-            if pushed is not None:
-                get_metrics().counter("planner.aggregates_pushed").inc()
-                return pushed
-        return candidate
-    return _rebuild(node, lambda c: _push_aggregates(c, binder))
+    node = node.map_children(_push_aggregates, binder)
+    if (
+        isinstance(node, Aggregate)
+        and isinstance(node.child, Join)
+        and node.child.kind == "inner"
+    ):
+        pushed = _try_push_aggregate(node, binder)
+        if pushed is not None:
+            get_metrics().counter("planner.aggregates_pushed").inc()
+            return pushed
+    return node
 
 
 def _try_push_aggregate(agg: Aggregate, binder: Binder) -> PlanNode | None:
@@ -289,10 +267,10 @@ def _push_into_side(
         return None
     pre, items, having = split
     if side == "right":
-        new_join = Join(join.left, pre, "inner", join.condition)
+        new_join = join.with_children(join.left, pre)
     else:
-        new_join = Join(pre, join.right, "inner", join.condition)
-    return Aggregate(new_join, agg.group_by, items, having)
+        new_join = join.with_children(pre, join.right)
+    return replace(agg, child=new_join, items=items, having=having)
 
 
 class _Unsplittable(Exception):
@@ -373,27 +351,18 @@ def split_partials(
 
 
 def _insert_narrows(node: PlanNode, required: set[str] | None) -> PlanNode:
-    """Mirror of the planner's required-column propagation, inserting
-    :class:`Narrow` above join inputs that carry dead columns."""
-    own = _referenced_columns(node)
-    needed = None if (own is None or required is None) else required | own
+    """Insert a :class:`Narrow` above each join input that carries columns
+    nothing above it needs, by the planner's required-column rule."""
+    needed = _child_required(node, required)
     if isinstance(node, Join):
-        left = _maybe_narrow(_insert_narrows(node.left, needed), needed)
-        right = _maybe_narrow(_insert_narrows(node.right, needed), needed)
-        out = Join(left, right, node.kind, node.condition)
-        out.est_rows = node.est_rows
-        return out
-    if isinstance(node, (Limit, Distinct)):
-        out = _rebuild(node, lambda c: _insert_narrows(c, required))
-    elif isinstance(node, UnionAll):
-        out = UnionAll(tuple(_insert_narrows(c, set()) for c in node.inputs))
-    else:
-        out = _rebuild(node, lambda c: _insert_narrows(c, needed))
-    out.est_rows = node.est_rows
-    return out
+        return node.map_children(_narrow_input, needed)
+    return node.map_children(_insert_narrows, needed)
 
 
-def _maybe_narrow(child: PlanNode, needed: set[str] | None) -> PlanNode:
+def _narrow_input(child: PlanNode, needed: set[str] | None) -> PlanNode:
+    """A join input with narrows inserted in it, under one more
+    :class:`Narrow` when it is itself a join that carries dead columns."""
+    child = _insert_narrows(child, needed)
     if needed is None or not isinstance(child, Join) or child.est_rows is None:
         return child
     columns = _subtree_columns(child)
@@ -411,9 +380,7 @@ def _maybe_narrow(child: PlanNode, needed: set[str] | None) -> PlanNode:
     if child.est_rows * dropped * BYTES_PER_CELL < NARROW_MIN_BYTES:
         return child
     get_metrics().counter("planner.narrows_inserted").inc()
-    narrow = Narrow(child, tuple(kept))
-    narrow.est_rows = child.est_rows
-    return narrow
+    return Narrow(child, tuple(kept))
 
 
 def _subtree_columns(node: PlanNode) -> set[str] | None:

@@ -21,8 +21,36 @@ class PlanNode:
     #: (which plan-shape tests rely on) ignores the annotation.
     est_rows: float | None = None
 
+    #: Names of the fields holding child plans, in the order the executor
+    #: runs them.  A class with more than one overrides ``children()``.
+    _child_fields: tuple[str, ...] = ()
+
     def children(self) -> tuple["PlanNode", ...]:
-        return ()
+        fields = self._child_fields
+        return (getattr(self, fields[0]),) if fields else ()
+
+    def with_children(self, *children: "PlanNode") -> "PlanNode":
+        """A copy of this node over ``children``: every other field and
+        ``est_rows`` carry over, and ``self`` is left as it was."""
+        fields = self._child_fields
+        if len(children) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} children")
+        copy = object.__new__(type(self))
+        copy.__dict__ = state = self.__dict__.copy()
+        for field, child in zip(fields, children):
+            state[field] = child
+        return copy
+
+    def map_children(self, fn, *args) -> "PlanNode":
+        """This node over ``fn(child, *args)`` of each child; ``self`` when
+        every child comes back unchanged."""
+        changed = False
+        new = []
+        for child in self.children():
+            out = fn(child, *args)
+            changed |= out is not child
+            new.append(out)
+        return self.with_children(*new) if changed else self
 
     def describe(self, indent: int = 0) -> str:
         """Readable plan tree (for EXPLAIN)."""
@@ -76,11 +104,10 @@ class Scan(PlanNode):
 
 @dataclass
 class Filter(PlanNode):
+    _child_fields = ("child",)
+
     child: PlanNode
     predicate: Expr
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def _label(self) -> str:
         return f"Filter({self.predicate!r})"
@@ -89,6 +116,8 @@ class Filter(PlanNode):
 @dataclass
 class Join(PlanNode):
     """Equi-join, run by :meth:`~repro.dataplat.table.Table.join`."""
+
+    _child_fields = ("left", "right")
 
     left: PlanNode
     right: PlanNode
@@ -106,11 +135,10 @@ class Join(PlanNode):
 class Project(PlanNode):
     """Final projection: evaluates select items and names the outputs."""
 
+    _child_fields = ("child",)
+
     child: PlanNode
     items: tuple[SelectItem, ...]
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def _label(self) -> str:
         return f"Project({len(self.items)} items)"
@@ -120,13 +148,12 @@ class Project(PlanNode):
 class Aggregate(PlanNode):
     """Grouped (or global) aggregation producing the select items."""
 
+    _child_fields = ("child",)
+
     child: PlanNode
     group_by: tuple[Expr, ...]
     items: tuple[SelectItem, ...]
     having: Expr | None = None
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def _label(self) -> str:
         return f"Aggregate(keys={len(self.group_by)}, items={len(self.items)})"
@@ -134,11 +161,10 @@ class Aggregate(PlanNode):
 
 @dataclass
 class Sort(PlanNode):
+    _child_fields = ("child",)
+
     child: PlanNode
     order_by: tuple[OrderItem, ...]
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def _label(self) -> str:
         return f"Sort({len(self.order_by)} keys)"
@@ -146,11 +172,10 @@ class Sort(PlanNode):
 
 @dataclass
 class Limit(PlanNode):
+    _child_fields = ("child",)
+
     child: PlanNode
     count: int
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def _label(self) -> str:
         return f"Limit({self.count})"
@@ -166,11 +191,10 @@ class Narrow(PlanNode):
     the child does not produce is ignored rather than an error.
     """
 
+    _child_fields = ("child",)
+
     child: PlanNode
     columns: tuple[str, ...]
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def _label(self) -> str:
         return f"Narrow({len(self.columns)} cols)"
@@ -178,10 +202,9 @@ class Narrow(PlanNode):
 
 @dataclass
 class Distinct(PlanNode):
-    child: PlanNode
+    _child_fields = ("child",)
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
+    child: PlanNode
 
 
 @dataclass
@@ -192,6 +215,11 @@ class UnionAll(PlanNode):
 
     def children(self) -> tuple[PlanNode, ...]:
         return self.inputs
+
+    def with_children(self, *children: PlanNode) -> PlanNode:
+        copy = UnionAll(children)
+        copy.est_rows = self.est_rows
+        return copy
 
     def _label(self) -> str:
         return f"UnionAll({len(self.inputs)} inputs)"

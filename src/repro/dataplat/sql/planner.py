@@ -1,7 +1,9 @@
 """AST → logical plan, plus rule-based optimization.
 
-Two classic optimizations are implemented — the ones that matter for the
-feature-engineering workload of wide scans over monthly telco tables:
+Three rewrites run once each, in order — the ones that matter for the
+feature-engineering workload of wide scans over monthly telco tables.
+Each keeps only the operators it rewrites and passes every other node
+through :meth:`~.plan.PlanNode.map_children`:
 
 * **Predicate pushdown** — conjuncts of the WHERE clause move below joins to
   the side whose bindings they reference, shrinking join inputs.
@@ -16,6 +18,8 @@ feature-engineering workload of wide scans over monthly telco tables:
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from ..columnar import ScanPredicate
 from .ast_nodes import (
@@ -92,7 +96,7 @@ def _dealias(expr: Expr, items: tuple) -> Expr:
 
 
 def optimize(plan: PlanNode) -> PlanNode:
-    """Apply the rewrite rules until a fixed point (max two passes needed)."""
+    """Apply each rewrite rule once, in order."""
     plan = _push_down_predicates(plan)
     plan = _prune_projections(plan, required=set())
     plan = _attach_scan_predicates(plan)
@@ -172,70 +176,42 @@ def _equi_pairs(
 
 
 def _push_down_predicates(node: PlanNode) -> PlanNode:
-    if isinstance(node, Filter):
-        child = _push_down_predicates(node.child)
-        if isinstance(child, Join):
-            remaining: list[Expr] = []
-            left_terms: list[Expr] = []
-            right_terms: list[Expr] = []
-            left_bindings = _bindings_of(child.left)
-            right_bindings = _bindings_of(child.right)
-            for term in _split_conjuncts(node.predicate):
-                refs = _expr_bindings(term)
-                if refs is not None and refs and refs <= left_bindings:
-                    left_terms.append(term)
-                elif (
-                    refs is not None
-                    and refs
-                    and refs <= right_bindings
-                    and child.kind == "inner"
-                ):
-                    # For left joins, filtering the right side early would
-                    # change which rows get null-extended; keep above.
-                    right_terms.append(term)
-                else:
-                    remaining.append(term)
-            left = child.left
-            right = child.right
-            if left_terms:
-                left = _push_down_predicates(
-                    Filter(left, _combine_conjuncts(left_terms))
-                )
-            if right_terms:
-                right = _push_down_predicates(
-                    Filter(right, _combine_conjuncts(right_terms))
-                )
-            new_join = Join(left, right, child.kind, child.condition)
-            if remaining:
-                return Filter(new_join, _combine_conjuncts(remaining))
-            return new_join
-        return Filter(child, node.predicate)
-    # Recurse structurally for the other operators.
-    if isinstance(node, Join):
-        return Join(
-            _push_down_predicates(node.left),
-            _push_down_predicates(node.right),
-            node.kind,
-            node.condition,
+    node = node.map_children(_push_down_predicates)
+    if not (isinstance(node, Filter) and isinstance(node.child, Join)):
+        return node
+    child = node.child
+    remaining: list[Expr] = []
+    left_terms: list[Expr] = []
+    right_terms: list[Expr] = []
+    left_bindings = _bindings_of(child.left)
+    right_bindings = _bindings_of(child.right)
+    for term in _split_conjuncts(node.predicate):
+        refs = _expr_bindings(term)
+        if refs is not None and refs and refs <= left_bindings:
+            left_terms.append(term)
+        elif (
+            refs is not None
+            and refs
+            and refs <= right_bindings
+            and child.kind == "inner"
+        ):
+            # For left joins, filtering the right side early would
+            # change which rows get null-extended; keep above.
+            right_terms.append(term)
+        else:
+            remaining.append(term)
+    left = child.left
+    right = child.right
+    if left_terms:
+        left = _push_down_predicates(Filter(left, _combine_conjuncts(left_terms)))
+    if right_terms:
+        right = _push_down_predicates(
+            Filter(right, _combine_conjuncts(right_terms))
         )
-    if isinstance(node, Project):
-        return Project(_push_down_predicates(node.child), node.items)
-    if isinstance(node, Aggregate):
-        return Aggregate(
-            _push_down_predicates(node.child),
-            node.group_by,
-            node.items,
-            node.having,
-        )
-    if isinstance(node, Sort):
-        return Sort(_push_down_predicates(node.child), node.order_by)
-    if isinstance(node, Limit):
-        return Limit(_push_down_predicates(node.child), node.count)
-    if isinstance(node, Distinct):
-        return Distinct(_push_down_predicates(node.child))
-    if isinstance(node, UnionAll):
-        return UnionAll(tuple(_push_down_predicates(c) for c in node.inputs))
-    return node
+    new_join = child.with_children(left, right)
+    if remaining:
+        return Filter(new_join, _combine_conjuncts(remaining))
+    return new_join
 
 
 # ----------------------------------------------------------------------
@@ -272,63 +248,41 @@ def _referenced_columns(node: PlanNode) -> set[str] | None:
     return set()
 
 
-def _prune_projections(node: PlanNode, required: set[str] | None = None) -> PlanNode:
-    """Push the set of required columns down to the scans.
+def _child_required(node: PlanNode, required: set[str] | None) -> set[str] | None:
+    """The columns ``node``'s children must supply when ``required`` (the
+    possibly qualified names needed above ``node``; None = all) is needed
+    from ``node``.
 
-    ``required`` is the set of (possibly qualified) names needed above this
-    node, or None for "all columns".
+    A Project or Aggregate outputs only its items, so its children supply
+    just what those reference; Limit and Distinct pass ``required``
+    through; each UnionAll branch has its own projection.  The cost-based
+    optimizer's early projection shares this rule.
     """
-    own = _referenced_columns(node)
-    if own is None or required is None:
-        needed: set[str] | None = None
-    else:
-        needed = required | own
-
-    if isinstance(node, Scan):
-        if needed is None:
-            return node
-        cols = set()
-        prefix = f"{node.binding}."
-        for name in needed:
-            if name.startswith(prefix):
-                cols.add(name[len(prefix):])
-            elif "." not in name:
-                cols.add(name)
-        return Scan(node.table, node.binding, tuple(sorted(cols)) if cols else None)
-    if isinstance(node, Filter):
-        return Filter(_prune_projections(node.child, needed), node.predicate)
-    if isinstance(node, Join):
-        return Join(
-            _prune_projections(node.left, needed),
-            _prune_projections(node.right, needed),
-            node.kind,
-            node.condition,
-        )
-    if isinstance(node, Project):
-        return Project(_prune_projections(node.child, needed), node.items)
-    if isinstance(node, Aggregate):
-        return Aggregate(
-            _prune_projections(node.child, needed),
-            node.group_by,
-            node.items,
-            node.having,
-        )
-    if isinstance(node, Sort):
-        # Below-projection sorts contribute their key columns; an
-        # above-aggregate sort references output columns, which resolve via
-        # the executor's bare-name fallback — pruning keys is still safe
-        # because the aggregate declares everything it needs itself.
-        return Sort(_prune_projections(node.child, needed), node.order_by)
-    if isinstance(node, Limit):
-        return Limit(_prune_projections(node.child, required), node.count)
-    if isinstance(node, Distinct):
-        return Distinct(_prune_projections(node.child, required))
     if isinstance(node, UnionAll):
-        # Each branch has its own projection; prune independently.
-        return UnionAll(
-            tuple(_prune_projections(c, set()) for c in node.inputs)
-        )
-    return node
+        return set()
+    if isinstance(node, (Limit, Distinct)):
+        return required
+    own = _referenced_columns(node)
+    if own is None or isinstance(node, (Project, Aggregate)):
+        return own
+    return None if required is None else required | own
+
+
+def _prune_projections(node: PlanNode, required: set[str] | None) -> PlanNode:
+    """Push the set of required columns down to the scans."""
+    if not isinstance(node, Scan):
+        needed = _child_required(node, required)
+        return node.map_children(_prune_projections, needed)
+    if required is None:
+        return node
+    cols = set()
+    prefix = f"{node.binding}."
+    for name in required:
+        if name.startswith(prefix):
+            cols.add(name[len(prefix):])
+        elif "." not in name:
+            cols.add(name)
+    return replace(node, columns=tuple(sorted(cols)) if cols else None)
 
 
 # ----------------------------------------------------------------------
@@ -417,47 +371,16 @@ def _between_predicates(term: Expr, binding: str) -> list[ScanPredicate]:
 
 
 def _attach_scan_predicates(node: PlanNode) -> PlanNode:
-    if isinstance(node, Filter) and isinstance(node.child, Scan):
-        scan = node.child
-        preds: list[ScanPredicate] = []
-        for term in _split_conjuncts(node.predicate):
-            pred = _as_scan_predicate(term, scan.binding)
-            if pred is not None:
-                preds.append(pred)
-            else:
-                preds.extend(_between_predicates(term, scan.binding))
-        if preds:
-            return Filter(
-                Scan(scan.table, scan.binding, scan.columns, tuple(preds)),
-                node.predicate,
-            )
+    if not (isinstance(node, Filter) and isinstance(node.child, Scan)):
+        return node.map_children(_attach_scan_predicates)
+    scan = node.child
+    preds: list[ScanPredicate] = []
+    for term in _split_conjuncts(node.predicate):
+        pred = _as_scan_predicate(term, scan.binding)
+        if pred is not None:
+            preds.append(pred)
+        else:
+            preds.extend(_between_predicates(term, scan.binding))
+    if not preds:
         return node
-    if isinstance(node, Filter):
-        return Filter(_attach_scan_predicates(node.child), node.predicate)
-    if isinstance(node, Join):
-        return Join(
-            _attach_scan_predicates(node.left),
-            _attach_scan_predicates(node.right),
-            node.kind,
-            node.condition,
-        )
-    if isinstance(node, Project):
-        return Project(_attach_scan_predicates(node.child), node.items)
-    if isinstance(node, Aggregate):
-        return Aggregate(
-            _attach_scan_predicates(node.child),
-            node.group_by,
-            node.items,
-            node.having,
-        )
-    if isinstance(node, Sort):
-        return Sort(_attach_scan_predicates(node.child), node.order_by)
-    if isinstance(node, Limit):
-        return Limit(_attach_scan_predicates(node.child), node.count)
-    if isinstance(node, Distinct):
-        return Distinct(_attach_scan_predicates(node.child))
-    if isinstance(node, UnionAll):
-        return UnionAll(
-            tuple(_attach_scan_predicates(c) for c in node.inputs)
-        )
-    return node
+    return node.with_children(replace(scan, predicate=tuple(preds)))

@@ -43,7 +43,7 @@ sequences because shard splits preserve input order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .. import observability
 from ...errors import SQLAnalysisError
@@ -59,7 +59,7 @@ from ..sharding import (
 )
 from ..table import Table
 from .ast_nodes import BinaryOp, ColumnRef, Literal
-from .cbo import _rebuild, split_partials
+from .cbo import split_partials
 from .engine import SQLEngine
 from .executor import Executor
 from .plan import (
@@ -89,11 +89,10 @@ class Gather(PlanNode):
     rows) and the results concatenate in shard order.
     """
 
+    _child_fields = ("subplan",)
+
     subplan: PlanNode
     replicated: bool = False
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.subplan,)
 
     def _label(self) -> str:
         return "Gather(shard 0 of replicated)" if self.replicated else "Gather"
@@ -109,11 +108,10 @@ class Shuffle(PlanNode):
     which every shard holds hash-placed by ``key``.
     """
 
+    _child_fields = ("child",)
+
     child: Scan
     key: str
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def _label(self) -> str:
         return f"Shuffle(by {self.key})"
@@ -129,11 +127,10 @@ class Realign(PlanNode):
     left side must align with a hash-distributed right side.
     """
 
+    _child_fields = ("child",)
+
     child: PlanNode
     column: str
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def _label(self) -> str:
         return f"Realign(by {self.column})"
@@ -211,18 +208,17 @@ class _Coordinator(Executor):
         """``node`` with each :class:`Shuffle` run and replaced by a scan
         of its repartitioned table (a Realign's replicated subtree holds
         none, so it is left as is)."""
-        if isinstance(node, Shuffle):
-            scan = node.child
-            database, name = _resolve(scan.table, self._database)
-            columns = None if scan.columns is None else list(scan.columns)
-            shuffled = self._exchange.repartition(
-                name, node.key, database=database, columns=columns
-            )
-            table = f"{SHUFFLE_DATABASE}.{shuffled}"
-            landed = Scan(table, scan.binding, scan.columns, scan.predicate)
-        else:
-            landed = _rebuild(node, self._land)
-        return _estimated(landed, node)
+        if not isinstance(node, Shuffle):
+            return node.map_children(self._land)
+        scan = node.child
+        database, name = _resolve(scan.table, self._database)
+        columns = None if scan.columns is None else list(scan.columns)
+        shuffled = self._exchange.repartition(
+            name, node.key, database=database, columns=columns
+        )
+        landed = replace(scan, table=f"{SHUFFLE_DATABASE}.{shuffled}")
+        landed.est_rows = node.est_rows
+        return landed
 
 
 def _execute_shard_plan(sharded: ShardedCatalog, args):
@@ -273,7 +269,9 @@ class _Scatterer:
         rewritten, dist = self._analyze(node)
         if dist is not None:
             return Gather(rewritten, replicated=dist is _REPLICATED)
-        return _push_partials(_rebuild(node, self.split), node.est_rows)
+        central = node.with_children(*map(self.split, node.children()))
+        central.est_rows = None
+        return _push_partials(central, node.est_rows)
 
     def _analyze(self, node: PlanNode):
         """Return ``(node', dist)``: the shard-executable rewrite and its
@@ -283,17 +281,13 @@ class _Scatterer:
         names whose equal values are proven co-located (possibly empty:
         hash-distributed, but by no surviving column).
         """
-        out, dist = self._distribute(node)
-        return _estimated(out, node), dist
-
-    def _distribute(self, node: PlanNode):
         if isinstance(node, Scan):
             return self._analyze_scan(node)
         if isinstance(node, (Filter, Narrow)):
             child, dist = self._analyze(node.child)
             if dist is None:
                 return node, None
-            return _rebuild(node, lambda _: child), dist
+            return node.with_children(child), dist
         if isinstance(node, Join):
             return self._analyze_join(node)
         if isinstance(node, Aggregate):
@@ -303,16 +297,14 @@ class _Scatterer:
             if dist is None:
                 return node, None
             out = _REPLICATED if dist is _REPLICATED else frozenset()
-            return Project(child, node.items), out
+            return node.with_children(child), out
         if isinstance(node, Distinct):
             child, dist = self._analyze(node.child)
             # Identical rows share every column, so a local Distinct is
             # globally correct only when rows are placed by an output
             # column (nonempty dist) — or trivially on a replicated copy.
-            if dist is _REPLICATED:
-                return Distinct(child), _REPLICATED
-            if dist:
-                return Distinct(child), dist
+            if dist is _REPLICATED or dist:
+                return node.with_children(child), dist
             return node, None
         # Sort/Limit/UnionAll and anything unknown run centrally: a
         # per-shard sort order would not survive the gather concat anyway.
@@ -332,23 +324,24 @@ class _Scatterer:
         left, ld = self._analyze(node.left)
         right, rd = self._analyze(node.right)
         if ld is None or rd is None:
-            return node, None
+            # A side that runs only centrally as it stands (a pre-aggregate
+            # not grouped by its placement) may still shuffle onto the key.
+            if _REPLICATED in (ld, rd):
+                return node, None
+            ld, rd = ld or frozenset(), rd or frozenset()
         refs, _ = _equi_pairs(
             node.condition, _bindings_of(left), _bindings_of(right)
         )
         pairs = [(lc.qualified, rc.qualified) for lc, rc in refs]
         if ld is _REPLICATED and rd is _REPLICATED:
-            joined = Join(left, right, node.kind, node.condition)
-            return joined, _REPLICATED
+            return node.with_children(left, right), _REPLICATED
         if rd is _REPLICATED:
             # Replicated right: both inner and LEFT run shard-local — every
             # left row sees the full right side on its own shard.
-            joined = Join(left, right, node.kind, node.condition)
-            return joined, _closure(ld, pairs)
+            return node.with_children(left, right), _closure(ld, pairs)
         if ld is _REPLICATED:
             if node.kind == "inner":
-                joined = Join(left, right, node.kind, node.condition)
-                return joined, _closure(rd, pairs)
+                return node.with_children(left, right), _closure(rd, pairs)
             # LEFT join from a replicated side would emit each shard's
             # unmatched copy: realign the left locally on a column the
             # join equates to the right's hash column.
@@ -359,10 +352,8 @@ class _Scatterer:
                         # Keeps the rows whose key hashes to the shard.
                         shards = self._catalog.num_shards
                         realigned.est_rows = left.est_rows / shards
-                    left = realigned
-                    ld = frozenset((lc,))
-                    joined = Join(left, right, node.kind, node.condition)
-                    return joined, _closure(ld | rd, pairs)
+                    joined = node.with_children(realigned, right)
+                    return joined, _closure(rd | {lc}, pairs)
             return node, None
         aligned = any(lc in ld and rc in rd for lc, rc in pairs)
         if not aligned:
@@ -371,8 +362,7 @@ class _Scatterer:
             )
         if not aligned:
             return node, None
-        joined = Join(left, right, node.kind, node.condition)
-        return joined, _closure(ld | rd, pairs)
+        return node.with_children(left, right), _closure(ld | rd, pairs)
 
     def _try_shuffle(self, left, ld, right, rd, pairs):
         """Shuffle misaligned scan sides onto the join key.
@@ -407,17 +397,25 @@ class _Scatterer:
         return left, ld, right, rd, False
 
     def _shuffle_side(self, node: PlanNode, qualified_key: str):
-        """Wrap the scan of a Scan / Filter(Scan) chain in a :class:`Shuffle`.
+        """Wrap the scan of a single-scan chain in a :class:`Shuffle`.
 
-        Only single-scan chains shuffle — their output is the stored table,
-        so the repartition is a plain catalog-level exchange.  Anything
-        richer (a pushed pre-aggregate, a join) gathers instead.
+        Only chains of Filter, Narrow and Aggregate over one scan shuffle —
+        the repartition is then a plain catalog-level exchange of the
+        stored table.  An aggregate must group by the key: each group then
+        lands whole on one shard, so it runs above the shuffle (a pushed
+        pre-aggregate, ``Aggregate(Filter(Shuffle(Scan)))``).  Anything
+        richer (a join) gathers instead.
         """
-        if isinstance(node, (Filter, Narrow)):
+        if isinstance(node, Aggregate) and not any(
+            isinstance(k, ColumnRef) and k.qualified == qualified_key
+            for k in node.group_by
+        ):
+            return None
+        if isinstance(node, (Filter, Narrow, Aggregate)):
             child = self._shuffle_side(node.child, qualified_key)
             if child is None:
                 return None
-            return _estimated(_rebuild(node, lambda _: child), node)
+            return node.with_children(child)
         if not isinstance(node, Scan):
             return None
         prefix = f"{node.binding}."
@@ -427,15 +425,16 @@ class _Scatterer:
         placement = self._catalog.placement(name, database)
         if placement is None or placement.kind != "hash":
             return None
-        return _estimated(Shuffle(node, qualified_key[len(prefix):]), node)
+        shuffle = Shuffle(node, qualified_key[len(prefix):])
+        shuffle.est_rows = node.est_rows
+        return shuffle
 
     def _analyze_aggregate(self, node: Aggregate):
         child, dist = self._analyze(node.child)
         if dist is None:
             return node, None
         if dist is _REPLICATED:
-            agg = Aggregate(child, node.group_by, node.items, node.having)
-            return agg, _REPLICATED
+            return node.with_children(child), _REPLICATED
         keys = [k for k in node.group_by if isinstance(k, ColumnRef)]
         if len(keys) != len(node.group_by):
             return node, None
@@ -444,14 +443,7 @@ class _Scatterer:
             return node, None
         # Whole groups live on one shard: the aggregate (HAVING included)
         # runs shard-local, its output still hash-placed by the group key.
-        agg = Aggregate(child, node.group_by, node.items, node.having)
-        return agg, aligned
-
-
-def _estimated(new: PlanNode, old: PlanNode) -> PlanNode:
-    """``new``, carrying the estimate of ``old``, the node it replaces."""
-    new.est_rows = old.est_rows
-    return new
+        return node.with_children(child), aligned
 
 
 def _closure(dist: frozenset, pairs) -> frozenset:
@@ -501,9 +493,9 @@ def _push_partials(node: PlanNode, est_rows: float | None) -> PlanNode:
     ):
         # Pre-distinct per shard: cheap transfer shrink, still centrally
         # deduped (identical rows may live on different shards).
-        local = Distinct(node.child.subplan)
+        local = node.with_children(node.child.subplan)
         local.est_rows = est_rows
-        return Distinct(Gather(local, node.child.replicated))
+        return node.with_children(node.child.with_children(local))
     return node
 
 
@@ -524,7 +516,7 @@ def _decompose(
     nonempty = Filter(
         Gather(pre), BinaryOp(">", ColumnRef("__cnt__"), Literal(0))
     )
-    return Aggregate(nonempty, agg.group_by, items, having)
+    return replace(agg, child=nonempty, items=items, having=having)
 
 
 # ----------------------------------------------------------------------

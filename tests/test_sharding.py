@@ -26,7 +26,8 @@ from repro.dataplat.sharding import (
     shard_of,
 )
 from repro.dataplat.sql import ShardedSQLEngine, SQLEngine
-from repro.dataplat.sql.scatter import Gather
+from repro.dataplat.sql.plan import Aggregate, Filter, Join
+from repro.dataplat.sql.scatter import Gather, Shuffle
 from repro.dataplat.table import Table
 from repro.errors import SQLAnalysisError
 
@@ -294,6 +295,13 @@ SHUFFLE_JOIN_SQL = (
     "JOIN sessions s ON f.cell = s.imsi GROUP BY f.cell ORDER BY cell"
 )
 UNARY_AVG_SQL = "SELECT cell, -SUM(dur), AVG(dur) FROM facts GROUP BY cell"
+#: Misaligned and filtered: the CBO pre-aggregates the facts side by its
+#: join key ``cell``, which then shuffles under that pre-aggregate.
+PRE_AGG_SHUFFLE_SQL = (
+    "SELECT s.imsi AS imsi, SUM(f.dur) AS d, COUNT(*) AS n FROM sessions s "
+    "JOIN facts f ON s.imsi = f.cell WHERE f.dur > 100 GROUP BY s.imsi "
+    "ORDER BY imsi"
+)
 #: A LEFT join from a replicated side onto the right's hash column: the
 #: left side is realigned, not gathered.
 LEFT_REALIGN_SQL = (
@@ -323,6 +331,7 @@ SCATTER_CASES = [
     "ORDER BY region",
     # Non-aligned self-join key: needs a shuffle exchange.
     SHUFFLE_JOIN_SQL,
+    PRE_AGG_SHUFFLE_SQL,
     # Global aggregate without grouping.
     "SELECT COUNT(*) AS n, SUM(dur) AS total, MIN(dur) AS lo, "
     "MAX(dur) AS hi FROM facts",
@@ -428,6 +437,19 @@ class TestScatterGatherSQL:
             assert sharded.exchange.shuffles == 1
         finally:
             pool.close()
+
+    def test_pre_aggregated_side_shuffles_under_its_aggregate(self):
+        """A filtered join side the CBO pre-aggregates by the join key
+        still shuffles: its groups land whole on one shard, so the
+        pre-aggregate runs above the Shuffle and the join stays local."""
+        _, sharded = self._engines()
+        assert "Shuffle(by cell)" in sharded.explain(PRE_AGG_SHUFFLE_SQL)
+        plan = sharded.plan(PRE_AGG_SHUFFLE_SQL)
+        (gather,) = [n for n in _subtree(plan) if isinstance(n, Gather)]
+        (join,) = [n for n in _subtree(gather) if isinstance(n, Join)]
+        pre = join.right
+        assert isinstance(pre, Aggregate) and isinstance(pre.child, Filter)
+        assert isinstance(pre.child.child, Shuffle)
 
     def test_explain_analyze_is_rejected(self):
         _, sharded = self._engines()

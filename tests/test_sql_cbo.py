@@ -220,6 +220,40 @@ class TestAggregatePushdown:
         assert out.schema == raw.schema
         assert _rows(out) == _rows(raw)
 
+    def test_filtered_side_is_pre_aggregated(self, metrics):
+        """The cost gate reads the estimate of a join side that is more
+        than a bare scan: a filtered fact side still shrinks to its join
+        keys, so it is pre-aggregated (``dim_join_agg``'s shape)."""
+        rng = np.random.default_rng(7)
+        engine = SQLEngine(Catalog())
+        engine.register(
+            Table.from_arrays(
+                uid=np.arange(2000, dtype=np.int64),
+                town_id=rng.integers(0, 24, size=2000),
+                price=rng.random(2000) * 50.0,
+            ),
+            "users",
+        )
+        engine.register(
+            Table.from_arrays(
+                town_id=np.arange(24, dtype=np.int64),
+                region=np.asarray([f"r{i % 5}" for i in range(24)], dtype=object),
+            ),
+            "towns",
+        )
+        sql = (
+            "SELECT t.region AS region, SUM(u.price) AS price, COUNT(*) AS n "
+            "FROM users u JOIN towns t ON u.town_id = t.town_id "
+            "WHERE u.price > 10.0 GROUP BY t.region"
+        )
+        plan = engine.plan(sql)
+        assert metrics.counter("planner.aggregates_pushed").value == 1
+        (join,) = [n for n in _walk(plan) if isinstance(n, Join)]
+        pre = join.left if isinstance(join.left, Aggregate) else join.right
+        assert isinstance(pre, Aggregate), plan.describe()
+        assert {n.binding for n in _walk(pre) if isinstance(n, Scan)} == {"u"}
+        assert _rows(_raw(engine, sql)) == _rows(engine.query(sql))
+
     def test_distinct_aggregate_not_pushed(self, metrics):
         engine = _star_world()
         sql = (

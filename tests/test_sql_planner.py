@@ -6,9 +6,35 @@ import pytest
 from repro.dataplat.catalog import Catalog
 from repro.dataplat.sql import SQLEngine
 from repro.dataplat.sql.parser import parse
-from repro.dataplat.sql.plan import Aggregate, Filter, Join, Limit, Project, Scan, Sort
+from repro.dataplat.executor import SerialBackend
+from repro.dataplat.sharding import ShardedCatalog
+from repro.dataplat.sql import ShardedSQLEngine
+from repro.dataplat.sql.ast_nodes import (
+    BinaryOp,
+    ColumnRef,
+    FunctionCall,
+    Literal,
+    OrderItem,
+    SelectItem,
+)
+from repro.dataplat.sql.executor import Executor
+from repro.dataplat.sql.plan import (
+    Aggregate,
+    Distinct,
+    Filter,
+    Join,
+    Limit,
+    Narrow,
+    PlanNode,
+    Project,
+    Scan,
+    Sort,
+    UnionAll,
+)
 from repro.dataplat.sql.planner import build_plan, optimize
+from repro.dataplat.sql.scatter import Gather, Realign, Shuffle
 from repro.dataplat.table import Table
+from sql_fuzz_reference import generate_queries, make_fuzz_tables
 
 
 def find_nodes(plan, cls) -> list:
@@ -130,6 +156,36 @@ class TestProjectionPruning:
         assert set(scans["u"].columns) == {"a", "k"}
         assert set(scans["c"].columns) == {"k", "v"}
 
+    def test_aggregate_output_aliases_stay_above_it(self):
+        """A Sort over an Aggregate orders by the aggregate's output
+        alias; the aggregate outputs only its items, so no scan reads a
+        source column that merely shares the alias's name."""
+        eng = SQLEngine()
+        eng.register(
+            Table.from_arrays(
+                k=np.array([1, 2, 2, 3]),
+                v=np.array([1.0, 2.0, 4.0, 8.0]),
+                total=np.array([9.0, 9.0, 9.0, 9.0]),
+            ),
+            "a",
+        )
+        eng.register(
+            Table.from_arrays(
+                k=np.array([1, 2, 3]),
+                region=np.array(["n", "s", "n"], dtype=object),
+            ),
+            "b",
+        )
+        sql = (
+            "SELECT b.region AS region, SUM(a.v) AS total FROM a "
+            "JOIN b ON a.k = b.k GROUP BY b.region ORDER BY total"
+        )
+        explain = eng.explain(sql)
+        assert "Scan(a as a, cols=[k,v])" in explain, explain
+        assert "Scan(b as b, cols=[k,region])" in explain, explain
+        raw = Executor(eng.catalog).execute(eng.plan(sql, optimized=False))
+        assert eng.query(sql) == raw
+
 
 class TestPrunedPlansStillExecute:
     def test_results_identical_with_and_without_optimizer(self):
@@ -226,3 +282,128 @@ class TestNullPredicatePushdown:
             "SELECT cat FROM t WHERE cat NOT LIKE '_x' AND grp IS NULL"
         )
         assert out.num_rows == 0
+
+
+# ----------------------------------------------------------------------
+# The rewrite primitive: children / with_children / map_children
+# ----------------------------------------------------------------------
+
+
+def _one_of_each_node() -> list[PlanNode]:
+    t = Scan("t", "t", ("k", "v"))
+    u = Scan("u", "u", ("k",))
+    key = ColumnRef("k", "t")
+    items = (SelectItem(FunctionCall("SUM", (ColumnRef("v", "t"),)), "s"),)
+    return [
+        t,
+        Filter(t, BinaryOp(">", key, Literal(1))),
+        Join(t, u, "left", BinaryOp("=", key, ColumnRef("k", "u"))),
+        Project(t, (SelectItem(key, "k"),)),
+        Aggregate(t, (key,), items, BinaryOp(">", ColumnRef("s"), Literal(0))),
+        Sort(t, (OrderItem(key, True),)),
+        Limit(t, 3),
+        Narrow(t, ("t.k",)),
+        Distinct(t),
+        UnionAll((t, u, t)),
+        Gather(t, replicated=True),
+        Shuffle(t, "v"),
+        Realign(t, "t.k"),
+    ]
+
+
+def _subclasses(cls) -> set[type]:
+    out = set()
+    for sub in cls.__subclasses__():
+        out |= {sub} | _subclasses(sub)
+    return out
+
+
+def _copy_walk(node: PlanNode) -> PlanNode:
+    """``node`` rebuilt bottom-up through ``map_children``, every node a
+    fresh copy (a leaf is copied through ``with_children()``)."""
+    if not node.children():
+        return node.with_children()
+    return node.map_children(_copy_walk)
+
+
+class TestRewritePrimitive:
+    def test_fixture_covers_every_plan_node(self):
+        covered = {type(node) for node in _one_of_each_node()}
+        assert covered == _subclasses(PlanNode)
+
+    @pytest.mark.parametrize(
+        "node", _one_of_each_node(), ids=lambda n: type(n).__name__
+    )
+    def test_with_children_copies_fields_and_estimate(self, node):
+        node.est_rows = 42.0
+        before = repr(node)
+        kids = node.children()
+        copy = node.with_children(*kids)
+        assert copy == node and copy is not node
+        assert copy.est_rows == 42.0
+        assert all(a is b for a, b in zip(copy.children(), kids))
+        fresh = tuple(Scan(f"x{i}", f"x{i}") for i in range(len(kids)))
+        swapped = node.with_children(*fresh)
+        assert all(a is b for a, b in zip(swapped.children(), fresh))
+        assert swapped.est_rows == 42.0
+        assert repr(node) == before and node.children() == kids
+
+    def test_wrong_child_count_is_rejected(self):
+        join = _one_of_each_node()[2]
+        with pytest.raises(TypeError, match="2 children"):
+            join.with_children(join.left)
+
+    def test_map_children_returns_self_when_nothing_changes(self):
+        for node in _one_of_each_node():
+            assert node.map_children(lambda child: child) is node
+
+    def test_children_order_is_execution_order(self):
+        """Executors run a node's children in ``children()`` order, which
+        ``EXPLAIN ANALYZE`` relies on to pair plan lines with spans."""
+        eng = SQLEngine()
+        for name in ("a", "b"):
+            eng.register(
+                Table.from_arrays(k=np.arange(4), v=np.arange(4) * 1.5), name
+            )
+        sql = (
+            "SELECT a.k AS k, SUM(b.v) AS s FROM a JOIN b ON a.k = b.k "
+            "WHERE b.v > 1 GROUP BY a.k UNION ALL "
+            "SELECT k, v AS s FROM b ORDER BY k LIMIT 2"
+        )
+        plan = eng.plan(sql)
+        seen = []
+
+        class Recording(Executor):
+            def _run(self, node):
+                seen.append(node)
+                return super()._run(node)
+
+        Recording(eng.catalog).execute(plan)
+        preorder = []
+
+        def walk(node):
+            preorder.append(node)
+            for child in node.children():
+                walk(child)
+
+        walk(plan)
+        assert any(isinstance(n, Join) for n in preorder)
+        assert [id(n) for n in seen] == [id(n) for n in preorder]
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "4-shard"])
+    def test_copy_walk_keeps_every_fuzz_corpus_explain(self, sharded):
+        tables = make_fuzz_tables(20260806)
+        if sharded:
+            eng = ShardedSQLEngine(
+                ShardedCatalog(num_shards=4, shard_key="id"),
+                backend=SerialBackend(),
+            )
+        else:
+            eng = SQLEngine()
+        for name, table in tables.items():
+            eng.register(table, name)
+        for sql in generate_queries(20260806, 220):
+            plan = eng.plan(sql)
+            copy = _copy_walk(plan)
+            assert copy is not plan
+            assert copy.describe() == plan.describe(), sql

@@ -147,10 +147,11 @@ class TestExplainAnalyze:
         assert _untimed(traced) == _untimed(bare)
         for line in traced:
             assert _COUNTS.search(str(line)), line
-        # The statement's operator spans land in the caller's trace.
+        # The statement's operator spans land in the caller's trace; the
+        # filtered ``t`` side is pre-aggregated below the join.
         (execute,) = tracer.find("sql.execute")
         assert [s.name for s in execute.walk() if s.name.startswith("sql.")] == [
-            "sql.execute", "sql.aggregate", "sql.join", "sql.filter",
-            "sql.scan", "sql.scan",
+            "sql.execute", "sql.aggregate", "sql.join", "sql.aggregate",
+            "sql.filter", "sql.scan", "sql.scan",
         ]
         assert tracer.find("sql.query")[0].children[-1] is execute
