@@ -147,15 +147,7 @@ class Span:
         Same shape as :meth:`Tracer.summary`, so consumers (health reports)
         can scope their accounting to one span instead of the whole run.
         """
-        out: dict[str, dict[str, float]] = {}
-        for node in self.walk():
-            agg = out.setdefault(
-                node.name, {"count": 0, "wall_s": 0.0, "cpu_s": 0.0}
-            )
-            agg["count"] += 1
-            agg["wall_s"] += node.wall_s
-            agg["cpu_s"] += node.cpu_s
-        return out
+        return _summarize(self.walk())
 
     def __repr__(self) -> str:
         return f"Span({self.name!r}, wall={self.wall_s:.6f}s, tags={self.tags})"
@@ -275,15 +267,20 @@ class Tracer:
         numbers answer "how much time was under spans named X", the question
         a stage budget asks.
         """
-        out: dict[str, dict[str, float]] = {}
-        for span in self.iter_spans():
-            agg = out.setdefault(
-                span.name, {"count": 0, "wall_s": 0.0, "cpu_s": 0.0}
-            )
-            agg["count"] += 1
-            agg["wall_s"] += span.wall_s
-            agg["cpu_s"] += span.cpu_s
-        return out
+        return _summarize(self.iter_spans())
+
+
+def _summarize(spans: Iterator[Span]) -> dict[str, dict[str, float]]:
+    """``{name: {count, wall_s, cpu_s}}`` summed over ``spans`` in order."""
+    out: dict[str, dict[str, float]] = {}
+    for span in spans:
+        agg = out.setdefault(
+            span.name, {"count": 0, "wall_s": 0.0, "cpu_s": 0.0}
+        )
+        agg["count"] += 1
+        agg["wall_s"] += span.wall_s
+        agg["cpu_s"] += span.cpu_s
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -17,9 +17,9 @@ layer for our catalog:
   shard key are *co-partitioned*: equal keys live on the same shard, so an
   equi-join on the key needs no network step.
 - :class:`ShuffleExchange` — repartitions a table on a different key for
-  non-aligned joins, spilling over-memory repartitions to the destination
-  shard's block store as ordinary v2 columnar partitions under the
-  ``__shuffle`` database.
+  non-aligned joins: it gathers the source in shard order and lands it
+  with the sharded catalog's own ``register_temp`` under the ``__shuffle``
+  database, so a shuffle is placed by the same split as every other table.
 
 The scatter-gather SQL path on top lives in
 :mod:`repro.dataplat.sql.scatter`; the shard-parallel wide-table build in
@@ -48,11 +48,6 @@ __all__ = [
 
 #: Database (created on every shard) holding shuffled repartitions.
 SHUFFLE_DATABASE = "__shuffle"
-
-#: Repartitions above this many bytes spill to the destination shard's
-#: block store (ordinary journaled v2 partitions) instead of living as
-#: in-memory temp views.
-DEFAULT_SPILL_BYTES = 8 << 20
 
 _AUTO = object()  # sentinel: derive the placement from the table's schema
 
@@ -169,9 +164,8 @@ class ShardedCatalog:
         )
         self._shard_key = shard_key
         self._placement: dict[tuple[str, str], Placement] = {}
-        #: Bumped on every placement-visible mutation; shuffle memos key on
-        #: it so a re-saved table invalidates its cached repartitions.
-        self._version = 0
+        #: Writes seen per (database, name); see :meth:`version`.
+        self._versions: dict[tuple[str, str], int] = {}
         for shard in self._shards:
             shard.create_database(SHUFFLE_DATABASE)
 
@@ -191,9 +185,19 @@ class ShardedCatalog:
     def shard_key(self) -> str:
         return self._shard_key
 
-    @property
-    def version(self) -> int:
-        return self._version
+    def version(self, name: str, database: str = "default") -> int:
+        """How many writes ``database.name`` has seen.
+
+        Every :meth:`save`, :meth:`register_temp` and :meth:`drop` of the
+        table bumps it, even one that raises part-way through the shards,
+        and it never resets (not on drop either), so a memo stamped with
+        it misses after any write that may have touched a shard.
+        """
+        return self._versions.get((database, name), 0)
+
+    def _bump(self, name: str, database: str) -> None:
+        key = (database, name)
+        self._versions[key] = self._versions.get(key, 0) + 1
 
     def placement(self, name: str, database: str = "default") -> Placement | None:
         return self._placement.get((database, name))
@@ -201,10 +205,6 @@ class ShardedCatalog:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-
-    def create_database(self, name: str) -> None:
-        for shard in self._shards:
-            shard.create_database(name)
 
     def _resolve_placement(
         self, table: Table, name: str, database: str, key
@@ -244,20 +244,24 @@ class ShardedCatalog:
         the single-catalog path.
         """
         placement = self._resolve_placement(table, name, database, key)
-        with span(
-            "shard.save", table=f"{database}.{name}", placement=placement.kind
-        ) as sp:
-            for i, piece in enumerate(self._split(table, placement)):
-                self._shards[i].save(
-                    piece,
-                    name,
-                    database=database,
-                    partition=partition,
-                    overwrite=overwrite,
-                )
-                sp.incr("rows", piece.num_rows)
-        self._placement[(database, name)] = placement
-        self._version += 1
+        try:
+            with span(
+                "shard.save",
+                table=f"{database}.{name}",
+                placement=placement.kind,
+            ) as sp:
+                for i, piece in enumerate(self._split(table, placement)):
+                    self._shards[i].save(
+                        piece,
+                        name,
+                        database=database,
+                        partition=partition,
+                        overwrite=overwrite,
+                    )
+                    sp.incr("rows", piece.num_rows)
+            self._placement[(database, name)] = placement
+        finally:
+            self._bump(name, database)
         return placement
 
     def register_temp(
@@ -269,10 +273,12 @@ class ShardedCatalog:
     ) -> Placement:
         """Register an in-memory table, split exactly like :meth:`save`."""
         placement = self._resolve_placement(table, name, database, key)
-        for i, piece in enumerate(self._split(table, placement)):
-            self._shards[i].register_temp(piece, name, database=database)
-        self._placement[(database, name)] = placement
-        self._version += 1
+        try:
+            for i, piece in enumerate(self._split(table, placement)):
+                self._shards[i].register_temp(piece, name, database=database)
+            self._placement[(database, name)] = placement
+        finally:
+            self._bump(name, database)
         return placement
 
     def _split(self, table: Table, placement: Placement):
@@ -285,49 +291,12 @@ class ShardedCatalog:
             yield table.mask(codes == i)
 
     def drop(self, name: str, database: str = "default") -> None:
-        for shard in self._shards:
-            shard.drop(name, database=database)
-        self._placement.pop((database, name), None)
-        self._version += 1
-
-    # ------------------------------------------------------------------
-    # Reads (gather)
-    # ------------------------------------------------------------------
-
-    def scan(
-        self,
-        name: str,
-        database: str = "default",
-        columns=None,
-        predicate=None,
-    ) -> Table:
-        """Gather one table: shard pieces concatenated in shard order.
-
-        Replicated tables read from shard 0 only — every copy is
-        identical, and reading one keeps counters comparable to a
-        single-catalog scan.
-        """
-        placement = self._placement.get((database, name))
-        if placement is not None and placement.kind == "replicated":
-            return self._shards[0].scan(
-                name, database=database, columns=columns, predicate=predicate
-            )
-        pieces = [
-            shard.scan(
-                name, database=database, columns=columns, predicate=predicate
-            )
-            for shard in self._shards
-        ]
-        return Table.concat(pieces)
-
-    def load(self, name: str, database: str = "default") -> Table:
-        return self.scan(name, database=database)
-
-    def exists(self, name: str, database: str = "default") -> bool:
-        return self._shards[0].exists(name, database=database)
-
-    def tables(self, database: str = "default") -> list[str]:
-        return self._shards[0].tables(database=database)
+        try:
+            for shard in self._shards:
+                shard.drop(name, database=database)
+            self._placement.pop((database, name), None)
+        finally:
+            self._bump(name, database)
 
     def shard_rows(self, name: str, database: str = "default") -> list[int]:
         """Per-shard row counts — the balance picture for one table."""
@@ -340,29 +309,25 @@ class ShardedCatalog:
 class ShuffleExchange:
     """Repartition a table on a new key so a non-aligned join runs local.
 
-    ``repartition`` reads each owning shard's piece, splits rows with
-    :func:`shard_of` on the new key, and lands each destination piece on
-    its shard under the ``__shuffle`` database — as a temp view while
-    small, spilled to the shard's block store (normal journaled v2
-    columnar partitions, zone maps included) once the repartition exceeds
-    ``spill_bytes``.  Destination pieces concatenate source shards in
-    shard order, so results are deterministic.
+    ``repartition`` gathers the source's pieces in shard order (every shard
+    for a hash-placed table, shard 0 for a replicated one) and lands them
+    with one :meth:`ShardedCatalog.register_temp` hashed on the new key,
+    under the ``__shuffle`` database.  That split keeps input order, so
+    each destination piece holds its rows in source shard order, then in
+    input order within each shard, and results are deterministic.
 
-    Repartitions are memoized per (table, key, columns) against the
-    catalog version: re-running the 220-query fuzz corpus shuffles each
-    (table, key) pair once, not per query.
+    Repartitions are memoized per (table, key, columns) against the source
+    table's :meth:`ShardedCatalog.version`: re-running the 220-query fuzz
+    corpus shuffles each (table, key) pair once, not per query.  A write to
+    another table keeps the entry; any write to the source, a failed one
+    included, makes the next call re-shuffle and replace it.
     """
 
-    def __init__(
-        self,
-        catalog: ShardedCatalog,
-        spill_bytes: int = DEFAULT_SPILL_BYTES,
-    ) -> None:
+    def __init__(self, catalog: ShardedCatalog) -> None:
         self._catalog = catalog
-        self._spill_bytes = spill_bytes
-        self._memo: dict[tuple, str] = {}
+        #: (database, name, key, columns) -> (source version, landed name)
+        self._memo: dict[tuple, tuple[int, str]] = {}
         self.shuffles = 0
-        self.spills = 0
 
     def repartition(
         self,
@@ -378,78 +343,40 @@ class ShuffleExchange:
         scannable on every shard, hash-placed on ``key``.
         """
         cols = None if columns is None else list(dict.fromkeys([*columns, key]))
-        memo_key = (
-            database,
-            name,
-            key,
-            None if cols is None else tuple(cols),
-            self._catalog.version,
-        )
+        memo_key = (database, name, key, None if cols is None else tuple(cols))
+        catalog = self._catalog
+        version = catalog.version(name, database)
         cached = self._memo.get(memo_key)
-        if cached is not None:
-            return cached
-        num_shards = self._catalog.num_shards
-        placement = self._catalog.placement(name, database)
-        metrics = get_metrics()
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        placement = catalog.placement(name, database)
         with span(
             "shard.shuffle", table=f"{database}.{name}", key=key
         ) as sp:
             sources = (
-                self._catalog.shards[:1]
+                catalog.shards[:1]
                 if placement is not None and placement.kind == "replicated"
-                else self._catalog.shards
+                else catalog.shards
             )
-            buckets: list[list[Table]] = [[] for _ in range(num_shards)]
-            moved = 0
-            for shard in sources:
-                piece = shard.scan(name, database=database, columns=cols)
-                codes = shard_of(piece.column(key), num_shards)
-                for dest in range(num_shards):
-                    part = piece.mask(codes == dest)
-                    moved += part.num_rows
-                    buckets[dest].append(part)
+            gathered = Table.concat(
+                [
+                    shard.scan(name, database=database, columns=cols)
+                    for shard in sources
+                ]
+            )
             safe = name.replace(".", "_")
             shuffled = f"{database}__{safe}__by__{key}"
             if cols is not None:
                 # Distinct column subsets must land under distinct names:
-                # the memo keeps older entries alive, so reusing one name
-                # would let a later narrow shuffle clobber a wider one.
+                # the memo keeps one entry per subset alive, so reusing one
+                # name would let a later narrow shuffle clobber a wider one.
                 digest = zlib.crc32(",".join(cols).encode("utf-8"))
                 shuffled = f"{shuffled}__{digest:08x}"
-            spilled = 0
-            for dest, parts in enumerate(buckets):
-                out = Table.concat(parts)
-                nbytes = _table_nbytes(out)
-                target = self._catalog.shards[dest]
-                if nbytes > self._spill_bytes:
-                    target.save(out, shuffled, database=SHUFFLE_DATABASE)
-                    spilled += 1
-                    metrics.counter("shard.shuffle_spill_bytes").inc(nbytes)
-                else:
-                    target.register_temp(
-                        out, shuffled, database=SHUFFLE_DATABASE
-                    )
+            catalog.register_temp(gathered, shuffled, SHUFFLE_DATABASE, key=key)
             self.shuffles += 1
-            self.spills += spilled
+            metrics = get_metrics()
             metrics.counter("shard.shuffles").inc()
-            metrics.counter("shard.shuffle_rows").inc(moved)
-            if spilled:
-                metrics.counter("shard.shuffle_spills").inc(spilled)
-            sp.incr("rows", moved)
-            sp.incr("spilled_shards", spilled)
-        self._catalog._placement[(SHUFFLE_DATABASE, shuffled)] = Placement(
-            "hash", key
-        )
-        self._memo[memo_key] = shuffled
+            metrics.counter("shard.shuffle_rows").inc(gathered.num_rows)
+            sp.incr("rows", gathered.num_rows)
+        self._memo[memo_key] = (version, shuffled)
         return shuffled
-
-
-def _table_nbytes(table: Table) -> int:
-    total = 0
-    for name in table.schema.names:
-        arr = table.column(name)
-        if arr.dtype.kind == "O":
-            total += sum(len(str(v)) for v in arr) + 8 * len(arr)
-        else:
-            total += arr.nbytes
-    return total

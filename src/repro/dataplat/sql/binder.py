@@ -53,6 +53,7 @@ from .plan import (
     Scan,
     Sort,
     UnionAll,
+    qualify,
 )
 from .planner import _split_conjuncts
 
@@ -291,10 +292,7 @@ class Binder:
 
     def table_stats(self, table: str) -> TableStats | None:
         """Catalog stats for ``table`` (``db.name`` or bare) or None."""
-        database = self._database
-        name = table
-        if "." in name:
-            database, name = name.split(".", 1)
+        database, name = qualify(table, self._database)
         try:
             return self._catalog.table_stats(name, database=database)
         except CatalogError:

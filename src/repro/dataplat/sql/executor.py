@@ -47,6 +47,7 @@ from .plan import (
     Scan,
     Sort,
     UnionAll,
+    qualify,
 )
 from .planner import _combine_conjuncts, _split_conjuncts
 
@@ -182,10 +183,7 @@ class Executor:
         raise ExecutionError(f"unknown plan node {type(node).__name__}")
 
     def _scan(self, node: Scan) -> Table:
-        name = node.table
-        database = self._database
-        if "." in name:
-            database, name = name.split(".", 1)
+        database, name = qualify(node.table, self._database)
         table = self._catalog.scan(
             name,
             database=database,

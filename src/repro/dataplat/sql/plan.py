@@ -74,6 +74,14 @@ def format_rows(est: float) -> str:
     return f"{est:.2f}"
 
 
+def qualify(table: str, database: str) -> tuple[str, str]:
+    """``(database, name)`` of a table name, ``db.name`` or bare (then in
+    ``database``)."""
+    if "." in table:
+        database, table = table.split(".", 1)
+    return database, table
+
+
 @dataclass
 class Scan(PlanNode):
     """Read a catalog table; outputs columns qualified by ``binding``.

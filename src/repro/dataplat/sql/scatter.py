@@ -19,7 +19,9 @@ no data.
   operator.  Where the coordinator's executor meets one, it first lands
   the subplan's shuffles through the
   :class:`~repro.dataplat.sharding.ShuffleExchange` (memoized per table,
-  key, columns and catalog version) and then fans the subplan out per
+  key and columns against the source table's write count; a landing is a
+  sharded ``register_temp``, so workers see it as they see any temp
+  view) and then fans the subplan out per
   shard through :func:`~repro.dataplat.executor.map_traced` with the
   sharded catalog as the resident, so a task carries only
   ``(database, subplan, shard_id)`` and process workers read the shard
@@ -51,7 +53,6 @@ from ..executor import ExecutorBackend, map_traced, resolve_backend
 from ..observability import get_metrics, span
 from ..sharding import (
     _AUTO,
-    DEFAULT_SPILL_BYTES,
     SHUFFLE_DATABASE,
     ShardedCatalog,
     ShuffleExchange,
@@ -71,6 +72,7 @@ from .plan import (
     PlanNode,
     Project,
     Scan,
+    qualify,
 )
 from .planner import _bindings_of, _equi_pairs
 
@@ -211,7 +213,7 @@ class _Coordinator(Executor):
         if not isinstance(node, Shuffle):
             return node.map_children(self._land)
         scan = node.child
-        database, name = _resolve(scan.table, self._database)
+        database, name = qualify(scan.table, self._database)
         columns = None if scan.columns is None else list(scan.columns)
         shuffled = self._exchange.repartition(
             name, node.key, database=database, columns=columns
@@ -240,13 +242,6 @@ def _execute_shard_plan(sharded: ShardedCatalog, args):
         table = executor.execute(plan)
         sp.incr("rows", table.num_rows)
     return table
-
-
-def _resolve(table: str, database: str) -> tuple[str, str]:
-    """``(database, name)`` of a possibly database-qualified table name."""
-    if "." in table:
-        database, table = table.split(".", 1)
-    return database, table
 
 
 class _Scatterer:
@@ -311,7 +306,7 @@ class _Scatterer:
         return node, None
 
     def _analyze_scan(self, node: Scan):
-        database, name = _resolve(node.table, self._database)
+        database, name = qualify(node.table, self._database)
         placement = self._catalog.placement(name, database)
         if placement is None:
             return node, None
@@ -421,7 +416,7 @@ class _Scatterer:
         prefix = f"{node.binding}."
         if not qualified_key.startswith(prefix):
             return None
-        database, name = _resolve(node.table, self._database)
+        database, name = qualify(node.table, self._database)
         placement = self._catalog.placement(name, database)
         if placement is None or placement.kind != "hash":
             return None
@@ -539,12 +534,11 @@ class ShardedSQLEngine(SQLEngine):
         catalog: ShardedCatalog,
         database: str = "default",
         backend: "ExecutorBackend | str | None" = None,
-        spill_bytes: int = DEFAULT_SPILL_BYTES,
     ) -> None:
         super().__init__(catalog.shards[0], database)
         self._sharded = catalog
         self._backend = resolve_backend(backend)
-        self._exchange = ShuffleExchange(catalog, spill_bytes=spill_bytes)
+        self._exchange = ShuffleExchange(catalog)
 
     @property
     def catalog(self) -> ShardedCatalog:

@@ -90,6 +90,26 @@ class TestSpanBasics:
         summary = capture_spans.tracer.summary()
         assert summary["stage"]["count"] == 3
 
+    def test_tracer_summary_is_its_roots_summaries_summed(self):
+        tracer = Tracer()
+        for _ in range(2):
+            with tracer.span("round"):
+                with tracer.span("stage"):
+                    pass
+                with tracer.span("stage"):
+                    pass
+        summary = tracer.summary()
+        assert list(summary) == ["round", "stage"]
+        assert {k: v["count"] for k, v in summary.items()} == {
+            "round": 2,
+            "stage": 4,
+        }
+        for name in summary:
+            for field in ("wall_s", "cpu_s"):
+                assert summary[name][field] == pytest.approx(
+                    sum(r.summary()[name][field] for r in tracer.roots)
+                )
+
     def test_attach_grafts_worker_spans(self, capture_spans):
         worker = Tracer()
         with worker.span("shard.execute", shard=0):

@@ -5,9 +5,10 @@ design rests on ``shard_of`` being a pure, platform-independent function
 of the key value — same id, same shard, forever — and on CRC32
 avalanching skewed real-world id distributions into balanced shards.
 The rest covers the :class:`ShardedCatalog` placement/round-trip
-contract, the :class:`ShuffleExchange` (memoization and spill-to-store),
-scatter-gather SQL parity against the single-shard engine, and the
-shard-parallel wide-table builder's bit-identity guarantee.
+contract, the :class:`ShuffleExchange` (its landing through the sharded
+catalog's ``register_temp`` and its per-table memo, torn and shrinking
+sources included), scatter-gather SQL parity against the single-shard
+engine, and the shard-parallel wide-table builder's bit-identity guarantee.
 """
 
 import zlib
@@ -18,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dataplat.executor import ProcessPoolBackend, SerialBackend
 from repro.dataplat.sharding import (
-    DEFAULT_SPILL_BYTES,
     SHUFFLE_DATABASE,
     Placement,
     ShardedCatalog,
@@ -127,6 +127,11 @@ def _make_facts(n_rows: int = 400, n_keys: int = 37, seed: int = 11):
     )
 
 
+def _gather(catalog: ShardedCatalog, name: str) -> Table:
+    """Every shard's piece of ``name``, concatenated in shard order."""
+    return Table.concat([shard.scan(name) for shard in catalog.shards])
+
+
 class TestShardedCatalog:
     def test_hash_save_round_trips_exactly(self):
         facts = _make_facts()
@@ -140,7 +145,7 @@ class TestShardedCatalog:
         expected = facts.mask(codes == 0)
         for i in (1, 2, 3):
             expected = expected.concat_rows(facts.mask(codes == i))
-        loaded = catalog.load("facts")
+        loaded = _gather(catalog, "facts")
         for col in facts.schema.names:
             assert np.array_equal(loaded[col], expected[col])
 
@@ -177,24 +182,28 @@ class TestShardedCatalog:
         catalog = ShardedCatalog(num_shards=4, shard_key="imsi")
         catalog.save(tiny, "tiny")
         assert sorted(catalog.shard_rows("tiny")) == [0, 0, 0, 1]
-        loaded = catalog.load("tiny")
+        loaded = _gather(catalog, "tiny")
         assert list(loaded["imsi"]) == [5]
 
-    def test_drop_exists_tables(self):
+    def test_drop_clears_placement_and_moves_version(self):
         facts = _make_facts()
         catalog = ShardedCatalog(num_shards=2, shard_key="imsi")
         catalog.save(facts, "facts")
-        assert catalog.exists("facts")
-        assert "facts" in catalog.tables()
+        v0 = catalog.version("facts")
         catalog.drop("facts")
-        assert not catalog.exists("facts")
         assert catalog.placement("facts") is None
+        # The counter moves on drop and never resets, so a memo stamped
+        # before the drop cannot match a later save's version.
+        assert catalog.version("facts") > v0
 
     def test_version_bumps_on_writes(self):
         catalog = ShardedCatalog(num_shards=2, shard_key="imsi")
-        v0 = catalog.version
+        v0 = catalog.version("facts")
         catalog.register_temp(_make_facts(), "facts")
-        assert catalog.version > v0
+        assert catalog.version("facts") > v0
+        v1 = catalog.version("facts")
+        catalog.save(_make_facts(seed=12), "other")
+        assert catalog.version("facts") == v1
 
 
 class TestShuffleExchange:
@@ -223,10 +232,25 @@ class TestShuffleExchange:
         first = exchange.repartition("facts", "grp")
         assert exchange.repartition("facts", "grp") == first
         assert exchange.shuffles == 1
-        # A catalog write invalidates the memo.
+        # A write to another table keeps the memo ...
         catalog.register_temp(_make_facts(seed=12), "other")
-        exchange.repartition("facts", "grp")
+        assert exchange.repartition("facts", "grp") == first
+        assert exchange.shuffles == 1
+        # ... a write to the source clears it.
+        catalog.save(_make_facts(seed=12), "facts")
+        assert exchange.repartition("facts", "grp") == first
         assert exchange.shuffles == 2
+
+    def test_destination_pieces_keep_source_shard_then_input_order(self):
+        catalog = self._catalog()
+        name = ShuffleExchange(catalog).repartition("facts", "grp")
+        gathered = _gather(catalog, "facts")
+        codes = shard_of(gathered.column("grp"), 4)
+        for dest, shard in enumerate(catalog.shards):
+            piece = shard.scan(name, database=SHUFFLE_DATABASE)
+            want = gathered.mask(codes == dest)
+            for col in gathered.schema.names:
+                assert np.array_equal(piece[col], want[col])
 
     def test_distinct_column_subsets_get_distinct_names(self):
         catalog = self._catalog()
@@ -240,23 +264,6 @@ class TestShuffleExchange:
         )
         assert "imsi" in wide_piece.schema.names
         assert "imsi" not in narrow_piece.schema.names
-
-    def test_large_repartition_spills_to_blockstore(self):
-        catalog = self._catalog()
-        exchange = ShuffleExchange(catalog, spill_bytes=0)
-        name = exchange.repartition("facts", "grp")
-        assert exchange.spills == 4
-        # Spilled pieces are ordinary columnar tables, still scannable.
-        assert sum(
-            shard.scan(name, database=SHUFFLE_DATABASE).num_rows
-            for shard in catalog.shards
-        ) == 400
-
-    def test_small_repartition_stays_in_memory(self):
-        catalog = self._catalog()
-        exchange = ShuffleExchange(catalog, spill_bytes=DEFAULT_SPILL_BYTES)
-        exchange.repartition("facts", "grp")
-        assert exchange.spills == 0
 
 
 def _scatter_world():
@@ -415,7 +422,7 @@ class TestScatterGatherSQL:
     def test_planning_moves_no_data(self):
         pool = ProcessPoolBackend(max_workers=2)
         try:
-            single, sharded = self._engines(backend=pool, spill_bytes=0)
+            single, sharded = self._engines(backend=pool)
             shards = sharded.catalog.shards
             earlier = "SELECT imsi, SUM(dur) AS total FROM facts GROUP BY imsi"
             sharded.query(earlier)
@@ -498,6 +505,70 @@ class TestScatterGatherSQL:
         sql = LEFT_REALIGN_SQL
         assert "Realign(by c.id)" in sharded.explain(sql)
         assert _norm(sharded.query(sql)) == _norm(single.query(sql))
+
+
+class TestShuffleSourceWrites:
+    """A shuffle join reads its source as the source stands after a write:
+    a torn one, or one that shrinks it."""
+
+    JOIN_SQL = (
+        "SELECT t.v AS v, COUNT(*) AS n FROM t JOIN u ON t.imsi = u.imsi "
+        "GROUP BY t.v ORDER BY v"
+    )
+    GROUP_SQL = "SELECT v, COUNT(*) AS n FROM t GROUP BY v ORDER BY v"
+
+    @staticmethod
+    def _t(v: int) -> Table:
+        n = 1_000
+        imsi = np.random.default_rng(5).integers(0, 50, size=n)
+        return Table.from_arrays(
+            k=np.arange(n, dtype=np.int64),
+            imsi=imsi.astype(np.int64),
+            v=np.full(n, v, dtype=np.int64),
+        )
+
+    def test_torn_save_is_not_served_from_a_stale_memo(self, monkeypatch):
+        catalog = ShardedCatalog(num_shards=4, shard_key="imsi")
+        catalog.save(self._t(1), "t", key="k")
+        catalog.save(
+            Table.from_arrays(imsi=np.arange(50, dtype=np.int64)), "u"
+        )
+        engine = ShardedSQLEngine(catalog)
+        assert _norm(engine.query(self.JOIN_SQL)) == [(1, 1_000)]
+        assert engine.exchange.shuffles == 1
+
+        def boom(*args, **kwargs):
+            raise OSError("shard 2 lost its disk")
+
+        # Shards 0 and 1 take the overwrite, shards 2 and 3 keep v = 1.
+        monkeypatch.setattr(catalog.shards[2], "save", boom)
+        with pytest.raises(OSError):
+            catalog.save(self._t(2), "t", key="k")
+        grouped = _norm(engine.query(self.GROUP_SQL))
+        assert [v for v, _ in grouped] == [1, 2]
+        assert _norm(engine.query(self.JOIN_SQL)) == grouped
+        assert engine.exchange.shuffles == 2
+
+    def test_shrunk_source_reshuffles_into_its_own_entry(self):
+        tables = _scatter_world()
+        single = SQLEngine()
+        catalog = ShardedCatalog(num_shards=4, shard_key="imsi")
+        sharded = ShardedSQLEngine(catalog)
+        for name, table in tables.items():
+            single.register(table, name)
+            catalog.save(table, name)
+        sharded.query(SHUFFLE_JOIN_SQL)
+        small = tables["facts"].head(40)
+        single.register(small, "facts")
+        catalog.save(small, "facts")
+        got = sharded.query(SHUFFLE_JOIN_SQL)
+        assert _norm(got) == _norm(single.query(SHUFFLE_JOIN_SQL))
+        exchange = sharded.exchange
+        assert exchange.shuffles == 2
+        entries = [
+            k for k in exchange._memo if k[:3] == ("default", "facts", "cell")
+        ]
+        assert len(entries) == 1
 
 
 class TestShardedWideTable:
