@@ -31,7 +31,6 @@ def main() -> None:
         scale,
         model=ModelConfig(n_trees=20, min_samples_leaf=20),
         start_month=6,
-        improvement=1.5,
     )
     print()
     print(report.render())

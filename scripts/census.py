@@ -19,14 +19,22 @@ forked pool workers included, records the code objects under ``repro/``
 it calls (``sys.setprofile`` call events).  A function is keyed by its
 file and the first line of its code object (the first decorator's line).
 
-Dunder methods and ``@property`` getters are exempt.  ``--check`` fails
-on an unreached function that no line of ``census_allowlist.txt`` (beside
-this file) names, and on an allowlist line that names no function or only
-reached ones.  An allowlist line is ``<file>::<qualname>  # reason``; the
-pattern may use ``fnmatch`` globs and ``{a,b}`` groups, whose alternatives
-are checked one by one.  A ``?`` before the pattern marks a
-function that timing decides (a request shed under load): it may be
-reached on one run and not the next, so it is never reported as reached.
+The probe also compares each defaulted parameter's value with the
+function's evaluated default (identity first, then equal value of the same
+type) and records the first call that passed another value.
+
+Dunder methods and ``@property`` getters are exempt from the function
+list, not from the parameter list.  ``--check`` fails on an unreached
+function, or a defaulted parameter of a reached function that no entry
+point varied, that no line of ``census_allowlist.txt`` (beside this file)
+names, and on an allowlist line that names nothing, only reached functions
+or only varied parameters.  An allowlist line is
+``<file>::<qualname>  # reason`` for functions and
+``<file>::<qualname>(param[,param])  # reason`` for parameters; the pattern
+may use ``fnmatch`` globs and ``{a,b}`` groups, whose alternatives are
+checked one by one.  A ``?`` before the pattern marks a function that
+timing decides (a request shed under load): it may be reached on one run
+and not the next, so it is never reported as reached.
 The census needs at least 2 usable CPUs, the hosts where the process pool
 is the default backend.
 """
@@ -56,23 +64,89 @@ WORKLOADS = ("batch_window", "sql_analytics", "sharded_sql", "ingest_write", "se
 
 #: The probe every process of an entry point imports at start-up.
 PROBE = '''\
-import os, sys, threading
+import dis, gc, os, sys, threading
 
 _prefix = os.environ["CENSUS_SRC"]
 _out = os.path.join(os.environ["CENSUS_OUT"], "calls.txt")
 # O_APPEND: forked workers share the descriptor, and each line is one write.
 _fd = os.open(_out, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+with open(os.path.join(os.environ["CENSUS_OUT"], "defaulted.txt")) as f:
+    _defaulted = set(f.read().split())
 _seen = set()
+#: code -> [parameters not yet seen varied, generator start offset, key]
+_pending = {}
+_GENERATOR = 0x20 | 0x80 | 0x200  # CO_GENERATOR, CO_COROUTINE, CO_ASYNC_GENERATOR
+
+
+def _function(frame, code):
+    obj = sys.modules.get(frame.f_globals.get("__name__"))
+    for part in code.co_qualname.split("."):
+        obj = getattr(obj, "__dict__", {}).get(part)
+        obj = getattr(obj, "__func__", obj)  # staticmethod, classmethod
+    while obj is not None and getattr(obj, "__code__", None) is not code:
+        obj = getattr(obj, "__wrapped__", None)
+    if obj is None:  # a nested def: one scan of the heap, once per code
+        obj = next((f for f in gc.get_referrers(code) if getattr(f, "__code__", None) is code), None)
+    return obj
+
+
+def _watch(frame, code, key):
+    fn = _function(frame, code)
+    if fn is None:
+        os.write(_fd, f"{key}:?\\n".encode())
+        return
+    positional = fn.__defaults__ or ()
+    first = code.co_argcount - len(positional)
+    params = [(code.co_varnames[first + i], d) for i, d in enumerate(positional)]
+    params += list((fn.__kwdefaults__ or {}).items())
+    start = None
+    if code.co_flags & _GENERATOR:
+        # A generator reports a call at every resumption; only its first
+        # start holds the arguments as passed.
+        start = next(i.offset for i in dis.get_instructions(code) if i.opname == "RESUME")
+    _pending[code] = [params, start, key]
+
+
+def _same(value, default):
+    # Identity first: a sentinel's repr carries its address, and a constant
+    # default passed through is the same object.
+    if value is default:
+        return True
+    if type(value) is not type(default):
+        return False
+    try:
+        return bool(value == default)
+    except Exception:
+        return False
 
 
 def _probe(frame, event, arg):
-    if event == "call":
-        code = frame.f_code
-        if code not in _seen:
-            _seen.add(code)
-            if code.co_filename.startswith(_prefix):
-                line = f"{code.co_filename[len(_prefix):]}:{code.co_firstlineno}\\n"
-                os.write(_fd, line.encode())
+    if event != "call":
+        return
+    code = frame.f_code
+    if code not in _seen:
+        _seen.add(code)
+        if not code.co_filename.startswith(_prefix):
+            return
+        key = f"{code.co_filename[len(_prefix):]}:{code.co_firstlineno}"
+        os.write(_fd, f"{key}\\n".encode())
+        if key in _defaulted:
+            _watch(frame, code, key)
+    watched = _pending.get(code)
+    if watched is None:
+        return
+    params, start, key = watched
+    if start is not None and frame.f_lasti != start:
+        return
+    bound = frame.f_locals
+    for item in list(params):
+        name, default = item
+        if name in bound and not _same(bound[name], default):
+            # Only the first sighting is written: the rest change nothing.
+            params.remove(item)
+            os.write(_fd, f"{key}:{name}\\n".encode())
+    if not params:
+        del _pending[code]
 
 
 sys.setprofile(_probe)
@@ -113,9 +187,30 @@ def _inner_defs(node):
             yield from _inner_defs(child)
 
 
-def functions(src: Path = ROOT / "src") -> list[Function]:
-    """Every non-exempt ``def`` under ``src/repro``, in file order."""
-    found = []
+@dataclass(frozen=True)
+class Param:
+    """A defaulted parameter of a ``def``, dunders and getters included."""
+
+    path: str
+    qualname: str
+    first_line: int
+    name: str
+
+    @property
+    def key(self) -> str:
+        return f"{self.path}::{self.qualname}({self.name})"
+
+
+def _defaulted(args: ast.arguments) -> list[str]:
+    positional = args.posonlyargs + args.args
+    named = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    return named + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def scan(src: Path = ROOT / "src") -> tuple[list[Function], list[Param]]:
+    """Every non-exempt ``def`` under ``src/repro``, in file order, and
+    every defaulted parameter of every ``def``."""
+    found, params = [], []
     for file in sorted((src / "repro").rglob("*.py")):
         path = file.relative_to(src).as_posix()
 
@@ -125,9 +220,10 @@ def functions(src: Path = ROOT / "src") -> list[Function]:
                     walk(child, f"{prefix}{child.name}.")
                 elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qualname = f"{prefix}{child.name}"
-                    nested = sum(n.end_lineno - n.lineno + 1 for n in _inner_defs(child))
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    params.extend(Param(path, qualname, first, n) for n in _defaulted(child.args))
                     if not _exempt(child):
-                        first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                        nested = sum(n.end_lineno - n.lineno + 1 for n in _inner_defs(child))
                         lines = child.end_lineno - child.lineno + 1 - nested
                         found.append(Function(path, qualname, first, lines))
                     walk(child, f"{qualname}.<locals>.")
@@ -135,7 +231,7 @@ def functions(src: Path = ROOT / "src") -> list[Function]:
                     walk(child, prefix)
 
         walk(ast.parse(file.read_text(), str(file)), "")
-    return found
+    return found, params
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +248,8 @@ class Entry:
     reason: str
     #: ``?``-marked: reached on some runs only (timing), so never stale.
     maybe: bool = False
+    #: Names parameters (``<file>::<qualname>(a,b)``), not functions.
+    parameter: bool = False
 
 
 def _expand(pattern: str) -> list[str]:
@@ -165,8 +263,22 @@ def _expand(pattern: str) -> list[str]:
     return [p for alt in body.split(",") for p in _expand(head + alt + tail)]
 
 
+def _alternatives(pattern: str) -> tuple[str, ...]:
+    """The keys a pattern names one by one: its brace alternatives, and for
+    a parameter entry ``f(a,b)`` one ``f(a)``, ``f(b)`` per parameter."""
+    if "(" not in pattern:
+        return tuple(_expand(pattern))
+    found = []
+    for alt in _expand(pattern):
+        func, _, names = alt.partition("(")
+        if not names.endswith(")") or not all(names[:-1].split(",")):
+            raise ValueError(f"want '<qualname>(param[,param])', got {pattern!r}")
+        found.extend(f"{func}({name})" for name in names[:-1].split(","))
+    return tuple(dict.fromkeys(found))
+
+
 def read_allowlist(path: Path = ALLOWLIST) -> list[Entry]:
-    """Every entry; a line is ``[?]<file>::<qualname>  # reason``."""
+    """Every entry; a line is ``[?]<file>::<qualname>[(param[,param])]  # reason``."""
     entries = []
     for number, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.strip()
@@ -180,16 +292,23 @@ def read_allowlist(path: Path = ALLOWLIST) -> list[Entry]:
         pattern = pattern.removeprefix("?")
         if any(e.pattern == pattern for e in entries):
             raise ValueError(f"{path.name}:{number}: duplicate entry {pattern}")
-        entries.append(Entry(pattern, tuple(_expand(pattern)), reason, maybe))
+        entries.append(Entry(pattern, _alternatives(pattern), reason, maybe, "(" in pattern))
     return entries
 
 
-def matches(pattern: str, funcs: list[Function]) -> list[Function]:
-    return [f for f in funcs if fnmatch.fnmatchcase(f.key, pattern)]
+def matches(pattern: str, items: list) -> list:
+    """The functions (or parameters) whose key ``pattern`` matches."""
+    return [f for f in items if fnmatch.fnmatchcase(f.key, pattern)]
 
 
-def allowed(f: Function, allow: list[Entry]) -> bool:
-    return any(fnmatch.fnmatchcase(f.key, alt) for e in allow for alt in e.alternatives)
+def allowed(item: Function | Param, allow: list[Entry]) -> bool:
+    """Whether an entry of ``item``'s kind names it."""
+    parameter = isinstance(item, Param)
+    return any(
+        fnmatch.fnmatchcase(item.key, alt)
+        for e in allow if e.parameter == parameter
+        for alt in e.alternatives
+    )
 
 
 # ----------------------------------------------------------------------
@@ -244,9 +363,9 @@ def entry_points(work: Path) -> tuple[list[EntryPoint], list[EntryPoint]]:
     return first, renderers
 
 
-def run_census(work: Path) -> tuple[set[tuple[str, int]], list[str]]:
-    """Run every entry point under the probe; returns the reached
-    ``(path, first_line)`` keys and the entry points that failed."""
+def run_census(work: Path, params: list[Param]) -> tuple[str, list[str]]:
+    """Run every entry point under the probe; returns the probe's record
+    (see :func:`read_calls`) and the entry points that failed."""
     for part in COPIED:
         if (ROOT / part).is_file():
             shutil.copy(ROOT / part, work / part)
@@ -258,6 +377,7 @@ def run_census(work: Path) -> tuple[set[tuple[str, int]], list[str]]:
     probe = work / "probe"
     probe.mkdir()
     (probe / "sitecustomize.py").write_text(PROBE)
+    (work / "defaulted.txt").write_text("\n".join({f"{p.path}:{p.first_line}" for p in params}))
     (work / "logs").mkdir()
     src = work / "src"
     # A switch set in the caller's shell must not change what runs.
@@ -288,12 +408,31 @@ def run_census(work: Path) -> tuple[set[tuple[str, int]], list[str]]:
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
         list(pool.map(run, first))
         list(pool.map(run, renderers))
-    reached = set()
     calls = work / "calls.txt"
-    for line in calls.read_text().splitlines() if calls.exists() else ():
-        path, _, first_line = line.rpartition(":")
-        reached.add((path, int(first_line)))
-    return reached, failed
+    return calls.read_text() if calls.exists() else "", failed
+
+
+def read_calls(record: str) -> tuple[set[tuple[str, int]], set[tuple[str, int, str]]]:
+    """``(reached, varied)`` from the probe's lines: ``path:line`` for a
+    function called, ``path:line:param`` for a defaulted parameter seen
+    with another value (``?`` when the probe could not find the function
+    object, so its defaults are unknown)."""
+    reached, varied = set(), set()
+    for line in record.splitlines():
+        path, line_no, *param = line.split(":")
+        if param:
+            varied.add((path, int(line_no), param[0]))
+        else:
+            reached.add((path, int(line_no)))
+    return reached, varied
+
+
+def idle(params: list[Param], reached, varied) -> list[Param]:
+    """The defaulted parameters of reached functions no call varied."""
+    return [
+        p for p in params
+        if (p.path, p.first_line) in reached and (p.path, p.first_line, p.name) not in varied
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -301,21 +440,38 @@ def run_census(work: Path) -> tuple[set[tuple[str, int]], list[str]]:
 # ----------------------------------------------------------------------
 
 
-def check(funcs: list[Function], unreached: list[Function], allow: list[Entry]) -> list[str]:
+def check(
+    funcs: list[Function],
+    unreached: list[Function],
+    allow: list[Entry],
+    params: list[Param],
+    unvaried: list[Param],
+) -> list[str]:
     """Every complaint ``--check`` fails on."""
     problems = [
         f"unreached and not on the allowlist: {f.key} ({f.lines} lines)"
         for f in unreached
         if not allowed(f, allow)
     ]
+    problems += [
+        f"never varied by an entry point and not on the allowlist: {p.key}"
+        for p in unvaried
+        if not allowed(p, allow)
+    ]
     unreached_keys = {f.key for f in unreached}
+    unvaried_keys = {p.key for p in unvaried}
     for entry in allow:
         for alt in entry.alternatives:
-            named = matches(alt, funcs)
+            if entry.parameter:
+                named, live = matches(alt, params), unvaried_keys
+                what, stale = "parameter", "varied now (or its function unreached)"
+            else:
+                named, live = matches(alt, funcs), unreached_keys
+                what, stale = "function", "reached now"
             if not named:
-                problems.append(f"allowlist names no function: {alt}")
-            elif not entry.maybe and not any(f.key in unreached_keys for f in named):
-                problems.append(f"allowlist entry is reached now: {alt}")
+                problems.append(f"allowlist names no {what}: {alt}")
+            elif not entry.maybe and not any(x.key in live for x in named):
+                problems.append(f"allowlist entry is {stale}: {alt}")
     return problems
 
 
@@ -330,16 +486,18 @@ def main(argv=None) -> int:
         # would read as unreached and the census would depend on the host.
         print("census: needs at least 2 usable CPUs")
         return 2
-    funcs = functions()
+    funcs, params = scan()
     allow = read_allowlist() if args.check else []
     print(f"census: {len(funcs)} functions under src/repro; running the entry points ...")
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
-        reached, failed = run_census(Path(tmp))
+        record, failed = run_census(Path(tmp), params)
+    reached, varied = read_calls(record)
     if not reached:
         print("census: the probe recorded no call under the copied src/repro")
         return 1
     unreached = [f for f in funcs if (f.path, f.first_line) not in reached]
+    unvaried = idle(params, reached, varied)
     total = sum(f.lines for f in funcs)
     lost = sum(f.lines for f in unreached)
     print(f"\nunreached functions ({time.perf_counter() - started:.0f} s):")
@@ -350,16 +508,29 @@ def main(argv=None) -> int:
         f"\n{len(unreached)} of {len(funcs)} functions, {lost} of {total} function lines "
         f"({100 * lost / total:.1f} %), reached by no entry point"
     )
+    print("\ndefaulted parameters no entry point varied:")
+    for p in unvaried:
+        mark = "" if not args.check or allowed(p, allow) else "  <- not allowlisted"
+        print(f"  {p.key}{mark}")
+    taking = {(p.path, p.first_line) for p in params} & reached
+    print(f"\n{len(unvaried)} parameters in {len(taking)} reached functions that take a defaulted one")
+    unknown = sorted(f"{path}:{line}" for path, line, name in varied if name == "?")
+    if unknown:
+        print(f"census: the probe found no function object for {', '.join(unknown)}")
+        return 1
     if failed:
         print(f"entry points that failed: {', '.join(failed)}")
         return 1
     if args.check:
-        problems = check(funcs, unreached, allow)
+        problems = check(funcs, unreached, allow, params, unvaried)
         for problem in problems:
             print(f"census: {problem}")
         if problems:
             return 1
-        print(f"census: every unreached function is on the allowlist ({len(allow)} entries)")
+        print(
+            "census: every unreached function and never-varied parameter is on the "
+            f"allowlist ({len(allow)} entries)"
+        )
     return 0
 
 

@@ -75,7 +75,6 @@ def _demo_store() -> BlockStore:
             table.with_column("dur", np.zeros(20)),
             "calls",
             partition="month=1",
-            overwrite=True,
         )
     except SimulatedCrash:
         pass

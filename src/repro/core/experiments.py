@@ -48,9 +48,9 @@ def table1_dataset_stats(world: TelcoWorld) -> list[dict]:
     return dataset_statistics(world)
 
 
-def fig5_recharge_distribution(world: TelcoWorld, max_day: int = 30) -> dict:
+def fig5_recharge_distribution(world: TelcoWorld) -> dict:
     """Days-to-recharge histogram plus the share beyond the 15-day grace."""
-    days, counts = recharge_delay_histogram(world, max_day)
+    days, counts = recharge_delay_histogram(world)
     total = counts.sum()
     beyond = counts[days > 15].sum()
     return {

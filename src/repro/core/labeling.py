@@ -41,12 +41,10 @@ def churn_labels(world: TelcoWorld, month: int) -> np.ndarray:
     return out
 
 
-def recharge_delay_histogram(
-    world: TelcoWorld, max_day: int = 30
-) -> tuple[np.ndarray, np.ndarray]:
+def recharge_delay_histogram(world: TelcoWorld) -> tuple[np.ndarray, np.ndarray]:
     """Figure 5: number of customers recharging after each delay.
 
-    Returns ``(days 1..max_day, counts)`` pooled over all months; customers
+    Returns ``(days 1..30, counts)`` pooled over all months; customers
     who never recharged are excluded (they are not "recharged customers").
     """
     delays = []
@@ -55,7 +53,7 @@ def recharge_delay_histogram(
         delays.append(np.asarray(column))
     all_delays = np.concatenate(delays)
     recharged = all_delays[all_delays >= 1]
-    days = np.arange(1, max_day + 1)
+    days = np.arange(1, 31)
     counts = np.asarray(
         [(recharged == d).sum() for d in days], dtype=np.int64
     )

@@ -27,7 +27,6 @@ import numpy as np
 from ..config import ModelConfig, ScaleConfig
 from ..datagen.simulator import (
     QualityIntervention,
-    SignalWeights,
     TelcoSimulator,
     TelcoWorld,
 )
@@ -36,6 +35,11 @@ from ..features.spec import ALL_CATEGORIES
 from .pipeline import ChurnPipeline
 from .rootcause import RootCauseAnalyzer
 from .window import WindowSpec
+
+#: Paper-scale cutoff of the attributed top-U list (through ``scale.scaled_u``).
+TARGET_U = 100_000
+#: Latent quality gain of a cell fix, in standard deviations.
+IMPROVEMENT = 1.5
 
 #: Cause groups that a network fix can address.
 QUALITY_CAUSES = ("data_service_quality", "voice_service_quality")
@@ -98,22 +102,14 @@ def churn_events(world: TelcoWorld, slots: np.ndarray, months: range) -> int:
 
 def run_network_optimization_study(
     scale: ScaleConfig,
-    weights: SignalWeights | None = None,
     model: ModelConfig | None = None,
     start_month: int | None = None,
-    target_u: int = 100_000,
-    improvement: float = 1.5,
     seed: int = 0,
 ) -> NetworkOptimizationReport:
-    """The full counterfactual study on a fresh world at ``scale``.
-
-    ``target_u`` is a paper-scale cutoff (translated through
-    ``scale.scaled_u``); ``improvement`` is the latent quality gain of a
-    cell fix, in standard deviations.
-    """
+    """The full counterfactual study on a fresh world at ``scale``."""
     if model is None:
         model = ModelConfig()
-    simulator = TelcoSimulator(scale, weights)
+    simulator = TelcoSimulator(scale)
     baseline = simulator.run()
     if start_month is None:
         start_month = baseline.n_months // 2 + 1
@@ -132,7 +128,7 @@ def run_network_optimization_study(
         result.test_slots
     ]
     analyzer = RootCauseAnalyzer(result, features)
-    u = min(scale.scaled_u(target_u), len(result.scores))
+    u = min(scale.scaled_u(TARGET_U), len(result.scores))
     attributions = analyzer.attribute_top(u)
     treated = np.asarray(
         [a.slot for a in attributions if a.dominant_cause in QUALITY_CAUSES],
@@ -155,8 +151,8 @@ def run_network_optimization_study(
         QualityIntervention(
             start_month=start_month,
             slots=treated,
-            ps_improvement=improvement,
-            cs_improvement=improvement,
+            ps_improvement=IMPROVEMENT,
+            cs_improvement=IMPROVEMENT,
         ),
         fixed_thresholds=baseline.risk_thresholds,
     )

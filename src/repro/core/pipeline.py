@@ -26,9 +26,8 @@ from ..datagen.bss import DAYS_PER_MONTH
 from ..datagen.simulator import TelcoWorld
 from ..dataplat import observability
 from ..dataplat.blockstore import BlockStore
-from ..dataplat.executor import ExecutorBackend
 from ..dataplat.observability import span
-from ..dataplat.resilience import PipelineHealthReport
+from ..dataplat.resilience import CatalogTableSource, PipelineHealthReport
 from ..dataplat.telemetry import TelemetrySink
 from ..errors import DataPlatformError, ExperimentError, FeatureError
 from ..features import ALL_CATEGORIES, WideTableBuilder
@@ -73,12 +72,10 @@ class ChurnPipeline:
         classifier: str = "rf",
         model: ModelConfig | None = None,
         imbalance: str = "weighted",
-        paper_u: tuple[int, ...] = DEFAULT_PAPER_U,
         seed: int = 0,
         table_source: Callable[[int], dict] | None = None,
         store: BlockStore | None = None,
         allow_degraded: bool = False,
-        backend: "ExecutorBackend | str | None" = None,
         telemetry: TelemetrySink | None = None,
     ) -> None:
         unknown = set(categories) - set(ALL_CATEGORIES)
@@ -90,7 +87,6 @@ class ChurnPipeline:
         self.classifier = classifier
         self.model = model if model is not None else ModelConfig()
         self.imbalance = imbalance
-        self.paper_u = paper_u
         self.seed = seed
         #: ``table_source`` routes raw-table reads through an alternative
         #: provider (e.g. a catalog over the block store); ``store`` lets the
@@ -98,15 +94,11 @@ class ChurnPipeline:
         #: ``allow_degraded`` turns on graceful degradation — windows drop
         #: unbuildable F2..F9 families instead of failing, and each
         #: :class:`WindowResult` carries a :class:`PipelineHealthReport`.
-        #: ``backend`` fans out the extractor fits, per-month feature
-        #: builds and per-tree RF work; results are bit-identical to serial
-        #: runs.
         #: ``telemetry`` sinks every window's spans, metric deltas and
         #: health report into the warehouse, keyed by the sink's run id.
         self.allow_degraded = allow_degraded
         self._table_source = table_source
         self._store = store
-        self._backend = backend
         self.telemetry = telemetry
         self.builder = WideTableBuilder(world, seed=seed, table_source=table_source)
         self.windows = SlidingWindow(world)
@@ -188,17 +180,17 @@ class ChurnPipeline:
             health = PipelineHealthReport()
             if self._store is not None:
                 storage_before = copy.copy(self._store.health)
-            source_health = getattr(self._table_source, "health", None)
-            if source_health is not None:
-                # Route the source's per-read accounting into this window.
-                self._table_source.health = health
+            # Callers pass a source's bound ``tables_for``: route its
+            # per-read retries and unavailable tables into this window.
+            source = getattr(self._table_source, "__self__", None)
+            if isinstance(source, CatalogTableSource):
+                source.health = health
         needs_fit = any(c in ("F7", "F8", "F9") for c in categories)
         if needs_fit:
             try:
                 self.builder.fit_extractors(
                     list(spec.train_months),
                     {m: self.labels(m + spec.lead - 1) for m in spec.train_months},
-                    self._backend,
                 )
             except (FeatureError, DataPlatformError) as exc:
                 if health is None:
@@ -214,13 +206,10 @@ class ChurnPipeline:
             categories = self.builder.surviving_categories(
                 months, categories, health
             )
-        # Warm every month's blocks through the backend before the serial
-        # assembly below; a no-op after degraded-mode probing (all cached).
-        self.builder.prefetch(
-            list(spec.train_months) + [spec.test_month],
-            categories,
-            self._backend,
-        )
+        # Warm every month's blocks through the default backend before the
+        # serial assembly below; a no-op after degraded-mode probing (all
+        # cached).
+        self.builder.prefetch(list(spec.train_months) + [spec.test_month], categories)
         x_parts, y_parts = [], []
         feature_names: list[str] = []
         for month in spec.train_months:
@@ -373,7 +362,6 @@ class ChurnPipeline:
             classifier=self.classifier,
             config=self.model,
             seed=self.seed,
-            backend=self._backend,
         )
         return predictor.fit(x_bal, y_bal, sample_weight=weights)
 
@@ -387,7 +375,7 @@ class ChurnPipeline:
         feature_names: list[str],
         health: PipelineHealthReport | None = None,
     ) -> WindowResult:
-        u_values = tuple(self.scale.scaled_u(u) for u in self.paper_u)
+        u_values = tuple(self.scale.scaled_u(u) for u in DEFAULT_PAPER_U)
         return WindowResult(
             health=health,
             spec=spec,
@@ -395,11 +383,11 @@ class ChurnPipeline:
             pr_auc=pr_auc(y_test, scores),
             recall_at={
                 pu: recall_at(y_test, scores, su)
-                for pu, su in zip(self.paper_u, u_values)
+                for pu, su in zip(DEFAULT_PAPER_U, u_values)
             },
             precision_at={
                 pu: precision_at(y_test, scores, su)
-                for pu, su in zip(self.paper_u, u_values)
+                for pu, su in zip(DEFAULT_PAPER_U, u_values)
             },
             test_slots=test_slots,
             scores=scores,

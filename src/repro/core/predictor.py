@@ -35,10 +35,6 @@ class ChurnPredictor:
         ``libfm``.
     config:
         Hyper-parameters, shared across classifiers for fair comparison.
-    backend:
-        Execution backend handed to classifiers that support parallel
-        fit/predict (currently ``rf``); ``None`` uses the process-wide
-        default.  Never pickled with the predictor.
     """
 
     def __init__(
@@ -46,7 +42,6 @@ class ChurnPredictor:
         classifier: str = "rf",
         config: ModelConfig | None = None,
         seed: int = 0,
-        backend=None,
     ) -> None:
         if classifier not in CLASSIFIERS:
             raise ModelError(
@@ -55,7 +50,6 @@ class ChurnPredictor:
         self.classifier = classifier
         self.config = config if config is not None else ModelConfig()
         self.seed = seed
-        self._backend = backend
         #: How the features behind this model were assembled: ``"full"``,
         #: or ``"degraded(F2,...)"`` when the pipeline dropped families
         #: (see :meth:`annotate_degradation`).  Campaign consumers read
@@ -65,11 +59,6 @@ class ChurnPredictor:
         self._binner: QuantileBinner | None = None
         self._bin_counts: list[int] | None = None
         self._n_features = 0
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_backend"] = None  # backends own OS resources; never pickle
-        return state
 
     def annotate_degradation(self, state: str) -> "ChurnPredictor":
         """Record the pipeline degradation state this model was built under."""
@@ -108,7 +97,6 @@ class ChurnPredictor:
                     min_samples_leaf=cfg.min_samples_leaf,
                     max_depth=cfg.max_depth,
                     seed=self.seed,
-                    backend=self._backend,
                 )
             elif self.classifier == "gbdt":
                 model = GradientBoostedTrees(

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from .retention import CampaignResult
 
+#: The paper-scale top-U cutoff Tables 2, 5 and 7 report recall and
+#: precision at.
+TABLE_U = 200_000
+
 
 def _rule(widths: list[int]) -> str:
     return "-+-".join("-" * w for w in widths)
@@ -30,8 +34,8 @@ def render_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def fmt(value: float, digits: int = 5) -> str:
-    return f"{value:.{digits}f}"
+def fmt(value: float) -> str:
+    return f"{value:.5f}"
 
 
 def report_fig1(data: dict) -> str:
@@ -90,7 +94,8 @@ def report_fig7(rows: list[dict], paper_u: tuple[int, ...]) -> str:
     )
 
 
-def report_table2(rows: list[dict], u: int = 200_000) -> str:
+def report_table2(rows: list[dict]) -> str:
+    u = TABLE_U
     headers = ["features", "AUC", "PR-AUC", f"R@{u // 1000}k", f"P@{u // 1000}k", "ΔPR-AUC"]
     body = []
     for r in rows:
@@ -132,7 +137,8 @@ def report_table4(rows: list[dict]) -> str:
     )
 
 
-def report_table5(rows: list[dict], u: int = 200_000) -> str:
+def report_table5(rows: list[dict]) -> str:
+    u = TABLE_U
     headers = ["stride", "AUC", "PR-AUC", f"R@{u // 1000}k", f"P@{u // 1000}k", "ΔPR-AUC"]
     body = []
     for r in rows:
@@ -180,7 +186,8 @@ def report_fig8(rows: list[dict]) -> str:
     )
 
 
-def report_table7(rows: list[dict], u: int = 200_000) -> str:
+def report_table7(rows: list[dict]) -> str:
+    u = TABLE_U
     headers = ["method", "AUC", "PR-AUC", f"R@{u // 1000}k", f"P@{u // 1000}k"]
     label = {
         "none": "Not Balanced",

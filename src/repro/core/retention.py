@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import ModelConfig, ScaleConfig
 from ..datagen.offers import (
     N_OFFERS,
     AcceptanceModel,
@@ -78,21 +77,14 @@ class RetentionCampaign:
     def __init__(
         self,
         pipeline: ChurnPipeline,
-        acceptance: AcceptanceModel | None = None,
-        matcher_config: ModelConfig | None = None,
         seed: int = 0,
     ) -> None:
         self.pipeline = pipeline
-        self.acceptance = (
-            acceptance
-            if acceptance is not None
-            else AcceptanceModel(
-                nonchurner_recharge=0.35, churner_natural_recharge=0.01
-            )
+        self.acceptance = AcceptanceModel(
+            nonchurner_recharge=0.35, churner_natural_recharge=0.01
         )
-        self.matcher_config = (
-            matcher_config if matcher_config is not None else pipeline.model
-        )
+        #: The offer matcher's forest is sized from the pipeline's model.
+        self.matcher_config = pipeline.model
         self.seed = seed
         self._matcher: OneVsRestForest | None = None
 

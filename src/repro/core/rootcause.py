@@ -206,9 +206,7 @@ class RootCauseAnalyzer:
         return {cause: counts[cause] / total for cause in counts}
 
 
-def report_root_causes(
-    analyzer: RootCauseAnalyzer, u: int, top_examples: int = 5
-) -> str:
+def report_root_causes(analyzer: RootCauseAnalyzer, u: int) -> str:
     """Readable root-cause report for the top-``u`` potential churners."""
     attributions = analyzer.attribute_top(u)
     summary = analyzer.cohort_summary(attributions)
@@ -219,7 +217,7 @@ def report_root_causes(
         )
     lines.append("")
     lines.append("Examples:")
-    for attribution in attributions[:top_examples]:
+    for attribution in attributions[:5]:
         top_cause = attribution.dominant_cause
         lines.append(
             f"  slot {attribution.slot:>6}  score {attribution.score:.3f}  "

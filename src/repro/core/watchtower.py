@@ -42,7 +42,6 @@ __all__ = [
     "Watchtower",
     "SEVERITIES",
     "recovery_rules",
-    "executor_rules",
 ]
 
 #: Alert tiers, least to most urgent.
@@ -169,32 +168,6 @@ def recovery_rules() -> tuple[AlertRule, ...]:
             comparison=">",
             severity="warn",
             description="fsck/recovery removed orphan files",
-        ),
-    )
-
-
-def executor_rules() -> tuple[AlertRule, ...]:
-    """Stock rule over the ``executor.fallbacks`` counter.
-
-    A pool batch whose callable or items cannot be pickled runs serially in
-    the parent: the results are identical, so nothing else notices that the
-    fan-out lost its parallelism.  With the pool as the default backend
-    that is a silent throughput loss, so any window whose
-    ``executor.fallbacks`` delta in ``__telemetry.metrics`` is above 0
-    warns.
-    """
-    return (
-        AlertRule(
-            name="executor-fallback",
-            sql=(
-                "SELECT window, SUM(value) AS value FROM __telemetry.metrics "
-                "WHERE run_id = '{run_id}' AND kind = 'counter' "
-                "AND name = 'executor.fallbacks' GROUP BY window"
-            ),
-            threshold=0.0,
-            comparison=">",
-            severity="warn",
-            description="a process-pool batch ran serially (not picklable)",
         ),
     )
 

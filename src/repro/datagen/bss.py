@@ -126,8 +126,8 @@ def billing_table(
     """Monthly billing snapshot: charges, balance, gift quotas."""
     n = len(imsi)
 
-    def noisy(values: np.ndarray, spread: float = 0.2) -> np.ndarray:
-        return np.maximum(values * np.exp(rng.normal(0, spread, size=n)), 0.0)
+    def noisy(values: np.ndarray) -> np.ndarray:
+        return np.maximum(values * np.exp(rng.normal(0, 0.2, size=n)), 0.0)
 
     total_charge = noisy(product_price * 0.3 + voice_usage * 3.0 + data_usage * 2.0)
     gprs_charge = noisy(data_usage * 1.6)

@@ -90,12 +90,15 @@ def _first_new_edges(
     return lo[first], hi[first]
 
 
+#: Mean call-circle size, and mean location-cluster (dorm, office) size.
+COMMUNITY_SIZE = 40
+CLUSTER_SIZE = 15
+
+
 def build_graphs(
     n_slots: int,
     town_id: np.ndarray,
     rng: np.random.Generator,
-    community_size: int = 40,
-    cluster_size: int = 15,
 ) -> tuple[dict[str, SocialGraph], np.ndarray]:
     """Build the three graphs; returns them plus the location-cluster labels.
 
@@ -104,8 +107,8 @@ def build_graphs(
     """
     if n_slots < 2:
         raise SimulationError(f"need at least 2 slots, got {n_slots}")
-    # Call circles: nested inside towns, ~community_size people each.
-    n_communities = max(1, n_slots // community_size)
+    # Call circles: nested inside towns, ~COMMUNITY_SIZE people each.
+    n_communities = max(1, n_slots // COMMUNITY_SIZE)
     call_community = (
         town_id * n_communities + rng.integers(0, n_communities, size=n_slots)
     )
@@ -121,7 +124,7 @@ def build_graphs(
     )
 
     # Location clusters (dorm/office): tighter groups, denser edges.
-    n_clusters = max(1, n_slots // cluster_size)
+    n_clusters = max(1, n_slots // CLUSTER_SIZE)
     location_cluster = rng.integers(0, n_clusters, size=n_slots)
     cooc_edges = _community_edges(location_cluster, 10.0, 0.03, rng)
     cooc_weights = np.exp(rng.normal(2.0, 0.5, size=len(cooc_edges)))

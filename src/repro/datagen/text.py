@@ -19,6 +19,10 @@ import numpy as np
 
 from ..errors import SimulationError
 
+#: Share of a topic's word mass on its own vocabulary block; the rest is
+#: spread uniformly over the whole vocabulary.
+TOPIC_SHARPNESS = 0.85
+
 
 def _make_vocab(prefix: str, topics: int, words_per_topic: int) -> list[str]:
     return [
@@ -43,7 +47,6 @@ class TopicCorpusGenerator:
         words_per_topic: int,
         intent_topic: int,
         doc_length: tuple[int, int],
-        topic_sharpness: float = 0.85,
     ) -> None:
         if not 0 <= intent_topic < n_topics:
             raise SimulationError(
@@ -60,12 +63,12 @@ class TopicCorpusGenerator:
         self.intent_topic = intent_topic
         self.doc_length = doc_length
         # Topic-word distributions: each topic concentrates on its own block
-        # of the vocabulary with (1 - sharpness) mass spread uniformly.
+        # of the vocabulary with the rest spread uniformly.
         v = len(self.vocab)
-        self._phi = np.full((n_topics, v), (1 - topic_sharpness) / v)
+        self._phi = np.full((n_topics, v), (1 - TOPIC_SHARPNESS) / v)
         for t in range(n_topics):
             block = slice(t * words_per_topic, (t + 1) * words_per_topic)
-            self._phi[t, block] += topic_sharpness / words_per_topic
+            self._phi[t, block] += TOPIC_SHARPNESS / words_per_topic
         self._phi /= self._phi.sum(axis=1, keepdims=True)
         self._phi_cdf = np.cumsum(self._phi, axis=1)
 

@@ -216,11 +216,6 @@ class BlockStore:
         are attempted exactly once.
     clock:
         Simulated clock charged for backoff sleeps.
-    auto_repair:
-        When true (the default), the read path self-heals: corrupt replicas
-        are rewritten from a checksum-verified copy and blocks that lost
-        replicas to dead datanodes are re-replicated as soon as a read
-        notices, instead of waiting for a manual :meth:`re_replicate`.
     volatile:
         When true, the store models an OS page cache: every mutation
         (write/delete/rename/truncate) is applied immediately but is
@@ -240,7 +235,6 @@ class BlockStore:
         fault_injector: FaultInjector | None = None,
         retry_policy: RetryPolicy | None = None,
         clock: SimClock | None = None,
-        auto_repair: bool = True,
         volatile: bool = False,
     ) -> None:
         if num_nodes < 1:
@@ -260,7 +254,6 @@ class BlockStore:
         self._injector = fault_injector
         self._retry = retry_policy
         self._clock = clock if clock is not None else SimClock()
-        self._auto_repair = auto_repair
         self._volatile = volatile
         #: Last-synced content per dirty path (``None`` = did not exist);
         #: only populated in volatile mode, first capture wins.
@@ -317,13 +310,12 @@ class BlockStore:
     # File operations
     # ------------------------------------------------------------------
 
-    def write(self, path: str, payload: bytes, overwrite: bool = True) -> FileStatus:
-        """Write ``payload`` at ``path``, splitting into replicated blocks."""
+    def write(self, path: str, payload: bytes) -> FileStatus:
+        """Write ``payload`` at ``path`` (replacing any file there), split
+        into replicated blocks."""
         _validate_path(path)
         self._crash_hit("blockstore.write", path)
         with span("blockstore.write", path=path) as sp:
-            if path in self._files and not overwrite:
-                raise StorageError(f"file exists: {path}")
             self._capture(path)
             self._free_file(path)
             status = self._install_file(path, payload)
@@ -333,8 +325,9 @@ class BlockStore:
             get_metrics().counter("blockstore.bytes_written").inc(len(payload))
         return status
 
-    def rename(self, src: str, dst: str, overwrite: bool = True) -> FileStatus:
-        """Atomically move ``src`` to ``dst`` (POSIX ``rename(2)`` model).
+    def rename(self, src: str, dst: str) -> FileStatus:
+        """Atomically move ``src`` to ``dst`` (POSIX ``rename(2)`` model),
+        replacing any file at ``dst``.
 
         The file's blocks move by metadata update only — no payload copy,
         no re-checksum — and the swap is all-or-nothing: readers observe
@@ -348,8 +341,6 @@ class BlockStore:
         if src == dst:
             return status
         with span("blockstore.rename", src=src, dst=dst):
-            if dst in self._files and not overwrite:
-                raise StorageError(f"file exists: {dst}")
             self._capture(src)
             self._capture(dst)
             self._free_file(dst)
@@ -374,8 +365,9 @@ class BlockStore:
 
         Transient faults (when a :class:`FaultInjector` is attached) are
         retried per the store's :class:`RetryPolicy`; corrupt replicas are
-        detected by checksum, skipped, and — with ``auto_repair`` —
-        rewritten from a good copy.  If the read notices any block running
+        detected by checksum, skipped, and rewritten from a good copy (the
+        read path self-heals, instead of waiting for a manual
+        :meth:`re_replicate`).  If the read notices any block running
         below target replication (dead datanode), the file is re-replicated
         immediately.
         """
@@ -395,7 +387,7 @@ class BlockStore:
                 payload = self._retry.call(
                     attempt, clock=self._clock, on_retry=on_retry
                 )
-            if self._auto_repair and self._under_replicated(status):
+            if self._under_replicated(status):
                 self._heal_file(path)
             sp.incr("bytes", len(payload))
             get_metrics().counter("blockstore.bytes_read").inc(len(payload))
@@ -759,11 +751,10 @@ class BlockStore:
                 break
         if good is None:
             raise StorageError(f"no live replica for block {block.block_id}")
-        if self._auto_repair:
-            for node in corrupt_on:
-                node.store(block.block_id, good)
-                self.health.replicas_repaired += 1
-                get_metrics().counter("blockstore.replicas_repaired").inc()
+        for node in corrupt_on:
+            node.store(block.block_id, good)
+            self.health.replicas_repaired += 1
+            get_metrics().counter("blockstore.replicas_repaired").inc()
         return good
 
     def corrupt_block(self, path: str, block_index: int, node_id: int) -> None:

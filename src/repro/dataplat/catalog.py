@@ -203,11 +203,10 @@ class Catalog:
         name: str,
         database: str = "default",
         partition: str | None = None,
-        overwrite: bool = True,
     ) -> None:
         """Write ``table`` to the store and register it.
 
-        A ``partition`` value (e.g. ``"month=3"``) appends/overwrites one
+        A ``partition`` value (e.g. ``"month=3"``) appends or replaces one
         partition; omitted means the whole unpartitioned table.
 
         The write runs as one crash-atomic transaction: files are staged,
@@ -230,8 +229,6 @@ class Catalog:
         base = self._path_base(database, name, partition)
         path = base + MANIFEST_SUFFIX
         old = self._tables.get(key, {}).get(partition)
-        if old is not None and self._store.exists(old) and not overwrite:
-            raise CatalogError(f"partition exists: {database}.{name}/{partition}")
         self._crash("catalog.save.begin", f"{database}.{name}/{partition}")
         self._save_journaled(key, partition, table, base, path, old)
 

@@ -84,7 +84,6 @@ class ETLJob:
         database: str = "default",
         partition: str | None = None,
         max_reject_fraction: float | None = None,
-        quarantine: bool = True,
     ) -> ETLStats:
         """Execute the job; returns the run's counters.
 
@@ -99,8 +98,7 @@ class ETLJob:
 
         def reject(reason: str, row: Mapping) -> None:
             stats.reject(reason)
-            if quarantine:
-                quarantined.append((reason, repr(dict(row))))
+            quarantined.append((reason, repr(dict(row))))
 
         for record in records:
             stats.rows_read += 1
@@ -122,7 +120,7 @@ class ETLJob:
             and stats.rows_read > 0
             and stats.rows_rejected / stats.rows_read > max_reject_fraction
         )
-        if quarantine and quarantined:
+        if quarantined:
             self._save_quarantine(quarantined, catalog, database, partition)
             stats.rows_quarantined = len(quarantined)
         if failed:

@@ -14,9 +14,7 @@ through:
   small item, while a large *resident* object (a forest's training set, a
   wide-table builder, a sharded catalog) reaches the workers by fork, never
   by pickle.  A batch containing anything unpicklable (e.g. a user lambda)
-  falls back to serial execution in the parent process, counted in
-  :attr:`ProcessPoolBackend.fallbacks` and the ``executor.fallbacks``
-  metric.
+  raises: nothing falls back to serial behind the caller's back.
 
 The process-wide default (:func:`get_default_backend`) is the shared pool
 when more than one CPU is usable, else serial; a forest fit too small to pay
@@ -149,10 +147,9 @@ class ProcessPoolBackend(ExecutorBackend):
         Worker processes; 0 means one per usable CPU (:func:`usable_cpus`).
 
     The pool is created lazily on first use and survives across calls (so
-    repeated fan-outs over one resident amortize worker start-up).  Batches
-    whose function or items cannot be pickled run serially in the parent
-    instead — the result is identical because tasks are self-contained; the
-    ``fallbacks`` counter records how often that happened.
+    repeated fan-outs over one resident amortize worker start-up).  A batch
+    whose function or items cannot be pickled raises the pickling error; a
+    one-worker pool runs every batch inline.
 
     :meth:`map_resident` ships ``(fn, token, item)`` only: the workers
     find the resident under ``token`` in the registry they inherited at
@@ -173,8 +170,6 @@ class ProcessPoolBackend(ExecutorBackend):
         self._pool: ProcessPoolExecutor | None = None
         #: Registry snapshot the live pool's workers inherited.
         self._forked_with: dict | None = None
-        #: Batches executed serially because they were not picklable.
-        self.fallbacks = 0
         #: Tasks actually executed in worker processes.
         self.tasks_dispatched = 0
         #: Times a worker pool was started (first use, close, stale resident).
@@ -196,11 +191,7 @@ class ProcessPoolBackend(ExecutorBackend):
             tasks=len(items),
             workers=self._max_workers,
         ) as sp:
-            if self._max_workers == 1 or not self._picklable(fn, items):
-                if self._max_workers != 1:
-                    self.fallbacks += 1
-                    sp.set_tag("fallback", True)
-                    get_metrics().counter("executor.fallbacks").inc()
+            if self._max_workers == 1:
                 return [fn(resident, item) for item in items]
             token = _register_resident(resident, stamp)
             if self._forked_with != _resident_snapshot():
@@ -241,16 +232,6 @@ class ProcessPoolBackend(ExecutorBackend):
         self._forked_with = _resident_snapshot()
         self.pool_forks += 1
         get_metrics().counter("executor.pool_forks").inc()
-
-    @staticmethod
-    def _picklable(fn: Callable, items: Sequence) -> bool:
-        try:
-            pickle.dumps(fn)
-            for item in items:
-                pickle.dumps(item)
-        except Exception:
-            return False
-        return True
 
     def __repr__(self) -> str:
         return f"ProcessPoolBackend(max_workers={self._max_workers})"

@@ -257,8 +257,8 @@ class Tracer:
         """The whole trace as JSON-serializable dicts."""
         return [root.to_dict() for root in self.roots]
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps({"spans": self.export()}, indent=indent, default=str)
+    def to_json(self) -> str:
+        return json.dumps({"spans": self.export()}, indent=2, default=str)
 
     def summary(self) -> dict[str, dict[str, float]]:
         """Aggregate ``{span name: {count, wall_s, cpu_s}}`` over the tree.
@@ -308,8 +308,8 @@ def set_tracer(tracer: Tracer | None) -> Tracer | None:
 
 
 @contextmanager
-def trace(name: str | None = None, tracer: Tracer | None = None):
-    """Install a tracer for the duration of the block and yield it.
+def trace():
+    """Install a fresh tracer for the duration of the block and yield it.
 
     >>> with trace() as t:
     ...     with span("work", month=3):
@@ -317,14 +317,10 @@ def trace(name: str | None = None, tracer: Tracer | None = None):
     >>> [s["name"] for s in t.export()]
     ['work']
     """
-    tracer = tracer if tracer is not None else Tracer()
+    tracer = Tracer()
     previous = set_tracer(tracer)
     try:
-        if name is not None:
-            with tracer.span(name):
-                yield tracer
-        else:
-            yield tracer
+        yield tracer
     finally:
         set_tracer(previous)
 

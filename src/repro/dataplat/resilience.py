@@ -114,8 +114,8 @@ class CrashPoint:
 class SimClock:
     """A simulated monotonic clock; ``sleep`` advances it instantly."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:
@@ -180,10 +180,9 @@ class RetryPolicy:
         self,
         fn: Callable[[], object],
         clock: SimClock | None = None,
-        retryable: tuple[type[BaseException], ...] = (TransientError,),
         on_retry: Callable[[int, float, BaseException], None] | None = None,
     ):
-        """Run ``fn``, retrying ``retryable`` failures per the schedule.
+        """Run ``fn``, retrying :class:`TransientError` failures per the schedule.
 
         ``on_retry(retry_index, delay, exc)`` is invoked before each sleep,
         for accounting.  The final failure propagates unchanged.
@@ -192,7 +191,7 @@ class RetryPolicy:
         for attempt in range(self.max_attempts):
             try:
                 return fn()
-            except retryable as exc:
+            except TransientError as exc:
                 if attempt + 1 >= self.max_attempts:
                     raise
                 pause = self.delay(attempt)
@@ -437,13 +436,14 @@ class CatalogTableSource:
         database: str = "telco",
         retry_policy: RetryPolicy | None = None,
         clock: SimClock | None = None,
-        health: PipelineHealthReport | None = None,
     ) -> None:
         self._catalog = catalog
         self._database = database
         self._retry = retry_policy if retry_policy is not None else RetryPolicy()
         self._clock = clock if clock is not None else SimClock()
-        self.health = health if health is not None else PipelineHealthReport()
+        #: Per-read accounting; a degraded pipeline window swaps in its own
+        #: report while it runs.
+        self.health = PipelineHealthReport()
 
     def tables_for(self, month: int) -> dict:
         """All tables that have a ``month=<t>`` partition, loaded."""

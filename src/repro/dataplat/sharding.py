@@ -153,14 +153,12 @@ class ShardedCatalog:
         shard_key: str = "imsi",
         cache_bytes: int = DEFAULT_TABLE_CACHE_BYTES,
         durability=None,
-        store_factory=None,
     ) -> None:
         if num_shards < 1:
             raise CatalogError(f"num_shards must be >= 1, got {num_shards}")
-        make = store_factory if store_factory is not None else lambda i: BlockStore()
         self._shards = tuple(
-            Catalog(make(i), cache_bytes=cache_bytes, durability=durability)
-            for i in range(num_shards)
+            Catalog(BlockStore(), cache_bytes=cache_bytes, durability=durability)
+            for _ in range(num_shards)
         )
         self._shard_key = shard_key
         self._placement: dict[tuple[str, str], Placement] = {}
@@ -234,7 +232,6 @@ class ShardedCatalog:
         database: str = "default",
         partition: str | None = None,
         key=_AUTO,
-        overwrite: bool = True,
     ) -> Placement:
         """Hash-split (or replicate) ``table`` across the shards.
 
@@ -252,11 +249,7 @@ class ShardedCatalog:
             ) as sp:
                 for i, piece in enumerate(self._split(table, placement)):
                     self._shards[i].save(
-                        piece,
-                        name,
-                        database=database,
-                        partition=partition,
-                        overwrite=overwrite,
+                        piece, name, database=database, partition=partition
                     )
                     sp.incr("rows", piece.num_rows)
             self._placement[(database, name)] = placement

@@ -151,14 +151,14 @@ class SQLEngine:
             sp.incr("rows", out.num_rows)
         return out
 
-    def create_table_as(self, name: str, sql: str, partition: str | None = None) -> Table:
+    def create_table_as(self, name: str, sql: str) -> Table:
         """CTAS: run ``sql`` and save the result under ``name``.
 
         The paper stores intermediate feature tables back into Hive so later
         stages can reuse them; this is that operation.
         """
         result = self.query(sql)
-        self.catalog.save(result, name, database=self._database, partition=partition)
+        self.catalog.save(result, name, database=self._database)
         return result
 
 

@@ -53,10 +53,10 @@ def parse(sql: str) -> "SelectStatement | UnionAllStatement | ExplainStatement":
     parser = _Parser(tokenize(sql))
     explain = parser._match_keyword("EXPLAIN") is not None
     analyze = explain and parser._match_keyword("ANALYZE") is not None
-    selects = [parser.parse_select(top_level=False)]
+    selects = [parser.parse_select()]
     while parser._match_keyword("UNION"):
         parser._expect_keyword("ALL")
-        selects.append(parser.parse_select(top_level=False))
+        selects.append(parser.parse_select())
     tail = parser._peek()
     if tail.ttype is not TokenType.EOF:
         raise SQLSyntaxError(
@@ -133,7 +133,7 @@ class _Parser:
     # Statements
     # ------------------------------------------------------------------
 
-    def parse_select(self, top_level: bool = False) -> SelectStatement:
+    def parse_select(self) -> SelectStatement:
         self._expect_keyword("SELECT")
         distinct = self._match_keyword("DISTINCT") is not None
         items = self._parse_select_items()
@@ -185,13 +185,6 @@ class _Parser:
                 raise SQLSyntaxError("LIMIT requires a number", position=tok.position)
             self._advance()
             limit = int(float(tok.value))
-        if top_level:
-            tail = self._peek()
-            if tail.ttype is not TokenType.EOF:
-                raise SQLSyntaxError(
-                    f"unexpected trailing input: {tail.value!r}",
-                    position=tail.position,
-                )
         return SelectStatement(
             items=tuple(items),
             table=table,

@@ -52,7 +52,6 @@ from ...errors import SQLAnalysisError
 from ..executor import ExecutorBackend, map_traced, resolve_backend
 from ..observability import get_metrics, span
 from ..sharding import (
-    _AUTO,
     SHUFFLE_DATABASE,
     ShardedCatalog,
     ShuffleExchange,
@@ -548,15 +547,10 @@ class ShardedSQLEngine(SQLEngine):
     def exchange(self) -> ShuffleExchange:
         return self._exchange
 
-    def register(self, table: Table, name: str, key=_AUTO) -> None:
-        """Register a temp view, sharded like :meth:`ShardedCatalog.save`.
-
-        By default the shard-key column decides the placement; ``key="col"``
-        forces hashing on another column, ``key=None`` forces replication.
-        """
-        self._sharded.register_temp(
-            table, name, database=self._database, key=key
-        )
+    def register(self, table: Table, name: str) -> None:
+        """Register a temp view, sharded like :meth:`ShardedCatalog.save`:
+        the shard-key column decides the placement."""
+        self._sharded.register_temp(table, name, database=self._database)
 
     def _plan_statement(self, stmt, optimized: bool = True) -> PlanNode:
         with span("shard.plan"):

@@ -210,13 +210,10 @@ class Table:
         """First ``n`` rows."""
         return self.take(np.arange(min(n, self._length)))
 
-    def sort_by(self, names: Sequence[str], descending: bool = False) -> "Table":
-        """Stable multi-key sort."""
+    def sort_by(self, names: Sequence[str]) -> "Table":
+        """Stable ascending multi-key sort."""
         keys = [self._data[n] for n in reversed(list(names))]
-        order = np.lexsort(keys)
-        if descending:
-            order = order[::-1]
-        return self.take(order)
+        return self.take(np.lexsort(keys))
 
     def concat_rows(self, other: "Table") -> "Table":
         """Stack another table with an identical schema underneath."""
@@ -245,12 +242,11 @@ class Table:
         other: "Table",
         on: Sequence[str],
         how: str = "inner",
-        suffix: str = "_r",
     ) -> "Table":
         """Equi-join on the columns ``on``.
 
         ``how`` is ``"inner"`` or ``"left"``.  Right-side columns that collide
-        with left-side names (other than the keys) get ``suffix`` appended.
+        with left-side names (other than the keys) get ``_r`` appended.
         For left joins, unmatched numeric right columns are filled with 0 /
         0.0 / False and string columns with ``""``.
         """
@@ -265,7 +261,7 @@ class Table:
         for col in right_cols:
             name = col.name
             if name in self._schema:
-                name = f"{col.name}{suffix}"
+                name = f"{col.name}_r"
                 rename[col.name] = name
             out_cols.append(Column(name, col.ctype))
         out_schema = Schema(out_cols)

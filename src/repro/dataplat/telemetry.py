@@ -125,12 +125,12 @@ TELEMETRY_SCHEMAS: dict[str, Schema] = {
 }
 
 
-def current_git_sha(anchor: Path | None = None) -> str:
+def current_git_sha() -> str:
     """Short commit hash of the working tree (``unknown`` outside git)."""
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
-            cwd=anchor if anchor is not None else Path(__file__).resolve().parent,
+            cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
             timeout=10,
@@ -155,9 +155,6 @@ class TelemetryWarehouse:
         pipeline's catalog is fine — telemetry lives in its own database.
     git_sha:
         Stamped onto every row; defaults to the working tree's short hash.
-    retention_runs:
-        When set, every record call compacts the warehouse down to the
-        newest ``retention_runs`` run ids (by lexicographic order).
 
     Telemetry tables partition per (run, window), so watchtower queries
     filtering on ``window`` or ``run_id`` skip every other partition via
@@ -168,17 +165,11 @@ class TelemetryWarehouse:
         self,
         catalog: Catalog | None = None,
         git_sha: str | None = None,
-        retention_runs: int | None = None,
     ) -> None:
-        if retention_runs is not None and retention_runs < 1:
-            raise DataPlatformError(
-                f"retention_runs must be >= 1, got {retention_runs}"
-            )
         self._catalog = catalog if catalog is not None else Catalog()
         self._catalog.create_database(TELEMETRY_DATABASE)
         self._engine = SQLEngine(self._catalog, database=TELEMETRY_DATABASE)
         self.git_sha = git_sha if git_sha is not None else current_git_sha()
-        self.retention_runs = retention_runs
 
     @property
     def catalog(self) -> Catalog:
@@ -447,12 +438,10 @@ class TelemetryWarehouse:
         return total
 
     @classmethod
-    def load_dump(
-        cls, path: str | Path, catalog: Catalog | None = None
-    ) -> "TelemetryWarehouse":
+    def load_dump(cls, path: str | Path) -> "TelemetryWarehouse":
         """Rebuild a queryable warehouse from a :meth:`dump` file."""
         payload = json.loads(Path(path).read_text())
-        warehouse = cls(catalog=catalog, git_sha="unknown")
+        warehouse = cls(git_sha="unknown")
         for name, data in payload["tables"].items():
             schema = TELEMETRY_SCHEMAS.get(name)
             if schema is None or list(schema.names) != data["columns"]:
@@ -502,8 +491,6 @@ class TelemetryWarehouse:
             database=TELEMETRY_DATABASE,
             partition=partition,
         )
-        if self.retention_runs is not None:
-            self.compact(self.retention_runs)
 
     @staticmethod
     def _parse_partition(partition: str) -> tuple[str, int]:
@@ -565,10 +552,13 @@ class TelemetrySink:
         window: int,
         *,
         spans: Sequence[Span] = (),
-        monitoring=None,
         health=None,
     ) -> None:
-        """Sink one window's spans, metric deltas, drift and health."""
+        """Sink one window's spans, metric deltas and health.
+
+        Drift rows have one writer,
+        :meth:`~repro.core.watchtower.Watchtower.observe`.
+        """
         previous_tracer = observability.set_tracer(None)
         try:
             if spans:
@@ -577,8 +567,6 @@ class TelemetrySink:
             delta = _snapshot_delta(self._last_snapshot, snapshot)
             self._last_snapshot = snapshot
             self.warehouse.record_metrics(self.run_id, window, delta)
-            if monitoring is not None:
-                self.warehouse.record_drift(self.run_id, window, monitoring)
             if health is not None:
                 self.warehouse.record_health(self.run_id, window, health)
         finally:

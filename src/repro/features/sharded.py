@@ -72,11 +72,9 @@ def _build_shard_blocks(world: TelcoWorld, args):
     settings — and the spans root at ``shard.widetable`` tagged with the
     shard id, so a trace of the fan-out shows per-shard skew directly.
     """
-    seed, month, categories, shard_id, num_shards = args
+    month, categories, shard_id, num_shards = args
     builder = WideTableBuilder(
-        world,
-        seed=seed,
-        table_source=_ShardSource(world, shard_id, num_shards),
+        world, table_source=_ShardSource(world, shard_id, num_shards)
     )
     with span("shard.widetable", shard=shard_id, month=month) as sp:
         blocks = {c: builder.category(c, month) for c in categories}
@@ -113,8 +111,6 @@ class ShardedWideTableBuilder:
         The simulated history.
     num_shards:
         Hash-shard count for the per-customer families.
-    seed:
-        Forwarded to the per-shard and central builders.
     backend:
         :class:`~repro.dataplat.executor.ExecutorBackend` (or name) the
         shard tasks run on; default resolves like the widetable prefetch.
@@ -124,16 +120,14 @@ class ShardedWideTableBuilder:
         self,
         world: TelcoWorld,
         num_shards: int,
-        seed: int = 0,
         backend: "ExecutorBackend | str | None" = None,
     ) -> None:
         if num_shards < 1:
             raise FeatureError(f"num_shards must be >= 1, got {num_shards}")
         self._world = world
         self._num_shards = int(num_shards)
-        self._seed = seed
         self._backend = resolve_backend(backend)
-        self._central = WideTableBuilder(world, seed=seed)
+        self._central = WideTableBuilder(world)
 
     def features(
         self, month: int, categories: "tuple[str, ...] | list[str]"
@@ -155,7 +149,7 @@ class ShardedWideTableBuilder:
     def _scatter(self, month: int, categories: tuple[str, ...]) -> None:
         """Build ``categories`` of ``month`` per shard and gather them."""
         tasks = [
-            (self._seed, month, categories, shard_id, self._num_shards)
+            (month, categories, shard_id, self._num_shards)
             for shard_id in range(self._num_shards)
         ]
         with span(

@@ -19,7 +19,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from ..datagen.simulator import TelcoWorld
-from ..dataplat.executor import ExecutorBackend, map_traced, resolve_backend
+from ..dataplat.executor import get_default_backend, map_traced
 from ..dataplat.observability import profiled, span
 from ..dataplat.resilience import PipelineHealthReport
 from ..dataplat.sql import SQLEngine
@@ -88,7 +88,6 @@ class WideTableBuilder:
         self,
         train_months: list[int],
         train_labels: dict[int, np.ndarray],
-        backend: "ExecutorBackend | str | None" = None,
     ) -> "WideTableBuilder":
         """Fit LDA vocabularies/topics and the FM pair selector.
 
@@ -107,7 +106,7 @@ class WideTableBuilder:
             [np.asarray(train_labels[m], dtype=np.int64) for m in months]
         )
         jobs = [("F7", months, None), ("F8", months, None), ("FM", months, labels)]
-        fitted = self._fan_out(_fit_extractor, jobs, backend)
+        fitted = self._fan_out(_fit_extractor, jobs)
         self._topics = {"F7": fitted[0], "F8": fitted[1]}
         f1_blocks, self._second_order = fitted[2]
         # Topic/pair fits changed: invalidate cached supervised blocks.
@@ -174,10 +173,7 @@ class WideTableBuilder:
         return FeatureMatrix.concat([self.category(c, month) for c in categories])
 
     def prefetch(
-        self,
-        months: Sequence[int],
-        categories: Sequence[str],
-        backend: "ExecutorBackend | str | None" = None,
+        self, months: Sequence[int], categories: Sequence[str]
     ) -> "WideTableBuilder":
         """Warm the block cache for a month window, one task per month.
 
@@ -223,11 +219,9 @@ class WideTableBuilder:
         # engine, and the serial path needs the views anyway.
         for month, _ in pending:
             self._register_month(month)
-        resolved = resolve_backend(backend)
-        with span(
-            "widetable.prefetch", months=len(pending), backend=resolved.name
-        ):
-            for blocks in self._fan_out(_build_month_blocks, pending, resolved):
+        backend = get_default_backend().name
+        with span("widetable.prefetch", months=len(pending), backend=backend):
+            for blocks in self._fan_out(_build_month_blocks, pending):
                 self._cache.update(blocks)
         return self
 
@@ -290,13 +284,8 @@ class WideTableBuilder:
             self._engine.register(table, f"{name}_m{month}")
         self._registered.add(month)
 
-    def _fan_out(
-        self,
-        fn: Callable,
-        items: list,
-        backend: "ExecutorBackend | str | None",
-    ) -> list:
-        """``[fn(self, item) for item in items]`` through a backend.
+    def _fan_out(self, fn: Callable, items: list) -> list:
+        """``[fn(self, item) for item in items]`` through the default backend.
 
         This builder is the resident: process workers inherit it by fork
         as of its stamp — the registered months and the completed extractor
@@ -305,7 +294,7 @@ class WideTableBuilder:
         mutating the builder's caches is invisible to the parent.
         """
         stamp = (len(self._registered), self._fits)
-        return map_traced(resolve_backend(backend), fn, self, stamp, items)
+        return map_traced(get_default_backend(), fn, self, stamp, items)
 
 
 def _build_month_blocks(builder: WideTableBuilder, task):

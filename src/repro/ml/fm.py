@@ -41,13 +41,15 @@ class FactorizationMachine:
         Initialization / shuffling seed.
     """
 
+    #: Standard deviation of the initial factor entries.
+    init_scale = 0.01
+
     def __init__(
         self,
         n_factors: int = 8,
         learning_rate: float = PAPER.learning_rate,
         n_epochs: int = 10,
         l2: float = 1e-4,
-        init_scale: float = 0.01,
         seed: int = 0,
     ) -> None:
         if n_factors < 1:
@@ -60,7 +62,6 @@ class FactorizationMachine:
         self.learning_rate = learning_rate
         self.n_epochs = n_epochs
         self.l2 = l2
-        self.init_scale = init_scale
         self.seed = seed
         self._w0 = 0.0
         self._w: np.ndarray | None = None

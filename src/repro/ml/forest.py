@@ -50,14 +50,11 @@ class RandomForestClassifier:
         Per-node feature subsample; the paper uses ``"sqrt"``.
     seed:
         Master seed; each tree derives its own bootstrap and subspace RNG.
-    backend:
-        Execution backend for per-tree fit tasks (any spec accepted
-        by :func:`~repro.dataplat.executor.resolve_backend`); ``None`` uses
-        the process-wide default, except that a fit too small to pay for a
-        fork runs inline (:func:`~repro.dataplat.executor.resolve_fit_backend`).
-        Not part of the model state: it is
-        dropped on pickling, so a fitted forest travels to worker processes
-        without dragging a pool along.
+
+    Per-tree fit tasks run on the process-wide default backend, except that
+    a fit too small to pay for a fork runs inline
+    (:func:`~repro.dataplat.executor.resolve_fit_backend`); :meth:`fit`'s
+    ``backend`` pins one fit to another backend.
     """
 
     def __init__(
@@ -67,7 +64,6 @@ class RandomForestClassifier:
         max_depth: int = 25,
         max_features: str | int | None = "sqrt",
         seed: int = 0,
-        backend: "ExecutorBackend | str | None" = None,
     ) -> None:
         if n_trees < 1:
             raise ModelError(f"n_trees must be >= 1, got {n_trees}")
@@ -76,14 +72,8 @@ class RandomForestClassifier:
         self.max_depth = max_depth
         self.max_features = max_features
         self.seed = seed
-        self._backend = backend
         self._table: NodeTable | None = None
         self._importances: np.ndarray | None = None
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_backend"] = None  # backends own OS resources; never pickle
-        return state
 
     @classmethod
     def paper_settings(cls, seed: int = 0) -> "RandomForestClassifier":
@@ -118,9 +108,7 @@ class RandomForestClassifier:
             "min_samples_leaf": self.min_samples_leaf,
             "max_features": self.max_features,
         }
-        resolved = resolve_fit_backend(
-            backend if backend is not None else self._backend, n * self.n_trees
-        )
+        resolved = resolve_fit_backend(backend, n * self.n_trees)
         chunks = _chunk_indices(self.n_trees, resolved.parallelism)
         with span(
             "forest.fit", trees=self.n_trees, rows=n, features=x.shape[1]
@@ -230,12 +218,7 @@ class OneVsRestForest:
         self.seed = seed
         self._forests: list[RandomForestClassifier] | None = None
 
-    def fit(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        backend: "ExecutorBackend | str | None" = None,
-    ) -> "OneVsRestForest":
+    def fit(self, x: np.ndarray, y: np.ndarray) -> "OneVsRestForest":
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if len(x) != len(y):
@@ -264,9 +247,7 @@ class OneVsRestForest:
             )
             slots.append((c, None))
             members.append((forest, target))
-        resolved = resolve_fit_backend(
-            backend, len(x) * self.n_trees * len(members)
-        )
+        resolved = resolve_fit_backend(None, len(x) * self.n_trees * len(members))
         fitted = iter(
             resolved.map_resident(
                 _fit_class_forest,

@@ -43,8 +43,6 @@ def pagerank(
     weights: np.ndarray,
     n_nodes: int,
     damping: float = 0.85,
-    max_iter: int = 100,
-    tol: float = 1e-8,
 ) -> np.ndarray:
     """Weighted PageRank (paper Eq. 1).
 
@@ -61,9 +59,9 @@ def pagerank(
     transition = adj.multiply(inv_degree[np.newaxis, :]).tocsr()
     x = np.ones(n_nodes, dtype=np.float64)
     teleport = (1.0 - damping) / n_nodes
-    for _ in range(max_iter):
+    for _ in range(100):
         x_new = teleport + damping * (transition @ x)
-        if np.abs(x_new - x).max() < tol:
+        if np.abs(x_new - x).max() < 1e-8:
             return x_new
         x = x_new
     return x
@@ -76,7 +74,6 @@ def label_propagation(
     seed_labels: dict[int, int],
     n_classes: int = 2,
     max_iter: int = 50,
-    tol: float = 1e-6,
 ) -> np.ndarray:
     """Semi-supervised label propagation (Zhu & Ghahramani).
 
@@ -108,7 +105,7 @@ def label_propagation(
         y_new[zero] = y[zero]
         if len(seed_rows):
             y_new[seed_rows] = seed_matrix
-        if np.abs(y_new - y).max() < tol:
+        if np.abs(y_new - y).max() < 1e-6:
             return y_new
         y = y_new
     return y

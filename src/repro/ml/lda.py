@@ -26,31 +26,32 @@ class LatentDirichletAllocation:
     ----------
     n_topics:
         K; the paper uses 10.
-    alpha, beta:
-        Symmetric Dirichlet hyper-parameters for θ and φ.
+    alpha:
+        Symmetric Dirichlet hyper-parameter for θ.
     n_iter:
         Message-passing iterations over the corpus.
     seed:
         RNG seed; the fit is deterministic given it.
     """
 
+    #: Symmetric Dirichlet hyper-parameter for φ.
+    beta = 0.1
+
     def __init__(
         self,
         n_topics: int = 10,
         alpha: float = 0.5,
-        beta: float = 0.1,
         n_iter: int = 30,
         seed: int = 0,
     ) -> None:
         if n_topics < 2:
             raise ModelError(f"n_topics must be >= 2, got {n_topics}")
-        if alpha <= 0 or beta <= 0:
-            raise ModelError("alpha and beta must be positive")
+        if alpha <= 0:
+            raise ModelError("alpha must be positive")
         if n_iter < 1:
             raise ModelError(f"n_iter must be >= 1, got {n_iter}")
         self.n_topics = n_topics
         self.alpha = alpha
-        self.beta = beta
         self.n_iter = n_iter
         self.seed = seed
         self._phi: np.ndarray | None = None

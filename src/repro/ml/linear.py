@@ -30,18 +30,18 @@ class LogisticRegression:
         Regularization strength λ (the intercept is not penalized).
     max_iter:
         Gradient-descent steps.
-    tol:
-        Stop when the gradient's infinity norm falls below this.
     """
 
-    def __init__(self, l2: float = 1e-3, max_iter: int = 200, tol: float = 1e-6) -> None:
+    #: Stop when the gradient's infinity norm falls below this.
+    tol = 1e-6
+
+    def __init__(self, l2: float = 1e-3, max_iter: int = 200) -> None:
         if l2 < 0:
             raise ModelError(f"l2 must be >= 0, got {l2}")
         if max_iter < 1:
             raise ModelError(f"max_iter must be >= 1, got {max_iter}")
         self.l2 = l2
         self.max_iter = max_iter
-        self.tol = tol
         self._weights: np.ndarray | None = None
         self._intercept = 0.0
         self._loss_history: list[float] = []

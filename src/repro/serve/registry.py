@@ -71,9 +71,7 @@ class ModelRegistry:
         if activate:
             self.activate(version)
 
-    def publish_durable(
-        self, catalog, version: str, forest, *, activate: bool = False
-    ) -> None:
+    def publish_durable(self, catalog, version: str, forest) -> None:
         """Publish a random forest and persist its bytes to the block store.
 
         The payload lands at :func:`model_path` on the same replicated
@@ -81,7 +79,7 @@ class ModelRegistry:
         :meth:`activate_from_store` the version.
         """
         catalog.store.write(model_path(version), forest_to_bytes(forest))
-        self.publish(version, forest, activate=activate)
+        self.publish(version, forest)
 
     def activate(
         self,

@@ -31,10 +31,7 @@ _COUNTER_SQL = (
 )
 
 
-def serve_rules(
-    p99_budget_s: float = DEFAULT_P99_BUDGET_S,
-    shed_rate_budget: float = DEFAULT_SHED_RATE_BUDGET,
-) -> tuple[AlertRule, ...]:
+def serve_rules() -> tuple[AlertRule, ...]:
     """Stock serving SLO rules: page on p99 breach or shed-rate spike.
 
     A failed model swap only warns — the stale-model fallback keeps
@@ -45,7 +42,7 @@ def serve_rules(
         AlertRule(
             name="serve-p99-breach",
             sql=_GAUGE_SQL % "serve.latency_p99_s",
-            threshold=float(p99_budget_s),
+            threshold=DEFAULT_P99_BUDGET_S,
             comparison=">",
             severity="page",
             description="online scoring p99 latency over budget",
@@ -53,7 +50,7 @@ def serve_rules(
         AlertRule(
             name="serve-shed-spike",
             sql=_GAUGE_SQL % "serve.shed_rate",
-            threshold=float(shed_rate_budget),
+            threshold=DEFAULT_SHED_RATE_BUDGET,
             comparison=">",
             severity="page",
             description="online scoring shedding more than budgeted",

@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import ModelConfig, ScaleConfig
 from repro.datagen import TelcoSimulator
-from repro.dataplat import observability
+from repro.dataplat import executor, observability
 from repro.features import WideTableBuilder
 
 
@@ -112,3 +112,26 @@ def capture_spans():
     finally:
         observability.set_tracer(previous_tracer)
         observability.set_metrics(previous_metrics)
+
+
+@pytest.fixture()
+def use_backend():
+    """Select the process-wide default backend for one test.
+
+    Entry points never pass a backend to a pipeline, predictor, forest or
+    wide-table builder: each fan-out resolves the process default.  A test
+    picks it with ``use_backend(spec)`` (an instance, ``"serial"`` or
+    ``"process"``), which returns the backend; the previous default comes
+    back on teardown.
+    """
+    previous = executor.get_default_backend()
+
+    def use(spec):
+        backend = executor.resolve_backend(spec)
+        executor.set_default_backend(backend)
+        return backend
+
+    try:
+        yield use
+    finally:
+        executor.set_default_backend(previous)

@@ -52,10 +52,12 @@ class TestBasics:
         store.write("/f", b"two")
         assert store.read("/f") == b"two"
 
-    def test_no_overwrite_flag(self, store):
+    def test_rename_replaces_destination(self, store):
         store.write("/f", b"one")
-        with pytest.raises(StorageError):
-            store.write("/f", b"two", overwrite=False)
+        store.write("/g", b"two")
+        store.rename("/g", "/f")
+        assert store.read("/f") == b"two"
+        assert not store.exists("/g")
 
     def test_list_files(self, store):
         store.write("/a/x", b"1")

@@ -54,11 +54,6 @@ class TestSaveLoad:
         with pytest.raises(CatalogError):
             catalog.save(table.select(["imsi"]), "t", partition="month=2")
 
-    def test_overwrite_flag(self, catalog, table):
-        catalog.save(table, "t")
-        with pytest.raises(CatalogError):
-            catalog.save(table, "t", overwrite=False)
-
     def test_bytes_actually_stored(self, catalog, table):
         catalog.save(table, "t")
         assert catalog.store.total_bytes > 0

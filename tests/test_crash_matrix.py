@@ -83,7 +83,7 @@ SCENARIOS = [
     Scenario(
         name="v2-overwrite",
         setup=lambda c: c.save(make_table(1), "t"),
-        op=lambda c: c.save(make_table(2), "t", overwrite=True),
+        op=lambda c: c.save(make_table(2), "t"),
         commit_label="catalog.save.commit",
         is_old=lambda c: _loads(c, "t", 1),
         is_new=lambda c: _loads(c, "t", 2),
@@ -175,7 +175,7 @@ def test_fsync_never_loses_commits_but_stays_consistent():
     catalog.save(make_table(1), "t")
     store.fsync_all()
     crash.reset()
-    catalog.save(make_table(2), "t", overwrite=True)  # completes fully...
+    catalog.save(make_table(2), "t")  # completes fully...
     store.crash()  # ...but nothing was synced: the volatile crash eats it
     reopened = Catalog.open(store)
     assert_recovered_invariants(store, reopened)
@@ -195,7 +195,7 @@ def test_any_write_prefix_with_torn_tail_recovers(
     catalog, crash = build_world("durable")
     catalog.save(make_table(1), "t")
     crash.reset()
-    catalog.save(make_table(2), "t", overwrite=True)
+    catalog.save(make_table(2), "t")
     total = crash.hits
     k = 1 + round(hit_fraction * (total - 1))
 
@@ -204,7 +204,7 @@ def test_any_write_prefix_with_torn_tail_recovers(
     crash.reset()
     crash.raise_at(k)
     with pytest.raises(SimulatedCrash):
-        catalog.save(make_table(2), "t", overwrite=True)
+        catalog.save(make_table(2), "t")
     store = catalog.store
     written = [
         detail
@@ -227,7 +227,7 @@ def test_recovered_catalog_serves_configured_backend():
     crash.reset()
     crash.raise_at(4)  # somewhere mid-protocol; any point works here
     with pytest.raises(SimulatedCrash):
-        catalog.save(make_table(2), "t", overwrite=True)
+        catalog.save(make_table(2), "t")
     reopened = Catalog.open(catalog.store)
     table = reopened.load("t")
     backend = get_default_backend()

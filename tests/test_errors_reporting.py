@@ -72,7 +72,6 @@ class TestErrorHierarchy:
 class TestRendering:
     def test_fmt_digits(self):
         assert fmt(0.123456789) == "0.12346"
-        assert fmt(0.1, digits=2) == "0.10"
 
     def test_render_table_pads_cells(self):
         text = render_table(["col", "x"], [["a", "12345"]])

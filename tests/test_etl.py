@@ -127,9 +127,3 @@ class TestQuarantine:
         dead = catalog.load(f"cdr{QUARANTINE_SUFFIX}")
         assert sorted(dead["reason"].tolist()) == ["badtype:imsi", "missing:imsi"]
 
-    def test_quarantine_disabled_only_counts(self, catalog, schema):
-        records = [{"imsi": 1, "dur": 1.0, "kind": "x"}, {"imsi": "oops"}]
-        stats = ETLJob(schema, "cdr").run(records, catalog, quarantine=False)
-        assert stats.rows_rejected == 1
-        assert stats.rows_quarantined == 0
-        assert not catalog.exists(f"cdr{QUARANTINE_SUFFIX}")

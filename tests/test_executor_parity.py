@@ -7,6 +7,7 @@ a :class:`SerialBackend` run bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import os
@@ -71,37 +72,31 @@ class TestForestParity:
             serial.feature_importances_, parallel.feature_importances_
         )
 
-    def test_one_vs_rest_parity(self, pool):
+    def test_one_vs_rest_parity(self, pool, use_backend):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(200, 5))
-        y = rng.integers(0, 3, size=200)
-        serial = OneVsRestForest(n_classes=3, n_trees=4, seed=2).fit(
-            x, y, backend=SerialBackend()
-        )
-        parallel = OneVsRestForest(n_classes=3, n_trees=4, seed=2).fit(
-            x, y, backend=pool
-        )
+        # 1 100 rows x 10 trees x 3 members: above INLINE_FIT_CELLS, so
+        # the default pool really fans the members out.
+        x = rng.normal(size=(1100, 5))
+        y = rng.integers(0, 3, size=1100)
+        use_backend(SerialBackend())
+        serial = OneVsRestForest(n_classes=3, n_trees=10, seed=2).fit(x, y)
+        use_backend(pool)
+        dispatched = pool.tasks_dispatched
+        parallel = OneVsRestForest(n_classes=3, n_trees=10, seed=2).fit(x, y)
+        assert pool.tasks_dispatched > dispatched
         assert np.array_equal(serial.predict_proba(x), parallel.predict_proba(x))
         assert np.array_equal(serial.predict(x), parallel.predict(x))
 
-    def test_fitted_forest_travels_without_backend(self, pool):
-        import pickle
-
-        x, y = _make_xy(n=80, d=4)
-        model = RandomForestClassifier(n_trees=3, seed=0, backend=pool).fit(x, y)
-        clone = pickle.loads(pickle.dumps(model))
-        assert clone._backend is None
-        assert np.array_equal(model.predict_proba(x), clone.predict_proba(x))
-
 
 class TestWideTableParity:
-    def test_prefetch_matches_serial_builds(self, tiny_world, pool):
+    def test_prefetch_matches_serial_builds(self, tiny_world, pool, use_backend):
         months = [2, 3]
         categories = ("F1", "F2", "F3")
         lazy = WideTableBuilder(tiny_world, seed=0)
-        warmed = WideTableBuilder(tiny_world, seed=0).prefetch(
-            months, categories, pool
-        )
+        use_backend(pool)
+        dispatched = pool.tasks_dispatched
+        warmed = WideTableBuilder(tiny_world, seed=0).prefetch(months, categories)
+        assert pool.tasks_dispatched > dispatched
         for month in months:
             a = lazy.features(month, categories)
             b = warmed.features(month, categories)
@@ -109,9 +104,10 @@ class TestWideTableParity:
             assert np.array_equal(a.imsi, b.imsi)
             assert np.array_equal(a.values, b.values)
 
-    def test_prefetch_skips_unfitted_supervised_families(self, tiny_world):
+    def test_prefetch_skips_unfitted_supervised_families(self, tiny_world, use_backend):
+        use_backend(SerialBackend())
         builder = WideTableBuilder(tiny_world, seed=0)
-        builder.prefetch([2], ("F1", "F7", "F9"), SerialBackend())
+        builder.prefetch([2], ("F1", "F7", "F9"))
         assert ("F1", 2) in builder._cache
         assert ("F7", 2) not in builder._cache
         assert ("F9", 2) not in builder._cache
@@ -129,8 +125,8 @@ class TestGoldenParity:
 
     SPEC = WindowSpec((4, 5, 6), 7)
 
-    def _window(self, world, scale, model, backend):
-        pipeline = ChurnPipeline(world, scale, model=model, backend=backend)
+    def _window(self, world, scale, model):
+        pipeline = ChurnPipeline(world, scale, model=model)
         result = pipeline.run_window(self.SPEC)
         table = _digest(
             *(
@@ -142,29 +138,37 @@ class TestGoldenParity:
         return table, forest, _digest(result.scores)
 
     def test_pipeline_window_is_bit_identical(
-        self, tiny_world, tiny_scale, small_model
+        self, tiny_world, tiny_scale, small_model, use_backend
     ):
-        serial = self._window(tiny_world, tiny_scale, small_model, "serial")
+        # Enough trees that the forest fit is above INLINE_FIT_CELLS and
+        # fans out on the default pool too.
+        model = dataclasses.replace(small_model, n_trees=24)
+        use_backend("serial")
+        serial = self._window(tiny_world, tiny_scale, model)
         with ProcessPoolBackend(max_workers=2) as pool:
-            pooled = self._window(tiny_world, tiny_scale, small_model, pool)
+            use_backend(pool)
+            pooled = self._window(tiny_world, tiny_scale, model)
             # One fork per stage that fanned out: the extractor fits, the
             # per-month prefetch and the forest fit.  A fork per task or
             # per month would show here.
             assert pool.pool_forks == 3
-            assert pool.fallbacks == 0
+            assert pool.tasks_dispatched > 0
         assert pooled == serial
 
-    def test_one_vs_rest_is_bit_identical(self):
+    def test_one_vs_rest_is_bit_identical(self, use_backend):
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(240, 6))
-        y = rng.integers(0, 4, size=240)
+        # 960 rows x 12 trees x 3 fitted members: above INLINE_FIT_CELLS.
+        x = rng.normal(size=(960, 6))
+        y = rng.integers(0, 4, size=960)
         y[y == 3] = 0  # one absent class takes the constant-score path
         fits = {}
         with ProcessPoolBackend(max_workers=2) as pool:
             for name, backend in (("serial", "serial"), ("pool", pool)):
-                model = OneVsRestForest(n_classes=4, n_trees=5, seed=4)
-                fits[name] = model.fit(x, y, backend=backend)
+                use_backend(backend)
+                model = OneVsRestForest(n_classes=4, n_trees=12, seed=4)
+                fits[name] = model.fit(x, y)
             assert pool.pool_forks == 1
+            assert pool.tasks_dispatched == 3
         assert _digest(fits["serial"].predict_proba(x)) == _digest(
             fits["pool"].predict_proba(x)
         )

@@ -127,7 +127,7 @@ class TestJournaledWrites:
         catalog, _ = crash_world()
         catalog.save(make_table(seed=1), "t")
         before = set(catalog.partition_files("t"))
-        catalog.save(make_table(seed=2), "t", overwrite=True)
+        catalog.save(make_table(seed=2), "t")
         after = set(catalog.partition_files("t"))
         # Version-stamped chunk names: the new version shares only the
         # manifest path with the old one.
@@ -256,7 +256,7 @@ class TestRecovery:
 
         store = crash_during(
             build,
-            lambda c: c.save(make_table(seed=9), "t", overwrite=True),
+            lambda c: c.save(make_table(seed=9), "t"),
             "catalog.save.commit",
         )
         reopened = Catalog.open(store)
@@ -303,7 +303,7 @@ class TestRecovery:
         crash.reset()
         crash.raise_at(k)
         with pytest.raises(SimulatedCrash):
-            catalog.save(make_table(seed=9), "t", overwrite=True)
+            catalog.save(make_table(seed=9), "t")
         # The crashed txn committed; recovery replays it, deleting the old
         # chunks — which must drop out of the crashed catalog's cache too.
         reopened = Catalog.open(catalog.store)
@@ -407,11 +407,11 @@ class TestRecovery:
     def test_txn_floor_prevents_id_reuse(self):
         catalog, _ = crash_world()
         for seed in range(3):
-            catalog.save(make_table(seed=seed), "t", overwrite=True)
+            catalog.save(make_table(seed=seed), "t")
         floor = txn_floor(catalog.store)
         assert floor >= 3
         fresh = Catalog.open(catalog.store)
-        fresh.save(make_table(seed=9), "t", overwrite=True)
+        fresh.save(make_table(seed=9), "t")
         assert txn_floor(fresh.store) > floor
 
 
@@ -424,7 +424,7 @@ class TestFsck:
 
         return crash_during(
             build,
-            lambda c: c.save(make_table(seed=9), "t", overwrite=True),
+            lambda c: c.save(make_table(seed=9), "t"),
             "catalog.save.barrier",
         )
 
@@ -469,7 +469,7 @@ class TestRecoveryTelemetry:
 
         store = crash_during(
             build,
-            lambda c: c.save(make_table(seed=9), "t", overwrite=True),
+            lambda c: c.save(make_table(seed=9), "t"),
             "catalog.save.commit",
         )
         Catalog.open(store)

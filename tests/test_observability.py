@@ -161,9 +161,9 @@ class TestHooks:
 
     def test_trace_contextmanager_restores(self):
         assert observability.get_tracer() is None
-        with trace("run") as tracer:
+        with trace() as tracer:
             assert observability.get_tracer() is tracer
-            with span("step"):
+            with span("run"), span("step"):
                 pass
         assert observability.get_tracer() is None
         assert [s["name"] for s in tracer.export()] == ["run"]
@@ -287,7 +287,7 @@ class TestTrainingSpans:
     """The two training stages a Figure-6 window spends its time in."""
 
     @staticmethod
-    def _fit_extractors(world, backend):
+    def _fit_extractors(world):
         months = [4, 5]
         labels = {
             m: np.zeros(world.month(m).imsi.size, dtype=np.int64)
@@ -295,7 +295,7 @@ class TestTrainingSpans:
         }
         for m in months:
             labels[m][::7] = 1
-        WideTableBuilder(world).fit_extractors(months, labels, backend=backend)
+        WideTableBuilder(world).fit_extractors(months, labels)
 
     @staticmethod
     def _assert_fit_children(capture_spans, fan_out=()):
@@ -311,18 +311,20 @@ class TestTrainingSpans:
             assert topic.tags["docs"] > 0 and topic.tags["vocab"] > 0
         return fit
 
-    def test_fit_extractors_span_tree(self, capture_spans, tiny_world):
-        self._fit_extractors(tiny_world, "serial")
+    def test_fit_extractors_span_tree(self, capture_spans, tiny_world, use_backend):
+        use_backend("serial")
+        self._fit_extractors(tiny_world)
         fit = self._assert_fit_children(capture_spans)
         # Serial children run one after another inside the parent span.
         assert fit.wall_s >= sum(c.wall_s for c in fit.children) * 0.99
 
     def test_fit_extractors_span_tree_from_workers(
-        self, capture_spans, tiny_world
+        self, capture_spans, tiny_world, use_backend
     ):
         with ProcessPoolBackend(max_workers=2) as pool:
-            self._fit_extractors(tiny_world, pool)
-            assert pool.tasks_dispatched == 3 and pool.fallbacks == 0
+            use_backend(pool)
+            self._fit_extractors(tiny_world)
+            assert pool.tasks_dispatched == 3
         # The three fits ran in workers and overlap in time, so only the
         # tree and its tags are asserted, not the wall-clock sum.
         self._assert_fit_children(capture_spans, fan_out=["executor.map"])

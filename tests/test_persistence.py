@@ -248,7 +248,8 @@ class TestPayloadEdges:
         forest, _, _ = fitted
         catalog = Catalog()
         registry = ModelRegistry()
-        registry.publish_durable(catalog, "2014-06", forest, activate=True)
+        registry.publish_durable(catalog, "2014-06", forest)
+        registry.activate("2014-06")
         if bad == "truncated":
             payload = forest_to_bytes(forest)[:-100]
         else:

@@ -399,15 +399,6 @@ class TestQuarantineProperties:
         else:
             assert not catalog.exists(f"feed{QUARANTINE_SUFFIX}")
 
-    @given(raw_records())
-    @settings(max_examples=40, deadline=None)
-    def test_quarantine_off_only_counts(self, records):
-        catalog = Catalog()
-        job = ETLJob(self.schema, target="feed")
-        stats = job.run(records, catalog, quarantine=False)
-        assert stats.rows_quarantined == 0
-        assert not catalog.exists(f"feed{QUARANTINE_SUFFIX}")
-        assert stats.rows_loaded + stats.rows_rejected == stats.rows_read
 
 
 class TestZeroFaultIdentity:

@@ -11,6 +11,7 @@ over unchanged data the pool forks once, not per statement.
 
 import gc
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -236,7 +237,7 @@ class TestForkOnce:
         central = WideTableBuilder(world, seed=0)
         for month in (1, 2):
             builder = ShardedWideTableBuilder(
-                world, num_shards=4, seed=0, backend=pool
+                world, num_shards=4, backend=pool
             )
             want = central.features(month, SHARDED_CATEGORIES)
             got = builder.features(month, SHARDED_CATEGORIES)
@@ -272,15 +273,24 @@ class TestResidentRegistry:
         assert pool.map_resident(_read_box, box, 1, [2]) == [7]
         assert pool.pool_forks == 2
 
-    def test_unpicklable_fn_falls_back_to_serial(self, pool, capture_spans):
-        out = pool.map_resident(
-            lambda box, x: box.value * x, _Box(3), 0, [1, 2]
-        )
-        assert out == [3, 6]
-        assert pool.map(lambda x: 5 * x, [1, 2]) == [5, 10]
-        assert pool.fallbacks == 2
-        assert pool.pool_forks == 0
-        assert capture_spans.counter("executor.fallbacks") == 2
+    def test_unpicklable_task_raises(self, pool):
+        # No silent serial fallback: a lambda cannot reach a worker, and
+        # the pool raises the pickling error instead of running the batch
+        # in the parent.
+        unpicklable = (pickle.PicklingError, AttributeError)
+        with pytest.raises(unpicklable, match="(?i)pickle"):
+            pool.map_resident(lambda box, x: box.value * x, _Box(3), 0, [1, 2])
+        with pytest.raises(unpicklable, match="(?i)pickle"):
+            pool.map(_square, [lambda: 1])
+
+    def test_pool_survives_unpicklable_batch(self, pool):
+        # A failed batch is reported to its caller, not run in the parent;
+        # the same resident and the pool both serve the next batch.
+        box = _Box(10)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pool.map_resident(lambda r, x: r.value + x, box, 0, [1])
+        assert pool.map_resident(_read_box, box, 0, [1, 2]) == [11, 12]
+        assert pool.map(_square, [3]) == [9]
 
     def test_serial_backend_runs_inline(self):
         assert SerialBackend().map_resident(
@@ -315,17 +325,13 @@ class TestSharedPool:
 
 
 class TestForkedWorker:
-    def test_worker_never_fans_out(self, pool):
+    def test_worker_never_fans_out(self, pool, use_backend):
         # The parent's default and shared backends are process pools; a
         # worker inheriting them would fork pools of its own.
-        previous = executor.get_default_backend()
-        executor.set_default_backend(resolve_backend("process"))
-        try:
-            assert executor.get_default_backend().name == "process"
-            assert resolve_backend("process").name == "process"
-            views = pool.map_resident(_worker_view, _Box(0), 0, [1, 2, 3, 4])
-        finally:
-            executor.set_default_backend(previous)
+        use_backend("process")
+        assert executor.get_default_backend().name == "process"
+        assert resolve_backend("process").name == "process"
+        views = pool.map_resident(_worker_view, _Box(0), 0, [1, 2, 3, 4])
         assert pool.pool_forks == 1
         for pid, default, none, process, no_pool in views:
             assert pid != os.getpid()  # ran in a worker, not inline

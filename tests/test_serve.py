@@ -361,7 +361,8 @@ class TestModelRegistry:
         catalog = Catalog()
         forest = make_forest(matrix)
         registry = ModelRegistry()
-        registry.publish_durable(catalog, "v1", forest, activate=True)
+        registry.publish_durable(catalog, "v1", forest)
+        registry.activate("v1")
         other = ModelRegistry()
         assert other.activate_from_store(catalog, "v1") is True
         _, loaded = other.current()

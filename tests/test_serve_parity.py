@@ -33,15 +33,16 @@ def snapshot(small_builder):
     return small_builder.features(MONTH, ("F1", "F2"))
 
 
-@pytest.fixture(scope="module")
-def fitted(snapshot):
-    """One predictor per backend, fitted on identical data."""
+@pytest.fixture()
+def fitted(snapshot, use_backend):
+    """One predictor per default backend, fitted on identical data."""
     rng = np.random.default_rng(5)
     y = (
         snapshot.values[:, 0] > np.median(snapshot.values[:, 0])
     ).astype(np.int64)
     y ^= (rng.random(len(y)) < 0.1).astype(np.int64)  # label noise
-    config = ModelConfig(n_trees=8, max_depth=8, min_samples_leaf=20)
+    # Enough rows x trees to pass INLINE_FIT_CELLS: the pool fit fans out.
+    config = ModelConfig(n_trees=24, max_depth=8, min_samples_leaf=20)
     predictors = {}
     pool = ProcessPoolBackend(max_workers=2)
     try:
@@ -49,9 +50,11 @@ def fitted(snapshot):
             ("serial", SerialBackend()),
             ("process", pool),
         ):
+            use_backend(backend)
             predictors[label] = ChurnPredictor(
-                "rf", config=config, seed=5, backend=backend
+                "rf", config=config, seed=5
             ).fit(snapshot.values, y)
+        assert pool.tasks_dispatched > 0
         yield predictors
     finally:
         pool.close()

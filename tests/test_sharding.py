@@ -589,7 +589,7 @@ class TestShardedWideTable:
         )
 
         central = WideTableBuilder(world, seed=0)
-        sharded = ShardedWideTableBuilder(world, num_shards=4, seed=0)
+        sharded = ShardedWideTableBuilder(world, num_shards=4)
         for month in (1, 2):
             want = central.features(month, SHARDED_CATEGORIES)
             got = sharded.features(month, SHARDED_CATEGORIES)
@@ -606,7 +606,7 @@ class TestShardedWideTable:
         tracer = observability.Tracer()
         previous = observability.set_tracer(tracer)
         try:
-            builder = ShardedWideTableBuilder(world, num_shards=3, seed=0)
+            builder = ShardedWideTableBuilder(world, num_shards=3)
             builder.features(1, ("F1",))
         finally:
             observability.set_tracer(previous)

@@ -18,11 +18,7 @@ import numpy as np
 import pytest
 
 from repro.dataplat.catalog import Catalog
-from repro.dataplat.executor import (
-    ProcessPoolBackend,
-    SerialBackend,
-    set_default_backend,
-)
+from repro.dataplat.executor import ProcessPoolBackend, SerialBackend
 from repro.dataplat.sql import SQLEngine
 from repro.dataplat.sql.executor import Executor
 from sql_fuzz_reference import (
@@ -100,12 +96,6 @@ def _run_suite(seed: int, count: int, build=_build_engine) -> None:
         )
 
 
-@pytest.fixture()
-def restore_backend():
-    yield
-    set_default_backend(None)
-
-
 class TestGenerator:
     def test_deterministic(self):
         assert generate_queries(SEED, 60) == generate_queries(SEED, 60)
@@ -133,12 +123,12 @@ class TestGenerator:
 
 
 class TestDifferential:
-    def test_serial_backend(self, restore_backend):
-        set_default_backend(SerialBackend())
+    def test_serial_backend(self, use_backend):
+        use_backend(SerialBackend())
         _run_suite(SEED, QUERY_COUNT)
 
-    def test_process_pool_backend(self, restore_backend):
-        set_default_backend(ProcessPoolBackend(max_workers=2))
+    def test_process_pool_backend(self, use_backend):
+        use_backend(ProcessPoolBackend(max_workers=2))
         _run_suite(SEED, QUERY_COUNT)
 
     def test_secondary_seed(self):
@@ -157,7 +147,7 @@ class TestDifferential:
             raw = executor.execute(engine.plan(sql, optimized=False))
             assert rows_equal(table_rows(raw), expected), sql
 
-    def test_results_identical_across_backends(self, restore_backend):
+    def test_results_identical_across_backends(self, use_backend):
         """Same normalized rows whichever backend is ambient."""
         tables = make_fuzz_tables(SEED)
         queries = generate_queries(SEED, 40)
@@ -166,7 +156,7 @@ class TestDifferential:
             ("serial", SerialBackend()),
             ("pool", ProcessPoolBackend(max_workers=2)),
         ):
-            set_default_backend(backend)
+            use_backend(backend)
             engine = _build_engine(tables)
             results[label] = [
                 normalize_rows(table_rows(engine.query(sql))) for sql in queries
@@ -231,12 +221,12 @@ class TestPruningParity:
         # Temp views must never touch the pruning counters.
         assert plain.catalog.store.health.partitions_pruned == 0
 
-    def test_serial_backend(self, restore_backend):
-        set_default_backend(SerialBackend())
+    def test_serial_backend(self, use_backend):
+        use_backend(SerialBackend())
         self._run(QUERY_COUNT)
 
-    def test_process_pool_backend(self, restore_backend):
-        set_default_backend(ProcessPoolBackend(max_workers=2))
+    def test_process_pool_backend(self, use_backend):
+        use_backend(ProcessPoolBackend(max_workers=2))
         self._run(QUERY_COUNT)
 
     def test_pruning_matches_reference(self):

@@ -132,10 +132,6 @@ class TestTransforms:
         out = sample.sort_by(["dur"])
         assert out["dur"].tolist() == sorted(sample["dur"].tolist())
 
-    def test_sort_by_descending(self, sample):
-        out = sample.sort_by(["dur"], descending=True)
-        assert out["dur"].tolist() == sorted(sample["dur"].tolist(), reverse=True)
-
     def test_sort_by_multi_is_stable(self):
         t = Table.from_arrays(
             k=np.array([1, 1, 0, 0]), v=np.array([2, 1, 2, 1])

@@ -173,12 +173,6 @@ class TestWarehouse:
         }
         assert runs_left == {"r2", "r3"}
 
-    def test_retention_applies_on_write(self):
-        wh = TelemetryWarehouse(git_sha="sha", retention_runs=2)
-        for run in ("r1", "r2", "r3"):
-            wh.record_metrics(run, 1, {"gauges": {"a": 1.0}})
-        assert wh.runs() == ["r2", "r3"]
-
     def test_compact_last_partition_drops_table(self):
         wh = TelemetryWarehouse(git_sha="sha")
         wh.record_metrics("r1", 1, {"gauges": {"a": 1.0}})
@@ -315,7 +309,8 @@ class TestSink:
         sink = TelemetrySink(wh, "run-0001", metrics=registry)
         for window, shift in ((5, 0.0), (6, 2.0)):
             registry.counter("pipeline.windows").inc()
-            sink.record_window(window, monitoring=_report(rng, shift=shift))
+            sink.record_window(window)
+            wh.record_drift("run-0001", window, _report(rng, shift=shift))
         metric_windows = sorted(
             row[0]
             for row in wh.query(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ChurnPipeline, ModelMonitor
-from repro.core.watchtower import Alert, AlertRule, Watchtower, executor_rules
+from repro.core.watchtower import Alert, AlertRule, Watchtower
 from repro.datagen.scenarios import DriftScenario, inject_drift
 from repro.dataplat.executor import ProcessPoolBackend
 from repro.dataplat.telemetry import TelemetrySink, TelemetryWarehouse
@@ -249,8 +249,9 @@ SCENARIO_RULES = (
 )
 
 
-def _run_scenario(world, scale, backend) -> list[tuple]:
-    """Drive the full loop on one backend; returns the stored alert rows."""
+def _run_scenario(world, scale) -> list[tuple]:
+    """Drive the full loop on the default backend; returns the stored alert
+    rows."""
     from repro.dataplat import observability
 
     scenario = DriftScenario(
@@ -274,7 +275,7 @@ def _run_scenario(world, scale, backend) -> list[tuple]:
     previous = observability.set_metrics(None)
     try:
         pipeline = ChurnPipeline(
-            drifted, scale, seed=0, backend=backend, telemetry=sink
+            drifted, scale, seed=0, telemetry=sink
         )
         for spec in pipeline.windows.windows(test_months=[6, 7, 8]):
             result = pipeline.run_window(spec)
@@ -298,8 +299,9 @@ def _run_scenario(world, scale, backend) -> list[tuple]:
 class TestDriftScenarioEndToEnd:
     """ISSUE acceptance: exactly the declared alerts, on both backends."""
 
-    def test_exact_alerts_and_backend_parity(self, tiny_world, tiny_scale):
-        serial = _run_scenario(tiny_world, tiny_scale, backend="serial")
+    def test_exact_alerts_and_backend_parity(self, tiny_world, tiny_scale, use_backend):
+        use_backend("serial")
+        serial = _run_scenario(tiny_world, tiny_scale)
         # The gradual decay must persist 2 windows before the warn fires;
         # the sudden PS shift pages in its first window; nothing else.
         assert serial == [
@@ -307,26 +309,8 @@ class TestDriftScenarioEndToEnd:
             (8, "billing-drift-sustained", "warn"),
             (8, "ps-kpi-shifted", "page"),
         ]
-        parallel = _run_scenario(tiny_world, tiny_scale, backend="process")
-        assert parallel == serial
-
-
-class _Resident:
-    value = 10
-
-
-class TestExecutorRules:
-    def test_recorded_fallback_warns(self, capture_spans):
-        wh = TelemetryWarehouse(git_sha="sha")
-        sink = TelemetrySink(wh, "r1", metrics=capture_spans.metrics)
-        tower = Watchtower(wh, executor_rules())
         with ProcessPoolBackend(max_workers=2) as pool:
-            # A lambda cannot be pickled: the batch runs in the parent.
-            out = pool.map_resident(lambda r, x: r.value + x, _Resident(), 0, [1])
-            assert out == [11] and pool.fallbacks == 1
-        sink.record_window(1)
-        fired = tower.evaluate("r1", 1)
-        assert [a.rule for a in fired] == ["executor-fallback"]
-        assert fired[0].severity == "warn"
-        sink.record_window(2)  # no new fallback: the counter's delta is 0
-        assert tower.evaluate("r1", 2) == []
+            use_backend(pool)
+            parallel = _run_scenario(tiny_world, tiny_scale)
+            assert pool.tasks_dispatched > 0
+        assert parallel == serial
